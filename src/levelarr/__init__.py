@@ -29,15 +29,12 @@ from .arrangement import (
 )
 from .exactmath import (
     AffineSolution,
-    RrefResult,
     Scalar,
     Vector,
     as_scalar,
     as_vector,
     cone_span_dimension,
     feasible_strict,
-    matrix_rank,
-    rref,
     solve_affine,
 )
 from .expansion import (

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import as_scalar, as_vector, dot
+from .exactmath import IntRow, _int_row, _normalize, as_scalar, as_vector, dot
 
 
 class Kind(str, Enum):
@@ -42,31 +42,24 @@ class DegenerateDeformationError(ValueError):
 class Hyperplane:
     """Affine hyperplane ``normal . x = offset`` in canonical form.
 
-    The normal is scaled to a primitive integer vector whose first nonzero
-    entry is positive; the offset is scaled along with it.  Two parallel
-    hyperplanes therefore share the exact same normal tuple.
+    ``row`` is the equation as a primitive integer tuple ``(a_1..a_n, b)``
+    whose first nonzero entry is positive: the one-row canonical system of
+    ``exactmath``.  ``normal`` is its primitive integer normal and ``offset``
+    the matching rational offset.  Two parallel hyperplanes therefore share
+    the exact same normal tuple.
     """
 
-    __slots__ = ("normal", "offset")
+    __slots__ = ("row", "normal", "offset")
 
     def __init__(self, normal: Sequence, offset=0):
         vec = as_vector(normal)
         if not any(vec):
             raise ValueError("hyperplane normal must be nonzero")
-        off = as_scalar(offset)
-        scale = Fraction(lcm(*(c.denominator for c in vec)))
-        ints = [int(c * scale) for c in vec]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints]
-        factor = scale / g
-        lead = next(c for c in ints if c)
-        if lead < 0:
-            ints = [-c for c in ints]
-            factor = -factor
-        self.normal: tuple[int, ...] = tuple(ints)
-        self.offset: Fraction = off * factor
+        row = _normalize(_int_row(vec, as_scalar(offset)))
+        g = gcd(*row[:-1])
+        self.row: IntRow = row
+        self.normal: tuple[int, ...] = tuple(c // g for c in row[:-1])
+        self.offset: Fraction = Fraction(row[-1], g)
 
     @property
     def dim(self) -> int:

@@ -68,8 +68,11 @@ def _write_output(text: str, output: Optional[str]) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {output}: {exc}") from None
 
 
 def _coeff_str(c: Fraction) -> str:
@@ -220,6 +223,8 @@ def cmd_verify(args) -> int:
             rows_payload.append({"hyperplane": label, "ok": row_ok})
         payload["rows"] = rows_payload
     elif theorem == "ff":
+        if args.primes < 1:
+            raise DocumentError(f"--primes must be at least 1, got {args.primes}")
         plan = ff_oracle_check(arr, args.primes)
         lines.append("finite-field count check")
         rows_payload = []

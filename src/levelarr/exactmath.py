@@ -1,9 +1,14 @@
-"""Exact rational linear algebra and linear feasibility.
+"""Exact integer elimination and linear feasibility.
 
-Everything in this module works over arbitrary-precision rationals
-(`fractions.Fraction`); there is no floating point anywhere.  That is what
-makes sign vectors, Möbius values and recession-cone dimensions computed
-downstream trustworthy: every predicate here is decided exactly.
+Everything in this module works over arbitrary-precision integers and
+rationals (`fractions.Fraction`); there is no floating point anywhere.  That
+is what makes sign vectors, Möbius values and recession-cone dimensions
+computed downstream trustworthy: every predicate here is decided exactly.
+
+Equation systems live here in one form, the canonical integer row system
+built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
+intersection poset keys flats by it, and ``solve_affine`` and the rank step
+of ``cone_span_dimension`` fold their equations through the same routine.
 
 Strict inequality systems are decided by maximizing a slack variable eps
 (capped at 1) subject to ``a.x >= b + eps``; the open system is feasible iff
@@ -23,7 +28,6 @@ from typing import Optional, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 # Fourier-Motzkin handles systems with at most this many variables; larger
 # systems use the simplex path.
@@ -56,52 +60,96 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((as_scalar(x) * as_scalar(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def _unit(dim: int, j: int) -> Vector:
-    return tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim))
-
-
 # ---------------------------------------------------------------------------
-# Reduced row-echelon form
+# Canonical integer equation systems
+#
+# An equation a . x = b is the integer row (a_1, ..., a_n, b).  A canonical
+# system is the reduced row-echelon form of its rows, each row rescaled to a
+# primitive integer vector with a positive pivot, ordered by pivot column.
+# Rational row spaces and canonical systems are in bijection, so two systems
+# describe the same affine subspace exactly when they are equal tuples.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: Matrix
-    rank: int
-    pivot_columns: tuple[int, ...]
+IntRow = tuple[int, ...]  # (a_1, ..., a_n, b) meaning a . x = b
 
 
-def rref(matrix) -> RrefResult:
-    """Reduced row-echelon form by exact Gauss-Jordan elimination."""
-    rows = [list(as_vector(row)) for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix")
-
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return RrefResult(tuple(tuple(row) for row in rows), len(pivots), tuple(pivots))
+def _int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
+    """Scale a rational row to integers (positive factor, so orientation keeps)."""
+    scale = lcm(*(c.denominator for c in coeffs), rhs.denominator)
+    return tuple(int(c * scale) for c in coeffs) + (int(rhs * scale),)
 
 
-def matrix_rank(matrix) -> int:
-    return rref(matrix).rank
+def _normalize(row: Sequence[int]) -> Optional[IntRow]:
+    """Primitive form with positive leading variable entry; None for the zero row."""
+    g = 0
+    for c in row:
+        g = gcd(g, c)
+    if g == 0:
+        return None
+    row = tuple(c // g for c in row)
+    lead = next((c for c in row[:-1] if c), None)
+    if lead is None or lead > 0:
+        return row
+    return tuple(-c for c in row)
+
+
+def _pivot(row: IntRow) -> int:
+    return next(i for i, c in enumerate(row[:-1]) if c)
+
+
+class _EmptyIntersection(Exception):
+    pass
+
+
+def _reduce(rows: tuple[IntRow, ...], row: IntRow) -> Optional[tuple[IntRow, ...]]:
+    """Add one equation to a canonical system.
+
+    Returns the new canonical system, or None when the equation already holds
+    on the flat.  Raises _EmptyIntersection when it contradicts the system.
+    """
+    work = list(row)
+    for r in rows:
+        p = _pivot(r)
+        if work[p]:
+            f, rp = work[p], r[p]
+            work = [w * rp - rv * f for w, rv in zip(work, r)]
+    new = _normalize(work)
+    if new is None:
+        return None
+    if not any(new[:-1]):
+        raise _EmptyIntersection
+    p = _pivot(new)
+    merged: list[IntRow] = []
+    inserted = False
+    for r in rows:
+        if not inserted and _pivot(r) > p:
+            merged.append(new)
+            inserted = True
+        if r[p]:
+            combo = _normalize([rv * new[p] - nv * r[p] for rv, nv in zip(r, new)])
+            merged.append(combo)
+        else:
+            merged.append(r)
+    if not inserted:
+        merged.append(new)
+    return tuple(merged)
+
+
+def _solve_rows(rows: tuple[IntRow, ...], dim: int) -> tuple[Vector, tuple[Vector, ...]]:
+    """Point and direction basis of a canonical (consistent) system."""
+    pivots = [_pivot(r) for r in rows]
+    free = [c for c in range(dim) if c not in pivots]
+    point = [Fraction(0)] * dim
+    for r, p in zip(rows, pivots):
+        point[p] = Fraction(r[dim], r[p])
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * dim
+        v[f] = Fraction(1)
+        for r, p in zip(rows, pivots):
+            v[p] = Fraction(-r[f], r[p])
+        basis.append(tuple(v))
+    return tuple(point), tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +189,13 @@ def solve_affine(equalities, dim: int) -> Optional[AffineSolution]:
     for a, _ in eqs:
         if len(a) != dim:
             raise ValueError("ambient dimension mismatch")
-    if not eqs:
-        return AffineSolution(
-            tuple(Fraction(0) for _ in range(dim)),
-            tuple(_unit(dim, j) for j in range(dim)),
-        )
-
-    reduced = rref([a + (b,) for a, b in eqs])
-    if dim in reduced.pivot_columns:
-        return None  # a row reads 0 = 1
-
-    pivot_cols = reduced.pivot_columns
-    free_cols = [c for c in range(dim) if c not in pivot_cols]
-    point = [Fraction(0)] * dim
-    for row_idx, p in enumerate(pivot_cols):
-        point[p] = reduced.matrix[row_idx][dim]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivot_cols):
-            v[p] = -reduced.matrix[row_idx][f]
-        basis.append(tuple(v))
-    return AffineSolution(tuple(point), tuple(basis))
+    system: tuple[IntRow, ...] = ()
+    try:
+        for a, b in eqs:
+            system = _reduce(system, _int_row(a, b)) or system
+    except _EmptyIntersection:
+        return None
+    return AffineSolution(*_solve_rows(system, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +205,6 @@ def solve_affine(equalities, dim: int) -> Optional[AffineSolution]:
 # or  c . y > r  (strict).  Integer rows keep the Fourier-Motzkin inner loop
 # on machine-int arithmetic as long as values stay small.
 # ---------------------------------------------------------------------------
-
-
-def _int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
-    """Scale a rational row to integers (positive factor, so orientation keeps)."""
-    scale = lcm(*(c.denominator for c in coeffs), rhs.denominator)
-    return tuple(int(c * scale) for c in coeffs) + (int(rhs * scale),)
 
 
 def _primitive_lhs(row: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
@@ -529,16 +555,14 @@ def cone_span_dimension(constraints, *, dim: int) -> int:
         box.append(tuple(e2))
 
     interior = [Fraction(0)] * dim
-    implicit: list[tuple[int, ...]] = []
+    implicit: tuple[IntRow, ...] = ()  # canonical system of the implicit rows
     for row in rows:
         value = sum(c * x for c, x in zip(row[:dim], interior))
         if value > 0:
             continue
         witness = _feasible_system([row], rows + box, dim)
         if witness is None:
-            implicit.append(row[:dim])
+            implicit = _reduce(implicit, row) or implicit
         else:
             interior = [p + w for p, w in zip(interior, witness)]
-    if not implicit:
-        return dim
-    return dim - rref(implicit).rank
+    return dim - len(implicit)

@@ -23,18 +23,9 @@ POINT_LIMIT = 10**7
 _CHUNK = 1 << 16
 
 
-def integer_rows(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Hyperplane equations with denominators cleared: (a_1..a_n, b), all int."""
-    rows = []
-    for h in arr.hyperplanes:
-        den = h.offset.denominator
-        rows.append(tuple(c * den for c in h.normal) + (h.offset.numerator,))
-    return rows
-
-
 def coefficient_bound(arr: Arrangement) -> int:
     """Largest absolute value among integerized coefficients and offsets."""
-    return max((abs(c) for row in integer_rows(arr) for c in row), default=0)
+    return max((abs(c) for h in arr for c in h.row), default=0)
 
 
 def is_prime(q: int) -> bool:
@@ -86,7 +77,7 @@ def count_complement_points(arr: Arrangement, q: int) -> int:
             f"q^n = {total} exceeds the enumeration guard ({POINT_LIMIT}); "
             "evaluate char_poly at q instead"
         )
-    rows = [tuple(c % q for c in row) for row in integer_rows(arr)]
+    rows = [tuple(c % q for c in h.row) for h in arr]
 
     count = 0
     powers = [q**j for j in range(n)]

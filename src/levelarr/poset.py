@@ -6,102 +6,22 @@ hyperplane, and the results are deduplicated by a canonical integer form of
 their defining equation system.  This keys flats by geometry, not by which
 subset of hyperplanes generated them, and avoids enumerating 2^m subsets.
 
-The canonical form is the reduced row-echelon form of the augmented system
-[A | b], rescaled row-wise to primitive integer vectors with positive pivots.
-Rational row spaces and canonical forms are in bijection, so two flats are
-equal exactly when their keys are equal, bit for bit.
+The key is the canonical integer row system of ``exactmath`` (the reduced
+row-echelon form of [A | b], rescaled row-wise to primitive integer vectors
+with positive pivots), grown one ``Hyperplane.row`` at a time by
+``exactmath._reduce``.  Rational row spaces and canonical systems are in
+bijection, so two flats are equal exactly when their keys are equal, bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Union
 
-from .arrangement import Arrangement, Hyperplane
-from .exactmath import Vector
-
-IntRow = tuple[int, ...]  # (a_1, ..., a_n, b) meaning a . x = b
-
-
-def _normalize(row: Sequence[int]) -> Optional[IntRow]:
-    """Primitive form with positive leading variable entry; None for the zero row."""
-    g = 0
-    for c in row:
-        g = gcd(g, c)
-    if g == 0:
-        return None
-    row = tuple(c // g for c in row)
-    lead = next((c for c in row[:-1] if c), None)
-    if lead is None or lead > 0:
-        return row
-    return tuple(-c for c in row)
-
-
-def hyperplane_row(h: Hyperplane) -> IntRow:
-    """Integer equation row of a hyperplane (denominator cleared)."""
-    den = h.offset.denominator
-    return tuple(c * den for c in h.normal) + (h.offset.numerator,)
-
-
-def _pivot(row: IntRow) -> int:
-    return next(i for i, c in enumerate(row[:-1]) if c)
-
-
-class _EmptyIntersection(Exception):
-    pass
-
-
-def _reduce(rows: tuple[IntRow, ...], row: IntRow) -> Optional[tuple[IntRow, ...]]:
-    """Add one equation to a canonical system.
-
-    Returns the new canonical system, or None when the equation already holds
-    on the flat.  Raises _EmptyIntersection when it contradicts the system.
-    """
-    work = list(row)
-    for r in rows:
-        p = _pivot(r)
-        if work[p]:
-            f, rp = work[p], r[p]
-            work = [w * rp - rv * f for w, rv in zip(work, r)]
-    new = _normalize(work)
-    if new is None:
-        return None
-    if not any(new[:-1]):
-        raise _EmptyIntersection
-    p = _pivot(new)
-    merged: list[IntRow] = []
-    inserted = False
-    for r in rows:
-        if not inserted and _pivot(r) > p:
-            merged.append(new)
-            inserted = True
-        if r[p]:
-            combo = _normalize([rv * new[p] - nv * r[p] for rv, nv in zip(r, new)])
-            merged.append(combo)
-        else:
-            merged.append(r)
-    if not inserted:
-        merged.append(new)
-    return tuple(merged)
-
-
-def _solve_rows(rows: tuple[IntRow, ...], dim: int) -> tuple[Vector, tuple[Vector, ...]]:
-    """Point and direction basis of a canonical (consistent) system."""
-    pivots = [_pivot(r) for r in rows]
-    free = [c for c in range(dim) if c not in pivots]
-    point = [Fraction(0)] * dim
-    for r, p in zip(rows, pivots):
-        point[p] = Fraction(r[dim], r[p])
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        for r, p in zip(rows, pivots):
-            v[p] = Fraction(-r[f], r[p])
-        basis.append(tuple(v))
-    return tuple(point), tuple(basis)
+from .arrangement import Arrangement
+from .exactmath import IntRow, Vector, _EmptyIntersection, _reduce, _solve_rows
 
 
 @dataclass(frozen=True)
@@ -115,14 +35,22 @@ class Flat:
 
     rows: tuple[IntRow, ...]
     dim: int
-    point: Vector
-    basis: tuple[Vector, ...]
     containing: frozenset[int]
     mobius: int
 
     @property
     def codim(self) -> int:
         return len(self.rows)
+
+    @property
+    def point(self) -> Vector:
+        """A point of the flat, computed on access."""
+        return _solve_rows(self.rows, self.dim + self.codim)[0]
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """A basis of the flat's direction space, computed on access."""
+        return _solve_rows(self.rows, self.dim + self.codim)[1]
 
 
 class IntersectionPoset:
@@ -147,9 +75,6 @@ class IntersectionPoset:
     def bottom(self) -> Flat:
         return self.flats[0]
 
-    def flat_by_rows(self, rows: tuple[IntRow, ...]) -> Flat:
-        return self._by_rows[rows]
-
     def __contains__(self, flat: Flat) -> bool:
         return isinstance(flat, Flat) and self._by_rows.get(flat.rows) is flat
 
@@ -169,7 +94,7 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
     row) the flat's maximal containing set.
     """
     n = arr.dim
-    hrows = [hyperplane_row(h) for h in arr.hyperplanes]
+    hrows = [h.row for h in arr.hyperplanes]
 
     containing_of: dict[tuple[IntRow, ...], frozenset[int]] = {}
     order: list[tuple[IntRow, ...]] = []
@@ -210,20 +135,11 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
         mobius[rows] = mu
         seen.append((containing, mu))
 
-    flats = []
-    for rows in order:
-        point, basis = _solve_rows(rows, n)
-        flats.append(
-            Flat(
-                rows=rows,
-                dim=n - len(rows),
-                point=point,
-                basis=basis,
-                containing=containing_of[rows],
-                mobius=mobius[rows],
-            )
-        )
-    return IntersectionPoset(arr, tuple(flats))
+    flats = tuple(
+        Flat(rows=rows, dim=n - len(rows), containing=containing_of[rows], mobius=mobius[rows])
+        for rows in order
+    )
+    return IntersectionPoset(arr, flats)
 
 
 def mobius(poset: IntersectionPoset, flat: Flat) -> int:

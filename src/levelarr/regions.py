@@ -56,14 +56,6 @@ def _strict_row(h_row: tuple[int, ...], sign: int) -> tuple[int, ...]:
     return h_row if sign > 0 else tuple(-c for c in h_row)
 
 
-def _hyperplane_int_rows(arr: Arrangement) -> list[tuple[int, ...]]:
-    rows = []
-    for h in arr.hyperplanes:
-        den = h.offset.denominator
-        rows.append(tuple(c * den for c in h.normal) + (h.offset.numerator,))
-    return rows
-
-
 def _sign_key(signs: Sequence[int]) -> tuple[int, ...]:
     # lexicographic with + before -
     return tuple(0 if s > 0 else 1 for s in signs)
@@ -77,12 +69,11 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     feasibility test, and a fresh witness is computed when the region splits.
     """
     n = arr.dim
-    hrows = _hyperplane_int_rows(arr)
 
     # (signs, witness, strict integer rows of the region's constraints)
     origin = tuple(Fraction(0) for _ in range(n))
     live: list[tuple[list[int], Vector, list[tuple[int, ...]]]] = [([], origin, [])]
-    for h, hrow in zip(arr.hyperplanes, hrows):
+    for h in arr.hyperplanes:
         updated = []
         for signs, witness, rows in live:
             value = h.evaluate(witness)
@@ -97,7 +88,7 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
                 sides = [1, -1]
                 keep_witness = 0
             for side in sides:
-                srow = _strict_row(hrow, side)
+                srow = _strict_row(h.row, side)
                 if side == keep_witness:
                     updated.append((signs + [side], witness, rows + [srow]))
                     continue
@@ -147,7 +138,7 @@ def feasible_sign_vectors(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     Intended as an oracle for ``enumerate_regions`` at small m.
     """
     n = arr.dim
-    hrows = _hyperplane_int_rows(arr)
+    hrows = [h.row for h in arr.hyperplanes]
     out: list[tuple[int, ...]] = []
 
     def walk(prefix: list[int], rows: list[tuple[int, ...]]):

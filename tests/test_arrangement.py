@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,9 +30,23 @@ def hp(normal, offset=0):
 
 
 class TestHyperplane:
-    def test_canonical_scaling(self):
+    def test_canonical_scaling(self, example_a, example_b, grid_example):
         assert hp((2, -2), 1) == hp((1, -1), Fraction(1, 2))
         assert hp((Fraction(1, 2), Fraction(-1, 2)), 1) == hp((1, -1), 2)
+        base = hp((3, 0, -6), Fraction(-5, 4))
+        assert base.row == (12, 0, -24, -5)
+        for k in (Fraction(-3, 2), Fraction(2, 5), -1, 7):
+            scaled = hp(tuple(k * c for c in (3, 0, -6)), k * Fraction(-5, 4))
+            assert scaled.row == base.row
+            assert scaled.normal == base.normal
+            assert scaled.offset == base.offset
+        # The row is primitive, leads with a positive entry, and equals the
+        # normal scaled by the offset's denominator.
+        for h in (*example_a, *example_b, *grid_example, base, hp((2, -2), 1)):
+            assert gcd(*h.row) == 1
+            assert next(c for c in h.row if c) > 0
+            den = h.offset.denominator
+            assert h.row == tuple(c * den for c in h.normal) + (h.offset.numerator,)
 
     def test_sign_normalization(self):
         # x2 - x1 = 3 and x1 - x2 = -3 are the same locus

@@ -75,6 +75,14 @@ class TestChi:
         assert code == 2
         assert "cannot read" in err
 
+    def test_unwritable_output(self, capsys, doc_path, tmp_path, example_a):
+        target = tmp_path / "no_such_dir" / "x.json"
+        code, out, err = run(capsys, "chi", doc_path(example_a), "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert str(target) in err
+
 
 class TestLevels:
     def test_grid_table(self, capsys, doc_path, grid_example):
@@ -137,6 +145,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", doc_path(example_a), "--theorem=ff", "--primes", "3")
         assert code == 0
         assert "q=7: count 140, chi(7) = 140" in out
+
+    @pytest.mark.parametrize("primes", ["0", "-2"])
+    def test_ff_rejects_nonpositive_primes(self, capsys, doc_path, example_a, primes):
+        code, out, err = run(
+            capsys, "verify", doc_path(example_a), "--theorem=ff", "--primes", primes
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--primes" in err
 
     def test_verify_json_exit_semantics(self, capsys, doc_path, example_a):
         code, out, _ = run(capsys, "verify", doc_path(example_a), "--theorem=A", "--json")

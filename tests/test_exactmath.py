@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,56 +8,102 @@ from hypothesis import strategies as st
 
 from levelarr.exactmath import (
     as_scalar,
+    as_vector,
     cone_span_dimension,
     dot,
     feasible_strict,
-    rref,
     solve_affine,
 )
-from levelarr.exactmath import _fm_witness, _simplex_witness
+from levelarr.exactmath import (
+    _EmptyIntersection,
+    _fm_witness,
+    _int_row,
+    _pivot,
+    _reduce,
+    _simplex_witness,
+)
+
+
+def fold(equations):
+    """Canonical system of ``a . x = b`` equations, folded in the given order."""
+    system = ()
+    for a, b in equations:
+        system = _reduce(system, _int_row(as_vector(a), as_scalar(b))) or system
+    return system
+
+
+def rank(rows):
+    dim = len(rows[0])
+    return dim - solve_affine([(row, 0) for row in rows], dim).dim
+
+
+_equations = st.lists(
+    st.tuples(
+        st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+        st.integers(-4, 4),
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestRref:
+    """The canonical integer system is the reduced row-echelon form, rows scaled
+    to primitive integers with positive pivots."""
+
     def test_identity(self):
-        result = rref([[1, 0], [0, 1]])
-        assert result.rank == 2
-        assert result.pivot_columns == (0, 1)
-        assert result.matrix == ((1, 0), (0, 1))
+        assert rank([[1, 0], [0, 1]]) == 2
+        system = fold([((1, 0), 0), ((0, 1), 0)])
+        assert system == ((1, 0, 0), (0, 1, 0))
+        assert tuple(_pivot(r) for r in system) == (0, 1)
 
     def test_proportional_rows(self):
-        assert rref([[1, -1], [2, -2]]).rank == 1
+        assert rank([[1, -1], [2, -2]]) == 1
 
     def test_difference_normals_rank(self):
         # Five difference normals in R^3, all orthogonal to (1,1,1); hand
-        # Gaussian elimination leaves the two rows e1-e2 and e2-e3.
+        # Gaussian elimination leaves the two rows e1-e3 and e2-e3.
         normals = [(1, -1, 0), (1, -1, 0), (0, 1, -1), (1, 0, -1), (1, 0, -1)]
-        result = rref(normals)
-        assert result.rank == 2
-        for row in result.matrix[:2]:
-            assert dot(row, (1, 1, 1)) == 0
+        assert rank(normals) == 2
+        system = fold([(a, 0) for a in normals])
+        assert system == ((1, 0, -1, 0), (0, 1, -1, 0))
+        for row in system:
+            assert dot(row[:-1], (1, 1, 1)) == 0
 
     def test_rational_entries_exact(self):
-        result = rref([[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 3), Fraction(1, 2)]])
-        assert result.rank == 2
+        rows = [[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 3), Fraction(1, 2)]]
+        assert rank(rows) == 2
 
     def test_rejects_float(self):
         with pytest.raises(TypeError):
-            rref([[0.5, 1.0]])
+            solve_affine([((0.5, 1.0), 0)], dim=2)
 
-    @given(
-        st.lists(
-            st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    @given(_equations)
     @settings(max_examples=60, deadline=None)
-    def test_idempotent(self, rows):
-        reduced = rref(rows)
-        again = rref(reduced.matrix)
-        assert again.matrix == reduced.matrix
-        assert again.rank == reduced.rank
-        assert again.pivot_columns == reduced.pivot_columns
+    def test_idempotent(self, equations):
+        try:
+            system = fold(equations)
+        except _EmptyIntersection:
+            return
+        pivots = [_pivot(r) for r in system]
+        assert pivots == sorted(set(pivots))
+        for i, row in enumerate(system):
+            assert gcd(*row) == 1 and row[pivots[i]] > 0
+            assert all(other[pivots[i]] == 0 for other in system if other is not row)
+        assert fold([(r[:-1], r[-1]) for r in system]) == system
+
+    @given(_equations)
+    @settings(max_examples=60, deadline=None)
+    def test_fold_order_invariant(self, equations):
+        # Flats are keyed by this tuple, so it must not depend on the order in
+        # which the hyperplanes were intersected.
+        outcomes = set()
+        for order in permutations(equations):
+            try:
+                outcomes.add(fold(order))
+            except _EmptyIntersection:
+                outcomes.add("empty")
+        assert len(outcomes) == 1
 
 
 class TestSolveAffine:
