@@ -17,6 +17,13 @@ elimination with duplicate-row pruning, higher-dimensional ones through a
 dense two-phase simplex with Bland's rule, so termination never depends on
 pivoting heuristics.  Witness points are deterministic: centers of the
 Fourier-Motzkin back-substitution intervals, or the optimal simplex vertex.
+
+The span of a recession cone ``{d : r_i . d >= 0}`` needs no feasibility
+test per row.  ``cone_span_dimension`` finds every implicit equality with one
+LP (Freund, Roundy & Todd 1985): maximize ``sum t_i`` subject to
+``r_i . d >= t_i`` and ``0 <= t_i <= 1``.  The origin is feasible, so the
+slack basis starts the integer simplex directly, with no phase 1; a row whose
+negation is also present is implicit without an LP variable.
 """
 
 from __future__ import annotations
@@ -520,12 +527,13 @@ def feasible_strict(strict, equalities=(), *, dim: int) -> Optional[Vector]:
 def cone_span_dimension(constraints, *, dim: int) -> int:
     """Dimension of the linear span of ``{d : sign_i * (a_i . d) >= 0}``.
 
-    Works by implicit-equality detection: a constraint is implicit when its
-    maximum over the cone intersected with the unit box is 0.  The span is
-    then the null space of the implicit constraints, so its dimension is
-    ``dim - rank``.  Witnesses of non-implicit constraints are accumulated
-    into a relative-interior point so that most constraints are certified
-    without running a feasibility test at all.
+    The span is the null space of the implicit equalities: the constraints
+    that hold with equality on the whole cone.  Its dimension is therefore
+    ``dim - rank`` of those rows.  A row whose negation is also present is
+    implicit outright.  The others are classified together by one exact LP
+    (Freund, Roundy & Todd 1985): maximize ``sum t_i`` subject to
+    ``r_i . d >= t_i`` and ``0 <= t_i <= 1``.  At the optimum every ``t_i``
+    is exactly 0 (row i is implicit) or exactly 1.
     """
     rows: list[tuple[int, ...]] = []
     seen = set()
@@ -541,28 +549,49 @@ def cone_span_dimension(constraints, *, dim: int) -> int:
         lhs, _ = _primitive_lhs(row)
         if lhs not in seen:
             seen.add(lhs)
-            rows.append(lhs + (0,))
+            rows.append(lhs)
 
-    box: list[tuple[int, ...]] = []
-    for j in range(dim):
-        e = [0] * (dim + 1)
-        e[j] = 1
-        e[dim] = -1
-        box.append(tuple(e))
-        e2 = [0] * (dim + 1)
-        e2[j] = -1
-        e2[dim] = -1
-        box.append(tuple(e2))
-
-    interior = [Fraction(0)] * dim
     implicit: tuple[IntRow, ...] = ()  # canonical system of the implicit rows
-    for row in rows:
-        value = sum(c * x for c, x in zip(row[:dim], interior))
-        if value > 0:
-            continue
-        witness = _feasible_system([row], rows + box, dim)
-        if witness is None:
-            implicit = _reduce(implicit, row) or implicit
+    t_col: dict[int, int] = {}  # row index -> tableau column of its t_i
+    for i, lhs in enumerate(rows):
+        if tuple(-c for c in lhs) in seen:
+            implicit = _reduce(implicit, lhs + (0,)) or implicit
         else:
-            interior = [p + w for p, w in zip(interior, witness)]
+            t_col[i] = 2 * dim + len(t_col)
+    if not t_col:
+        return dim - len(implicit)
+
+    # Columns: u, w (d = u - w), t, s (one per row), q (one per t), rhs.
+    # Rows: -r_i.(u - w) + t_i + s_i = 0 and t_i + q_i = 1.  The origin is
+    # feasible, so the s and q columns form the starting basis: no phase 1.
+    m, k = len(rows), len(t_col)
+    s_col = 2 * dim + k
+    q_col = s_col + m
+    width = q_col + k + 1
+    tab_rows = []
+    for i, lhs in enumerate(rows):
+        line = [0] * width
+        for j, c in enumerate(lhs):
+            line[j], line[dim + j] = -c, c
+        if i in t_col:
+            line[t_col[i]] = 1
+        line[s_col + i] = 1
+        tab_rows.append(line)
+    for j, c in enumerate(t_col.values()):
+        line = [0] * width
+        line[c] = line[q_col + j] = line[-1] = 1
+        tab_rows.append(line)
+    tab = _IntTableau(tab_rows, list(range(s_col, width - 1)))
+    cost = [0] * width
+    for c in t_col.values():
+        cost[c] = -1
+    tab.minimize(tab.add_objective(cost), range(width - 1))
+
+    value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
+    for i, c in t_col.items():
+        t = value.get(c, 0)
+        if t == 0:
+            implicit = _reduce(implicit, rows[i] + (0,)) or implicit
+        elif t != tab.den:
+            raise ArithmeticError("cone-span LP optimum is not 0/1 in t")
     return dim - len(implicit)

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelarr import exactmath
+from levelarr.arrangement import make_cox_b
+from levelarr.regions import enumerate_regions, region_level
 from levelarr.exactmath import (
     as_scalar,
     as_vector,
@@ -16,6 +19,7 @@ from levelarr.exactmath import (
 )
 from levelarr.exactmath import (
     _EmptyIntersection,
+    _IntTableau,
     _fm_witness,
     _int_row,
     _pivot,
@@ -214,6 +218,23 @@ class TestEngineAgreement:
                 assert sum(c * x for c, x in zip(row[:d], witness)) >= row[d]
 
 
+@st.composite
+def _cone(draw):
+    """A random cone with some forced opposite pairs and rescaled duplicates."""
+    dim = draw(st.integers(1, 5))
+    normal = st.tuples(*[st.integers(-2, 2)] * dim)
+    sign = st.sampled_from((1, -1))
+    constraints = draw(st.lists(st.tuples(normal, sign), max_size=8))
+    extra = []
+    for a, s in constraints:
+        if draw(st.booleans()):
+            extra.append((a, -s))
+        if draw(st.booleans()):
+            k = draw(st.integers(2, 3))
+            extra.append((tuple(k * c for c in a), s))
+    return dim, draw(st.permutations(constraints + extra))
+
+
 class TestConeSpanDimension:
     def test_pinched_axis(self):
         assert cone_span_dimension([((1, 0), 1), ((1, 0), -1)], dim=2) == 1
@@ -240,3 +261,70 @@ class TestConeSpanDimension:
     def test_dependent_pair_changes_nothing(self):
         cone = [((1, 0), 1), ((1, 0), -1)]
         assert cone_span_dimension(cone + [((2, 0), 1), ((2, 0), -1)], dim=2) == 1
+
+    def test_only_opposite_pairs_runs_no_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("opposite pairs need no LP")
+
+        monkeypatch.setattr(_IntTableau, "minimize", no_lp)
+        cone = [((1, 0, 0), 1), ((1, 0, 0), -1), ((0, 1, -1), 1), ((0, -2, 2), 1)]
+        assert cone_span_dimension(cone, dim=3) == 1
+
+    def test_pointed_cone_without_opposite_pairs(self):
+        # d1 >= 0, d2 >= 0, d1 + d2 <= 0 leaves only the origin; no row is
+        # the negation of another, so only the LP can find the equalities.
+        cone = [((1, 0), 1), ((0, 1), 1), ((1, 1), -1)]
+        assert cone_span_dimension(cone, dim=2) == 0
+
+    def test_zero_normal_is_ignored(self):
+        assert cone_span_dimension([((0, 0), 1)], dim=2) == 2
+        assert cone_span_dimension([((0, 0), -1), ((1, 0), 1), ((1, 0), -1)], dim=2) == 1
+
+    def test_rescaled_duplicates_count_once(self):
+        half = Fraction(1, 2)
+        assert cone_span_dimension([((1, 1), 1), ((2, 2), 1), ((half, half), 1)], dim=2) == 2
+        cone = [((1, 0), 1), ((3, 0), 1), ((-2, 0), 1), ((-half, 0), 1)]
+        assert cone_span_dimension(cone, dim=2) == 1
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            cone_span_dimension([((1, 0, 0), 1)], dim=2)
+        with pytest.raises(ValueError):
+            cone_span_dimension([((1, 0), 0)], dim=2)
+
+    @given(_cone())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_row_feasibility(self, cone):
+        # Reference: row r is implicit iff r . d > 0 has no solution on the
+        # cone, decided one row at a time by Fourier-Motzkin or the two-phase
+        # simplex.  Fourier-Motzkin stops at R^3 here: with opposite pairs in
+        # R^4 its last elimination can build a million rows.
+        dim, constraints = cone
+        rows = [
+            tuple(s * c for c in a) + (0,) for a, s in constraints if any(a)
+        ]
+        engine = _fm_witness if dim <= 3 else _simplex_witness
+        implicit = [r for r in rows if engine([r], rows, dim) is None]
+        expected = dim - len(fold([(r[:-1], 0) for r in implicit]))
+        assert cone_span_dimension(constraints, dim=dim) == expected
+
+    def test_one_lp_per_call(self, monkeypatch):
+        arr = make_cox_b(3)
+        regions = enumerate_regions(arr)
+
+        def no_feasibility_test(*args):
+            raise AssertionError("cone_span_dimension ran a per-row feasibility test")
+
+        calls = []
+        minimize = _IntTableau.minimize
+
+        def counted(self, *args):
+            calls.append(1)
+            return minimize(self, *args)
+
+        monkeypatch.setattr(exactmath, "_feasible_system", no_feasibility_test)
+        monkeypatch.setattr(_IntTableau, "minimize", counted)
+        for region in regions:
+            calls.clear()
+            assert region_level(arr, region) == region.level
+            assert len(calls) <= 1

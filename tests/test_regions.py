@@ -89,6 +89,43 @@ class TestRegionLevel:
             region_level(example_a, region)
 
 
+def _strong_components(arr, region):
+    """Strongly connected components of the region's recession digraph.
+
+    Every hyperplane of a type A deformation has normal e_i - e_j, i < j, so
+    its sign constraint ``s (d_i - d_j) >= 0`` is the edge i -> j (s = +1)
+    or j -> i (s = -1), read as "d at the tail >= d at the head".
+    """
+    n = arr.dim
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for h, s in zip(arr.hyperplanes, region.sign_vector):
+        i = next(k for k, c in enumerate(h.normal) if c == 1)
+        j = next(k for k, c in enumerate(h.normal) if c == -1)
+        tail, head = (i, j) if s > 0 else (j, i)
+        reach[tail][head] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    classes = {frozenset(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)}
+    return len(classes)
+
+
+class TestTypeALevelOracle:
+    """In a type A deformation the recession cone is cut out by d_i >= d_j
+    relations; its span has one dimension per strongly connected component of
+    that digraph (the braid cone of a preposet)."""
+
+    def test_levels_match_strong_components(self):
+        rng = random.Random(2024)
+        arrangements = [random_deformation_a(3, rng) for _ in range(6)]
+        arrangements += [random_deformation_a(4, rng) for _ in range(4)]
+        arrangements.append(make_cox_a(4))
+        for arr in arrangements:
+            for region in enumerate_regions(arr):
+                assert region.level == _strong_components(arr, region)
+
+
 class TestLevelProfile:
     def test_worked_example_a(self, example_a):
         assert level_profile(example_a).counts == (0, 2, 4, 6)
