@@ -10,20 +10,23 @@ built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
 intersection poset keys flats by it, and ``solve_affine`` and the rank step
 of ``cone_span_dimension`` fold their equations through the same routine.
 
-Strict inequality systems are decided by maximizing a slack variable eps
-(capped at 1) subject to ``a.x >= b + eps``; the open system is feasible iff
-the optimum is positive.  Low-dimensional systems go through Fourier-Motzkin
-elimination with duplicate-row pruning, higher-dimensional ones through a
-dense two-phase simplex with Bland's rule, so termination never depends on
-pivoting heuristics.  Witness points are deterministic: centers of the
-Fourier-Motzkin back-substitution intervals, or the optimal simplex vertex.
+Every inequality question goes to one engine, ``_IntTableau``: a
+fraction-free simplex dictionary with free variables and Bland's rule, always
+started from a feasible slack basis, so there is no phase 1 and no
+artificial variable.  A strict system is decided incrementally, one row at a
+time (Rada & Černý 2018): the witness of the rows so far is strictly inside
+them, so translating it to the origin makes the slack basis feasible, and
+``_feasible_system`` maximizes the new row's form from there until it
+crosses the offset.  The new witness is an exact point between the old
+witness and the simplex vertex (or ray point) reached, so witnesses are
+deterministic.
 
 The span of a recession cone ``{d : r_i . d >= 0}`` needs no feasibility
 test per row.  ``cone_span_dimension`` finds every implicit equality with one
 LP (Freund, Roundy & Todd 1985): maximize ``sum t_i`` subject to
 ``r_i . d >= t_i`` and ``0 <= t_i <= 1``.  The origin is feasible, so the
-slack basis starts the integer simplex directly, with no phase 1; a row whose
-negation is also present is implicit without an LP variable.
+slack basis starts the same simplex directly; a row whose negation is also
+present is implicit without an LP variable.
 """
 
 from __future__ import annotations
@@ -35,13 +38,6 @@ from typing import Optional, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
-
-# Fourier-Motzkin handles systems with at most this many variables; larger
-# systems use the simplex path.
-FM_MAX_DIM = 4
-# Safety valve: if intermediate FM systems grow past this many rows the
-# call is rerouted to the simplex, which has no elimination blowup.
-_FM_ROW_LIMIT = 4000
 
 
 def as_scalar(value) -> Fraction:
@@ -206,19 +202,17 @@ def solve_affine(equalities, dim: int) -> Optional[AffineSolution]:
 
 
 # ---------------------------------------------------------------------------
-# Strict/weak inequality systems (internal engine)
+# Strict inequality systems (internal engine)
 #
-# A row is an integer tuple (c_1, ..., c_d, r) read as  c . y >= r  (weak)
-# or  c . y > r  (strict).  Integer rows keep the Fourier-Motzkin inner loop
-# on machine-int arithmetic as long as values stay small.
+# A row is an integer tuple (c_1, ..., c_d, r) read as  c . y > r.
 # ---------------------------------------------------------------------------
 
 
 def _primitive_lhs(row: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
     """Split a row into a primitive integer lhs and a rational rhs.
 
-    Dividing by the gcd of the lhs makes duplicate directions collide in a
-    dict, which is what keeps Fourier-Motzkin from drowning in parallel rows.
+    Dividing by the gcd of the lhs makes rescaled copies of one direction
+    collide in a set or dict.
     """
     *lhs, rhs = row
     g = 0
@@ -229,254 +223,140 @@ def _primitive_lhs(row: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
     return tuple(c // g for c in lhs), Fraction(rhs, g)
 
 
-class _Infeasible(Exception):
-    pass
-
-
-def _dedup(rows) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Keep, per lhs direction, only the tightest rhs; flag constant rows."""
-    best: dict[tuple[int, ...], Fraction] = {}
-    for lhs, rhs in rows:
-        if not any(lhs):
-            if rhs > 0:
-                raise _Infeasible
-            continue
-        cur = best.get(lhs)
-        if cur is None or rhs > cur:
-            best[lhs] = rhs
-    return [(lhs, rhs) for lhs, rhs in best.items()]
-
-
-def _fm_witness(
-    strict_rows: list[tuple[int, ...]],
-    weak_rows: list[tuple[int, ...]],
-    dim: int,
-) -> Optional[Vector]:
-    """Fourier-Motzkin feasibility with exact interval-center witnesses.
-
-    Variables y_0..y_{dim-1} are eliminated in order; the slack eps lives in
-    an extra column that is never eliminated (its coefficients stay <= 0, so
-    positive combinations can only produce upper bounds on eps).
-    """
-    # Extended lhs: (c_0..c_{dim-1}, e); relation  c.y + e*eps >= rhs.
-    rows: list[tuple[tuple[int, ...], Fraction]] = []
-    for row in strict_rows:
-        rows.append(_primitive_lhs(row[:dim] + (-1, row[dim])))
-    for row in weak_rows:
-        rows.append(_primitive_lhs(row[:dim] + (0, row[dim])))
-    rows.append(((0,) * dim + (-1,), Fraction(-1)))  # eps <= 1 cap
-
-    steps: list[list[tuple[tuple[int, ...], Fraction]]] = []
-    try:
-        live = _dedup(rows)
-        for k in range(dim):
-            involved = [r for r in live if r[0][k] != 0]
-            steps.append(involved)
-            carried = [r for r in live if r[0][k] == 0]
-            pos = [r for r in involved if r[0][k] > 0]
-            neg = [r for r in involved if r[0][k] < 0]
-            combos = []
-            for plhs, prhs in pos:
-                for nlhs, nrhs in neg:
-                    lp, ln = -nlhs[k], plhs[k]
-                    lhs = tuple(lp * a + ln * b for a, b in zip(plhs, nlhs))
-                    combos.append((lhs, lp * prhs + ln * nrhs))
-            live = _dedup(carried + combos)
-            if len(live) > _FM_ROW_LIMIT:
-                return _simplex_witness(strict_rows, weak_rows, dim)
-    except _Infeasible:
-        return None
-
-    # Only the eps column is left. All coefficients are negative: upper bounds.
-    sup = Fraction(1)
-    for lhs, rhs in live:
-        e = lhs[dim]
-        sup = min(sup, Fraction(rhs, e))
-    if sup <= 0:
-        return None
-
-    eps = sup / 2
-    values = [Fraction(0)] * (dim + 1)
-    values[dim] = eps
-    for k in range(dim - 1, -1, -1):
-        lo = hi = None
-        for lhs, rhs in steps[k]:
-            rest = sum(
-                (lhs[j] * values[j] for j in range(k + 1, dim + 1) if lhs[j]),
-                Fraction(0),
-            )
-            bound = (rhs - rest) / lhs[k]
-            if lhs[k] > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None:
-            values[k] = (lo + hi) / 2
-        elif lo is not None:
-            values[k] = lo + 1
-        elif hi is not None:
-            values[k] = hi - 1
-        else:
-            values[k] = Fraction(0)
-    return tuple(values[:dim])
-
-
-# --- two-phase simplex ------------------------------------------------------
-#
-# The tableau is kept integer throughout: entries are the true rational
-# tableau times a common positive denominator D, updated by fraction-free
-# pivoting (the Cramer/subdeterminant identity makes every division exact).
-# Signs and ratio comparisons therefore never touch Fraction arithmetic.
-
-
 class _IntTableau:
-    def __init__(self, rows: list[list[int]], basis: list[int]):
-        self.rows = rows          # constraint rows, rhs in the last entry
-        self.objs: list[list[int]] = []  # objective rows, eliminated alongside
-        self.basis = basis
-        self.den = 1              # common positive denominator
+    """Fraction-free simplex dictionary that stores only the nonbasic columns.
 
-    def add_objective(self, cost: list[int]) -> int:
-        # Reduce the cost row against the current (identity) basis columns.
-        row = list(cost)
-        for r, b in zip(self.rows, self.basis):
-            f = row[b]
-            if f:
-                row = [v - f * w for v, w in zip(row, r)]
-        self.objs.append(row)
-        return len(self.objs) - 1
+    Row i reads ``x[basis[i]] = (rows[i][-1] + sum_j rows[i][j] * x[cols[j]]) / den``
+    with one common positive denominator ``den``; basic columns are implicit.
+    Variables are labelled by their starting position: the columns first,
+    then the rows.  Labels below ``free`` are free variables and every other
+    variable is >= 0.  The starting dictionary must be feasible (a constant
+    >= 0 in every row of a variable >= 0), so there is no phase 1.
+
+    Pivoting is fraction-free: every entry stays a subdeterminant of the
+    starting integer dictionary, so the division by the old denominator is
+    exact (Bareiss).  Bland's rule (1977) picks the eligible variable with
+    the smallest label, both to enter and to leave, so the simplex cannot
+    cycle.  A free variable enters in whichever direction improves the
+    objective and, once basic, never leaves.
+    """
+
+    def __init__(self, rows: list[list[int]], free: int):
+        ncols = len(rows[0]) - 1
+        self.rows = rows
+        self.den = 1
+        self.cols = list(range(ncols))
+        self.basis = list(range(ncols, ncols + len(rows)))
+        self.free = free
 
     def pivot(self, r: int, c: int) -> None:
-        p = self.rows[r][c]
-        d = self.den
-        prow = self.rows[r]
-        for group in (self.rows, self.objs):
-            for i, row in enumerate(group):
-                if row is prow:
-                    continue
-                f = row[c]
-                group[i] = [(v * p - f * w) // d for v, w in zip(row, prow)]
-        self.den = p
-        self.basis[r] = c
+        """Exchange the basic variable of row r with the nonbasic one of column c."""
+        rows, d = self.rows, self.den
+        prow = rows[r]
+        p = prow[c]
+        s = 1 if p > 0 else -1
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or (f == 0 and s * p == d):
+                continue  # such a row comes out of the update unchanged
+            new = [s * (v * p - f * w) // d for v, w in zip(row, prow)]
+            new[c] = s * f
+            rows[i] = new
+        new = [-s * w for w in prow]
+        new[c] = s * d
+        rows[r] = new
+        self.den = s * p
+        self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
 
-    def minimize(self, obj_index: int, enter_cols: range) -> None:
-        """Run Bland's rule to optimality of the given objective row."""
+    def minimize(self, obj_index: int, below: Optional[int] = None) -> Optional[tuple[int, int]]:
+        """Run Bland's rule on row ``obj_index`` (which never leaves the basis).
+
+        Stops at the optimum or, when ``below`` is given, as soon as the
+        objective value is less than ``below``.  Returns ``(column, direction)``
+        when that column's variable, moved in that direction (+1 or -1) with
+        every other nonbasic variable at 0, decreases the objective without
+        bound; otherwise None.
+        """
+        rows, cols, basis, free = self.rows, self.cols, self.basis, self.free
         while True:
-            obj = self.objs[obj_index]
-            enter = next((j for j in enter_cols if obj[j] < 0), -1)
+            cost = rows[obj_index]
+            if below is not None and cost[-1] < below * self.den:
+                return None
+            enter, sign = -1, 0
+            for j, c in enumerate(cost[:-1]):
+                if (c < 0 or (c > 0 and cols[j] < free)) and (enter < 0 or cols[j] < cols[enter]):
+                    enter, sign = j, 1 if c < 0 else -1
             if enter < 0:
-                return
+                return None
             leave, num, den = -1, 0, 0
-            for i, row in enumerate(self.rows):
-                coef = row[enter]
-                if coef > 0:
-                    better = (
-                        leave < 0
-                        or row[-1] * den < num * coef
-                        or (row[-1] * den == num * coef and self.basis[i] < self.basis[leave])
-                    )
-                    if better:
-                        leave, num, den = i, row[-1], coef
+            for i, row in enumerate(rows):
+                coef = -sign * row[enter]  # how fast x[basis[i]] falls
+                if coef <= 0 or i == obj_index or basis[i] < free:
+                    continue
+                if (
+                    leave < 0
+                    or row[-1] * den < num * coef
+                    or (row[-1] * den == num * coef and basis[i] < basis[leave])
+                ):
+                    leave, num, den = i, row[-1], coef
             if leave < 0:
-                raise ArithmeticError("unbounded objective in simplex phase")
+                return enter, sign
             self.pivot(leave, enter)
-
-    def value(self, obj_index: int) -> Fraction:
-        return Fraction(-self.objs[obj_index][-1], self.den)
-
-
-def _simplex_witness(
-    strict_rows: list[tuple[int, ...]],
-    weak_rows: list[tuple[int, ...]],
-    dim: int,
-) -> Optional[Vector]:
-    """Decide the mixed strict/weak system by an exact two-phase simplex.
-
-    Formulation: substitute eps = 1 - eps' (eps' >= 0) into the slack form
-    and minimize eps'; the strict system is feasible iff the optimum is < 1.
-    Free variables are split into positive and negative parts.
-    """
-    rows = [(r, 1) for r in strict_rows] + [(r, 0) for r in weak_rows]
-    m = len(rows)
-    if m == 0:
-        return tuple(Fraction(0) for _ in range(dim))
-
-    # Columns: u_0..u_{dim-1}, w_0..w_{dim-1}, eps', s_0..s_{m-1}, artificials.
-    ncols = 2 * dim + 1 + m
-    eps_col = 2 * dim
-    width = ncols + m + 1
-    tab_rows = []
-    for i, (row, sigma) in enumerate(rows):
-        line = [0] * width
-        for j in range(dim):
-            line[j] = row[j]
-            line[dim + j] = -row[j]
-        line[eps_col] = sigma
-        line[eps_col + 1 + i] = -1  # surplus
-        line[-1] = row[dim] + sigma
-        if line[-1] < 0:
-            line = [-v for v in line]
-        line[ncols + i] = 1  # artificial
-        tab_rows.append(line)
-    tab = _IntTableau(tab_rows, [ncols + i for i in range(m)])
-
-    cost1 = [0] * width
-    for i in range(m):
-        cost1[ncols + i] = 1
-    phase1 = tab.add_objective(cost1)
-    cost2 = [0] * width
-    cost2[eps_col] = 1
-    phase2 = tab.add_objective(cost2)
-
-    # Artificial columns never re-enter; dropping them once nonbasic is the
-    # classic safe reduction for the feasibility decision.
-    tab.minimize(phase1, range(ncols))
-    if tab.value(phase1) > 0:
-        return None  # even the weak closure is empty
-
-    # Drive leftover artificials out of the basis (or drop redundant rows).
-    for i in range(m - 1, -1, -1):
-        if tab.basis[i] >= ncols:
-            col = next((j for j in range(ncols) if tab.rows[i][j] != 0), None)
-            if col is None:
-                del tab.rows[i]
-                del tab.basis[i]
-                continue
-            if tab.rows[i][col] < 0:  # equality row: negation is legal
-                tab.rows[i] = [-v for v in tab.rows[i]]
-            tab.pivot(i, col)
-
-    tab.minimize(phase2, range(ncols))
-    if tab.value(phase2) >= 1:  # optimum eps' >= 1, i.e. eps <= 0
-        return None
-    solution = [Fraction(0)] * ncols
-    for i, b in enumerate(tab.basis):
-        solution[b] = Fraction(tab.rows[i][-1], tab.den)
-    return tuple(solution[j] - solution[dim + j] for j in range(dim))
 
 
 def _feasible_system(
-    strict: list[tuple[int, ...]],
-    weak: list[tuple[int, ...]],
-    dim: int,
+    rows: list[tuple[int, ...]],
+    witness: Vector,
+    row: tuple[int, ...],
 ) -> Optional[Vector]:
-    """Dispatch between elimination and simplex; filter constant rows first."""
-    strict_live, weak_live = [], []
-    for row in strict:
-        if any(row[:dim]):
-            strict_live.append(row)
-        elif row[dim] >= 0:
-            return None  # 0 > rhs with rhs >= 0
-    for row in weak:
-        if any(row[:dim]):
-            weak_live.append(row)
-        elif row[dim] > 0:
-            return None
-    if dim == 0 or not (strict_live or weak_live):
-        return tuple(Fraction(0) for _ in range(dim))
-    if dim <= FM_MAX_DIM:
-        return _fm_witness(strict_live, weak_live, dim)
-    return _simplex_witness(strict_live, weak_live, dim)
+    """Split test: a point strictly inside ``rows`` and ``row``, or None.
+
+    ``witness`` must lie strictly inside every row of ``rows``; it is
+    returned as it is when it also satisfies ``row``.  Otherwise, in the
+    coordinates ``y = L * (x - witness)`` (L the common denominator of the
+    witness) each old row reads ``c . y + k > 0`` with an integer ``k > 0``,
+    so the slack basis, at ``y = 0``, is feasible for the closure.  The
+    simplex maximizes the new form ``g . y`` from there and stops as soon as
+    the value crosses the row's offset ``h >= 0`` in these coordinates, at a
+    point p of the closure.  On an unbounded ray p is the first integer step
+    past ``2h``.  The new witness is ``t * p`` with t the simplest rational
+    in ``(h / g.p, 1)`` (1/2 whenever ``g.p > 2h``): strictly inside every
+    old row because ``y = 0`` is and p is in the closure, and strictly on
+    the new side because ``t * g.p > h``.  When the maximum is at most ``h``
+    the system is infeasible.
+    """
+    dim = len(witness)
+    scale = lcm(*(x.denominator for x in witness))
+    point = [int(x * scale) for x in witness]
+
+    def slack(r: tuple[int, ...]) -> int:
+        return sum(c * x for c, x in zip(r, point)) - r[dim] * scale
+
+    h = -slack(row)
+    if h < 0:
+        return witness
+    tab = _IntTableau(
+        [list(r[:dim]) + [slack(r)] for r in rows] + [[-c for c in row[:dim]] + [0]],
+        dim,
+    )
+    obj = len(rows)
+    ray = tab.minimize(obj, -h)
+    cost = tab.rows[obj]
+    col, move = 0, 0  # p moves column col's variable by move off the vertex
+    if ray is not None:
+        col, sign = ray
+        move = sign * ((2 * h * tab.den + cost[-1]) // -(sign * cost[col]) + 1)
+    elif cost[-1] >= -h * tab.den:
+        return None
+    y = [Fraction(0)] * dim
+    for r, label in zip(tab.rows, tab.basis):
+        if label < dim:
+            y[label] = Fraction(r[-1] + r[col] * move, tab.den)
+    if move and tab.cols[col] < dim:
+        y[tab.cols[col]] = Fraction(move)
+    z = Fraction(-(cost[-1] + cost[col] * move), tab.den)
+    t = Fraction(1, 2) if 2 * h < z else 1 - Fraction(1, z // (z - h) + 1)
+    return tuple(w + t * v / scale for w, v in zip(witness, y))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +394,13 @@ def feasible_strict(strict, equalities=(), *, dim: int) -> Optional[Vector]:
             continue
         rows.append(_int_row(coeffs, rhs))
 
-    y = _feasible_system(rows, [], d)
-    if y is None:
-        return None
+    # Fold the rows in one at a time: each split test starts at the witness
+    # of the rows before it, and the first at the affine point itself.
+    y: Optional[Vector] = tuple(Fraction(0) for _ in range(d))
+    for i, row in enumerate(rows):
+        y = _feasible_system(rows[:i], y, row)
+        if y is None:
+            return None
     point = list(space.point)
     for yj, bv in zip(y, space.basis):
         if yj:
@@ -552,40 +436,32 @@ def cone_span_dimension(constraints, *, dim: int) -> int:
             rows.append(lhs)
 
     implicit: tuple[IntRow, ...] = ()  # canonical system of the implicit rows
-    t_col: dict[int, int] = {}  # row index -> tableau column of its t_i
+    t_col: dict[int, int] = {}  # row index -> label (and column) of its t_i
     for i, lhs in enumerate(rows):
         if tuple(-c for c in lhs) in seen:
             implicit = _reduce(implicit, lhs + (0,)) or implicit
         else:
-            t_col[i] = 2 * dim + len(t_col)
+            t_col[i] = dim + len(t_col)
     if not t_col:
         return dim - len(implicit)
 
-    # Columns: u, w (d = u - w), t, s (one per row), q (one per t), rhs.
-    # Rows: -r_i.(u - w) + t_i + s_i = 0 and t_i + q_i = 1.  The origin is
-    # feasible, so the s and q columns form the starting basis: no phase 1.
-    m, k = len(rows), len(t_col)
-    s_col = 2 * dim + k
-    q_col = s_col + m
-    width = q_col + k + 1
+    # Dictionary over the nonbasic d (free) and t: s_i = r_i.d - t_i (no t_i
+    # for a paired row), q_i = 1 - t_i, and the objective -sum t_i.  The
+    # origin is feasible, so the slack basis starts the simplex: no phase 1.
+    k = len(t_col)
     tab_rows = []
     for i, lhs in enumerate(rows):
-        line = [0] * width
-        for j, c in enumerate(lhs):
-            line[j], line[dim + j] = -c, c
+        line = list(lhs) + [0] * (k + 1)
         if i in t_col:
-            line[t_col[i]] = 1
-        line[s_col + i] = 1
+            line[t_col[i]] = -1
         tab_rows.append(line)
-    for j, c in enumerate(t_col.values()):
-        line = [0] * width
-        line[c] = line[q_col + j] = line[-1] = 1
-        tab_rows.append(line)
-    tab = _IntTableau(tab_rows, list(range(s_col, width - 1)))
-    cost = [0] * width
     for c in t_col.values():
-        cost[c] = -1
-    tab.minimize(tab.add_objective(cost), range(width - 1))
+        line = [0] * (dim + k + 1)
+        line[c], line[-1] = -1, 1
+        tab_rows.append(line)
+    tab_rows.append([0] * dim + [-1] * k + [0])
+    tab = _IntTableau(tab_rows, dim)
+    tab.minimize(len(tab_rows) - 1)
 
     value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
     for i, c in t_col.items():

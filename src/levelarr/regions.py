@@ -66,7 +66,11 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
 
     Incremental insertion: when hyperplane H arrives, a region's witness
     settles the side it lies on for free; only the opposite side needs a
-    feasibility test, and a fresh witness is computed when the region splits.
+    split test.  That test starts the simplex at the region's own witness,
+    which is strictly inside every old constraint, so it needs no phase 1;
+    when the region splits, the new side gets a witness between the old one
+    and the point the simplex reached.  The root region (no constraints) is
+    the whole space, with the origin as its witness.
     """
     n = arr.dim
 
@@ -92,7 +96,7 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
                 if side == keep_witness:
                     updated.append((signs + [side], witness, rows + [srow]))
                     continue
-                w = _feasible_system(rows + [srow], [], n)
+                w = _feasible_system(rows, witness, srow)
                 if w is not None:
                     updated.append((signs + [side], w, rows + [srow]))
         live = updated
@@ -132,8 +136,9 @@ def level_profile(arr: Arrangement) -> LevelProfile:
 def feasible_sign_vectors(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     """Exhaustive enumeration of feasible sign vectors, independent of insertion.
 
-    Walks the full {+1,-1}^m tree depth-first, testing every prefix with the
-    exact feasibility engine; an infeasible prefix rules out all of its
+    Walks the full {+1,-1}^m tree depth-first, testing both sides of every
+    prefix with the exact split test, which starts from the witness the
+    prefix carries down the walk; an infeasible prefix rules out all of its
     extensions, which keeps the walk exhaustive while skipping dead subtrees.
     Intended as an oracle for ``enumerate_regions`` at small m.
     """
@@ -141,17 +146,18 @@ def feasible_sign_vectors(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     hrows = [h.row for h in arr.hyperplanes]
     out: list[tuple[int, ...]] = []
 
-    def walk(prefix: list[int], rows: list[tuple[int, ...]]):
+    def walk(prefix: list[int], rows: list[tuple[int, ...]], witness: Vector):
         if len(prefix) == len(hrows):
             out.append(tuple(prefix))
             return
         hrow = hrows[len(prefix)]
         for side in (1, -1):
             srow = _strict_row(hrow, side)
-            if _feasible_system(rows + [srow], [], n) is not None:
-                walk(prefix + [side], rows + [srow])
+            w = _feasible_system(rows, witness, srow)
+            if w is not None:
+                walk(prefix + [side], rows + [srow], w)
 
-    walk([], [])
+    walk([], [], tuple(Fraction(0) for _ in range(n)))
     out.sort(key=_sign_key)
     return tuple(out)
 

@@ -20,11 +20,10 @@ from levelarr.exactmath import (
 from levelarr.exactmath import (
     _EmptyIntersection,
     _IntTableau,
-    _fm_witness,
+    _feasible_system,
     _int_row,
     _pivot,
     _reduce,
-    _simplex_witness,
 )
 
 
@@ -186,6 +185,99 @@ class TestFeasibleStrict:
         assert feasible_strict([((1, -1), 0, 1)], eq, dim=2) is None
 
 
+# --- test-local reference: Fourier-Motzkin elimination ----------------------
+#
+# An independent decider: it shares no code with the package's simplex.  A
+# row (c_1, ..., c_d, r) reads c . y > r (strict) or c . y >= r (weak).  Its
+# row count can grow doubly exponentially with the dimension, so the tests
+# keep it to small systems.
+
+
+def _primitive_lhs(row):
+    *lhs, rhs = row
+    g = 0
+    for c in lhs:
+        g = gcd(g, c)
+    if g == 0:
+        return tuple(lhs), Fraction(rhs)
+    return tuple(c // g for c in lhs), Fraction(rhs, g)
+
+
+class _Infeasible(Exception):
+    pass
+
+
+def _dedup(rows):
+    """Keep, per lhs direction, only the tightest rhs; flag constant rows."""
+    best = {}
+    for lhs, rhs in rows:
+        if not any(lhs):
+            if rhs > 0:
+                raise _Infeasible
+            continue
+        cur = best.get(lhs)
+        if cur is None or rhs > cur:
+            best[lhs] = rhs
+    return list(best.items())
+
+
+def _fm_witness(strict_rows, weak_rows, dim):
+    """Maximize a slack eps (capped at 1) by eliminating y_0..y_{dim-1} in order;
+    the strict system is feasible iff eps can be positive.  Returns the exact
+    interval-center witness, or None."""
+    rows = [_primitive_lhs(row[:dim] + (-1, row[dim])) for row in strict_rows]
+    rows += [_primitive_lhs(row[:dim] + (0, row[dim])) for row in weak_rows]
+    rows.append(((0,) * dim + (-1,), Fraction(-1)))  # eps <= 1 cap
+
+    steps = []
+    try:
+        live = _dedup(rows)
+        for k in range(dim):
+            involved = [r for r in live if r[0][k] != 0]
+            steps.append(involved)
+            carried = [r for r in live if r[0][k] == 0]
+            pos = [r for r in involved if r[0][k] > 0]
+            neg = [r for r in involved if r[0][k] < 0]
+            combos = []
+            for plhs, prhs in pos:
+                for nlhs, nrhs in neg:
+                    lp, ln = -nlhs[k], plhs[k]
+                    lhs = tuple(lp * a + ln * b for a, b in zip(plhs, nlhs))
+                    combos.append((lhs, lp * prhs + ln * nrhs))
+            live = _dedup(carried + combos)
+    except _Infeasible:
+        return None
+
+    sup = Fraction(1)
+    for lhs, rhs in live:
+        sup = min(sup, Fraction(rhs, lhs[dim]))
+    if sup <= 0:
+        return None
+
+    values = [Fraction(0)] * (dim + 1)
+    values[dim] = sup / 2
+    for k in range(dim - 1, -1, -1):
+        lo = hi = None
+        for lhs, rhs in steps[k]:
+            rest = sum((lhs[j] * values[j] for j in range(k + 1, dim + 1)), Fraction(0))
+            bound = (rhs - rest) / lhs[k]
+            if lhs[k] > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None and hi is not None:
+            values[k] = (lo + hi) / 2
+        elif lo is not None:
+            values[k] = lo + 1
+        elif hi is not None:
+            values[k] = hi - 1
+    return tuple(values[:dim])
+
+
+def _strictly_inside(rows, point):
+    return all(sum(c * x for c, x in zip(row, point)) > row[-1] for row in rows)
+
+
 @st.composite
 def _mixed_system(draw):
     d = draw(st.integers(1, 5))
@@ -200,22 +292,120 @@ def _mixed_system(draw):
 
 
 class TestEngineAgreement:
-    """Elimination and simplex are independent deciders; they must agree."""
+    """Elimination and the simplex are independent deciders; they must agree."""
 
     @given(_mixed_system())
     @settings(max_examples=120, deadline=None)
     def test_fm_matches_simplex(self, system):
-        d, strict, weak = system
-        by_fm = _fm_witness(list(strict), list(weak), d)
-        by_simplex = _simplex_witness(list(strict), list(weak), d)
+        # The simplex decides strict systems only.  Weak rows would send the
+        # reference's elimination past 20,000 rows on some draws in R^5.
+        d, strict, _ = system
+        by_fm = _fm_witness(list(strict), [], d)
+        by_simplex = feasible_strict([(row[:d], row[d], 1) for row in strict], dim=d)
         assert (by_fm is None) == (by_simplex is None)
         for witness in (by_fm, by_simplex):
-            if witness is None:
-                continue
-            for row in strict:
-                assert sum(c * x for c, x in zip(row[:d], witness)) > row[d]
-            for row in weak:
-                assert sum(c * x for c, x in zip(row[:d], witness)) >= row[d]
+            if witness is not None:
+                assert _strictly_inside(strict, witness)
+
+
+class TestIntTableau:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pivot_matches_rational_dictionary(self, data):
+        # Fraction-free pivots, skipped rows and negative pivots included, must
+        # give exactly the rational dictionary x_B = b + A x_N over den.
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        entry = st.integers(-4, 4)
+        rows = [[data.draw(entry) for _ in range(n + 1)] for _ in range(m)]
+        tab = _IntTableau([row[:] for row in rows], 0)
+        exact = [[Fraction(v) for v in row] for row in rows]
+        for _ in range(data.draw(st.integers(1, 6))):
+            nonzero = [(i, j) for i in range(m) for j in range(n) if exact[i][j]]
+            if not nonzero:
+                break
+            r, c = data.draw(st.sampled_from(nonzero))
+            a = exact[r][c]
+            solved = [-v / a for v in exact[r]]
+            solved[c] = 1 / a
+            for i in range(m):
+                if i != r:
+                    f = exact[i][c]
+                    exact[i] = [v + f * w for v, w in zip(exact[i], solved)]
+                    exact[i][c] = f / a
+            exact[r] = solved
+            tab.pivot(r, c)
+            assert tab.den > 0
+            assert [[Fraction(v, tab.den) for v in row] for row in tab.rows] == exact
+
+
+@st.composite
+def _split_case(draw):
+    """Old rows around a witness that lies strictly inside them by construction,
+    and a new row that the witness does not satisfy strictly.
+
+    ``above`` puts the witness strictly on the wrong side of the new row
+    (h > 0) and ``on`` puts it on the new hyperplane (h = 0).  ``ray`` also
+    turns every old normal c so that c . g >= 0 for the new normal g, so the
+    new form grows without bound along g and the system is feasible.
+    """
+    dim = draw(st.integers(1, 4))
+    normal = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    positive = st.builds(Fraction, st.integers(1, 8), st.integers(1, 4))
+    witness = tuple(draw(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))) for _ in range(dim))
+    case = draw(st.sampled_from(("above", "on", "ray")))
+    g = draw(normal)
+    rows = []
+    for c in draw(st.lists(normal, max_size=6)):
+        if case == "ray" and dot(c, g) < 0:
+            c = tuple(-x for x in c)
+        rows.append(_int_row(as_vector(c), dot(c, witness) - draw(positive)))
+    gap = 0 if case == "on" else draw(positive)
+    return case, witness, rows, _int_row(as_vector(g), dot(g, witness) + gap)
+
+
+class TestSplitTest:
+    """The warm-started split test against the test-local elimination."""
+
+    @given(_split_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_elimination(self, split):
+        case, witness, rows, row = split
+        assert _strictly_inside(rows, witness)
+        result = _feasible_system(rows, witness, row)
+        assert (result is None) == (_fm_witness(rows + [row], [], len(witness)) is None)
+        if case == "ray":
+            assert result is not None
+        if result is not None:
+            assert _strictly_inside(rows + [row], result)
+
+    def test_unbounded_ray(self, monkeypatch):
+        rays = []
+        minimize = _IntTableau.minimize
+
+        def spy(self, *args):
+            rays.append(minimize(self, *args))
+            return rays[-1]
+
+        monkeypatch.setattr(_IntTableau, "minimize", spy)
+        origin = (Fraction(0), Fraction(0))
+        # The root region has no rows: every split test there is a ray.
+        assert _strictly_inside([(1, -1, 5)], _feasible_system([], origin, (1, -1, 5)))
+        # From (1, 1) in the open quadrant, x + y > 10 lies along a ray.
+        rows = [(1, 0, 0), (0, 1, 0)]
+        witness = _feasible_system(rows, (Fraction(1), Fraction(1)), (1, 1, 10))
+        assert _strictly_inside(rows + [(1, 1, 10)], witness)
+        assert len(rays) == 2 and None not in rays
+
+    def test_witness_on_the_new_hyperplane(self):
+        # 0 < x < 2 from x = 1: both sides of x = 1 split off.
+        rows = [(1, 0), (-1, -2)]
+        for row in [(1, 1), (-1, -1)]:
+            assert _strictly_inside(rows + [row], _feasible_system(rows, (Fraction(1),), row))
+        assert _feasible_system(rows, (Fraction(1),), (1, 2)) is None
+
+    def test_witness_already_inside_is_returned(self):
+        witness = (Fraction(1, 3),)
+        assert _feasible_system([(1, 0)], witness, (1, -1)) is witness
 
 
 @st.composite
@@ -296,15 +486,23 @@ class TestConeSpanDimension:
     @settings(max_examples=120, deadline=None)
     def test_matches_per_row_feasibility(self, cone):
         # Reference: row r is implicit iff r . d > 0 has no solution on the
-        # cone, decided one row at a time by Fourier-Motzkin or the two-phase
-        # simplex.  Fourier-Motzkin stops at R^3 here: with opposite pairs in
-        # R^4 its last elimination can build a million rows.
+        # cone, decided one row at a time: by Fourier-Motzkin up to R^3 and
+        # above by maximizing r . d over the cone on the simplex dictionary
+        # (bounded, at 0, exactly when r is implicit).  Fourier-Motzkin stops
+        # at R^3 here: with opposite pairs in R^4 its last elimination can
+        # build a million rows.
         dim, constraints = cone
         rows = [
             tuple(s * c for c in a) + (0,) for a, s in constraints if any(a)
         ]
-        engine = _fm_witness if dim <= 3 else _simplex_witness
-        implicit = [r for r in rows if engine([r], rows, dim) is None]
+
+        def implicit_row(r):
+            if dim <= 3:
+                return _fm_witness([r], rows, dim) is None
+            tab = _IntTableau([list(q) for q in rows] + [[-c for c in r[:-1]] + [0]], dim)
+            return tab.minimize(len(rows)) is None
+
+        implicit = [r for r in rows if implicit_row(r)]
         expected = dim - len(fold([(r[:-1], 0) for r in implicit]))
         assert cone_span_dimension(constraints, dim=dim) == expected
 

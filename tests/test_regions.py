@@ -63,6 +63,27 @@ class TestEnumerateRegions:
             assert len(enumerate_regions(arr)) == expected
 
 
+class TestGeneralR4:
+    def test_twelve_planes(self):
+        # A seeded general arrangement in R^4, 12 distinct hyperplanes with
+        # normals in [-2, 2]^4 and offsets k/8 in [-3, 3].  R^4 is where a
+        # Fourier-Motzkin split test can build a million rows; the simplex
+        # split test has no such cliff.
+        rng = random.Random(5)
+        planes = {}
+        while len(planes) < 12:
+            normal = tuple(rng.randint(-2, 2) for _ in range(4))
+            if any(normal):
+                h = hp(normal, Fraction(rng.randint(-24, 24), 8))
+                planes.setdefault(h.row, h)
+        arr = Arrangement(4, list(planes.values()))
+        regions = enumerate_regions(arr)
+        assert len(regions) == (-1) ** arr.dim * char_poly(arr).evaluate(-1) == 722
+        for region in regions:
+            for h, s in zip(arr.hyperplanes, region.sign_vector):
+                assert s * h.evaluate(region.witness) > 0
+
+
 class TestRegionLevel:
     def test_grid_example_labels(self, grid_example):
         # x = 0, y = 0, x+y = 1, y = 1.  The bounded triangle has level 0,
