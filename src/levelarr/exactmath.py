@@ -9,6 +9,9 @@ Equation systems live here in one form, the canonical integer row system
 built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
 intersection poset keys flats by it, and ``solve_affine`` and the rank step
 of ``cone_span_dimension`` fold their equations through the same routine.
+``_reduce`` is two steps: ``_residual`` eliminates the system's pivot
+columns from the new row, and ``_merge`` inserts the result.  The poset
+calls ``_residual`` on its own for every (flat, hyperplane) pair.
 
 Every inequality question goes to one engine, ``_IntTableau``: a
 fraction-free simplex dictionary with free variables and Bland's rule, always
@@ -84,16 +87,14 @@ def _int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
 
 def _normalize(row: Sequence[int]) -> Optional[IntRow]:
     """Primitive form with positive leading variable entry; None for the zero row."""
-    g = 0
-    for c in row:
-        g = gcd(g, c)
+    g = gcd(*row)
     if g == 0:
         return None
-    row = tuple(c // g for c in row)
-    lead = next((c for c in row[:-1] if c), None)
-    if lead is None or lead > 0:
-        return row
-    return tuple(-c for c in row)
+    row = tuple(c // g for c in row) if g > 1 else tuple(row)
+    for c in row[:-1]:
+        if c:
+            return row if c > 0 else tuple(-c for c in row)
+    return row
 
 
 def _pivot(row: IntRow) -> int:
@@ -104,23 +105,24 @@ class _EmptyIntersection(Exception):
     pass
 
 
-def _reduce(rows: tuple[IntRow, ...], row: IntRow) -> Optional[tuple[IntRow, ...]]:
-    """Add one equation to a canonical system.
+def _residual(rows: tuple[IntRow, ...], pivots: Sequence[int], row: Sequence[int]) -> Sequence[int]:
+    """Eliminate a canonical system's pivot columns from one row.
 
-    Returns the new canonical system, or None when the equation already holds
-    on the flat.  Raises _EmptyIntersection when it contradicts the system.
+    ``pivots`` are the pivot columns of ``rows``.  The result is 0 on every
+    pivot column but not normalized; it is ``row`` itself when no entry had to
+    be eliminated.
     """
-    work = list(row)
-    for r in rows:
-        p = _pivot(r)
-        if work[p]:
-            f, rp = work[p], r[p]
+    work = row
+    for r, p in zip(rows, pivots):
+        f = work[p]
+        if f:
+            rp = r[p]
             work = [w * rp - rv * f for w, rv in zip(work, r)]
-    new = _normalize(work)
-    if new is None:
-        return None
-    if not any(new[:-1]):
-        raise _EmptyIntersection
+    return work
+
+
+def _merge(rows: tuple[IntRow, ...], new: IntRow) -> tuple[IntRow, ...]:
+    """Insert a canonical residual of ``rows``, clearing its pivot column from the other rows."""
     p = _pivot(new)
     merged: list[IntRow] = []
     inserted = False
@@ -136,6 +138,20 @@ def _reduce(rows: tuple[IntRow, ...], row: IntRow) -> Optional[tuple[IntRow, ...
     if not inserted:
         merged.append(new)
     return tuple(merged)
+
+
+def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntRow, ...]]:
+    """Add one equation to a canonical system.
+
+    Returns the new canonical system, or None when the equation already holds
+    on the flat.  Raises _EmptyIntersection when it contradicts the system.
+    """
+    new = _normalize(_residual(rows, [_pivot(r) for r in rows], row))
+    if new is None:
+        return None
+    if not any(new[:-1]):
+        raise _EmptyIntersection
+    return _merge(rows, new)
 
 
 def _solve_rows(rows: tuple[IntRow, ...], dim: int) -> tuple[Vector, tuple[Vector, ...]]:

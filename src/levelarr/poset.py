@@ -1,17 +1,22 @@
 """Intersection poset, Möbius function and the characteristic polynomial.
 
 Flats (nonempty intersections of hyperplanes) are found by breadth-first
-search over codimension levels: every flat is intersected with every
-hyperplane, and the results are deduplicated by a canonical integer form of
-their defining equation system.  This keys flats by geometry, not by which
-subset of hyperplanes generated them, and avoids enumerating 2^m subsets.
+search over codimension levels, which avoids enumerating 2^m subsets.  At
+each flat, every hyperplane that does not contain it is reduced against the
+flat's equations once; hyperplanes with equal residuals cut out the same
+child, so each group of equal residuals is one child and its containing set
+is known without further elimination.  Children are keyed by that containing
+set (a flat is the intersection of the hyperplanes that contain it), and
+Möbius values are read off the cover relations the search finds: (-1)^codim
+on a Boolean lower interval, and otherwise minus the sum over the ancestor
+set that the covers accumulate.
 
-The key is the canonical integer row system of ``exactmath`` (the reduced
-row-echelon form of [A | b], rescaled row-wise to primitive integer vectors
-with positive pivots), grown one ``Hyperplane.row`` at a time by
-``exactmath._reduce``.  Rational row spaces and canonical systems are in
-bijection, so two flats are equal exactly when their keys are equal, bit for
-bit.
+A flat's equations are the canonical integer row system of ``exactmath``
+(the reduced row-echelon form of [A | b], rescaled row-wise to primitive
+integer vectors with positive pivots), built once per flat by
+``exactmath._reduce``; the residuals come from the same elimination step,
+``exactmath._residual``.  Rational row spaces and canonical systems are in
+bijection, so flats are ordered by these rows, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arrangement import Arrangement
-from .exactmath import IntRow, Vector, _EmptyIntersection, _reduce, _solve_rows
+from .exactmath import IntRow, Vector, _normalize, _pivot, _reduce, _residual, _solve_rows
 
 
 @dataclass(frozen=True)
@@ -89,57 +94,71 @@ class IntersectionPoset:
 def build_poset(arr: Arrangement) -> IntersectionPoset:
     """Construct the intersection poset with Möbius values.
 
-    BFS over codimension levels; at each flat all hyperplanes are tried, which
-    yields both the children and (via the hyperplanes that reduce to the zero
-    row) the flat's maximal containing set.
+    BFS over codimension levels.  At a flat Y every hyperplane H outside
+    cont(Y) costs one elimination: its residual, H's row reduced against Y's
+    canonical rows.  Those rows are in RREF, so every residual is 0 on Y's
+    pivot columns, and H' contains Y ∩ H exactly when its residual equals
+    H's.  Each group of equal residuals is therefore one child Z, with
+    cont(Z) = cont(Y) plus the group; a residual with a zero normal and a
+    nonzero constant is an empty intersection.  A flat is the intersection of
+    the hyperplanes that contain it, so children are keyed by that containing
+    bitmask, and a new child's canonical rows are built once, by ``_reduce``.
+
+    Möbius values come from the cover relations the BFS finds.  When exactly
+    codim(Z) hyperplanes contain Z, its lower interval is Boolean and
+    mu(Z) = (-1)^codim; otherwise mu(Z) is minus the sum over its ancestors,
+    a bitset over flat indices that is the union, over Z's cover parents, of
+    each parent's ancestors and the parent itself.
     """
     n = arr.dim
     hrows = [h.row for h in arr.hyperplanes]
 
-    containing_of: dict[tuple[IntRow, ...], frozenset[int]] = {}
-    order: list[tuple[IntRow, ...]] = []
-    level: list[tuple[IntRow, ...]] = [()]
-    known: set[tuple[IntRow, ...]] = {()}
-    while level:
-        next_level: set[tuple[IntRow, ...]] = set()
-        for rows in level:
-            children = []
-            containing = []
+    flats: list[Flat] = []
+    # One entry per flat of the current codimension: (rows, containing mask,
+    # ancestor bitset over flat indices), sorted by rows in descending order
+    # and popped, so that a bitset is freed once its children have taken it.
+    level: list[tuple[tuple[IntRow, ...], int, int]] = [((), 0, 0)]
+    for codim in range(n + 1):
+        children: dict[int, list] = {}  # containing mask -> [rows, ancestors]
+        while level:
+            rows, mask, ancestors = level.pop()
+            index = len(flats)
+            if mask.bit_count() == codim:
+                mu = -1 if codim % 2 else 1
+            else:
+                mu = -sum(flats[i].mobius for i in _bits(ancestors))
+            flats.append(Flat(rows=rows, dim=n - codim, containing=frozenset(_bits(mask)), mobius=mu))
+
+            pivots = [_pivot(r) for r in rows]
+            groups: dict[IntRow, int] = {}
             for idx, hrow in enumerate(hrows):
-                try:
-                    reduced = _reduce(rows, hrow)
-                except _EmptyIntersection:
+                if mask >> idx & 1:
                     continue
-                if reduced is None:
-                    containing.append(idx)
+                residual = _residual(rows, pivots, hrow)
+                if residual is not hrow:
+                    residual = _normalize(residual)
+                    if residual is None:
+                        raise ArithmeticError(f"hyperplane {idx} contains a flat but is not in its containing set")
+                if any(residual[:-1]):
+                    groups[residual] = groups.get(residual, 0) | 1 << idx
+
+            below = ancestors | 1 << index
+            for residual, group in groups.items():
+                child = children.get(mask | group)
+                if child is None:
+                    children[mask | group] = [_reduce(rows, residual), below]
                 else:
-                    children.append(reduced)
-            containing_of[rows] = frozenset(containing)
-            order.append(rows)
-            for child in children:
-                if child not in known:
-                    known.add(child)
-                    next_level.add(child)
-        level = sorted(next_level)
+                    child[1] |= below
+        level = sorted(((rows, mask, ancestors) for mask, (rows, ancestors) in children.items()), reverse=True)
+    return IntersectionPoset(arr, tuple(flats))
 
-    # Möbius recursion in codimension-major order: mu(bottom) = 1 and the
-    # values on every proper lower interval sum to zero.
-    mobius: dict[tuple[IntRow, ...], int] = {}
-    seen: list[tuple[frozenset[int], int]] = []
-    for rows in order:
-        containing = containing_of[rows]
-        if not rows:
-            mu = 1
-        else:
-            mu = -sum(m for c, m in seen if c <= containing)
-        mobius[rows] = mu
-        seen.append((containing, mu))
 
-    flats = tuple(
-        Flat(rows=rows, dim=n - len(rows), containing=containing_of[rows], mobius=mobius[rows])
-        for rows in order
-    )
-    return IntersectionPoset(arr, flats)
+def _bits(x: int):
+    """Indices of the set bits of a nonnegative integer, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def mobius(poset: IntersectionPoset, flat: Flat) -> int:

@@ -1,20 +1,25 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from levelarr import poset as poset_module
 from levelarr.arrangement import (
     Arrangement,
     Hyperplane,
     delete,
     make_cox_a,
     make_cox_b,
+    make_m_catalan,
     random_deformation_a,
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import dot
-from levelarr.poset import CharPoly, build_poset, char_poly, mobius
+from levelarr.exactmath import _EmptyIntersection, _reduce, dot
+from levelarr.poset import CharPoly, Flat, build_poset, char_poly, mobius
 
 
 def hp(normal, offset=0):
@@ -88,6 +93,151 @@ class TestBuildPoset:
         with pytest.raises(KeyError):
             mobius(poset, stranger)
         assert mobius(poset, poset.bottom) == 1
+
+
+def reference_flats(arr: Arrangement) -> tuple[Flat, ...]:
+    """The poset as a plain BFS builds it: one ``_reduce`` per (flat, hyperplane)
+    pair, containing sets from the hyperplanes that reduce to nothing, and
+    Möbius values from a scan of every earlier flat."""
+    n = arr.dim
+    hrows = [h.row for h in arr.hyperplanes]
+    containing_of = {}
+    order = []
+    level = [()]
+    known = {()}
+    while level:
+        next_level = set()
+        for rows in level:
+            children = []
+            containing = []
+            for idx, hrow in enumerate(hrows):
+                try:
+                    reduced = _reduce(rows, hrow)
+                except _EmptyIntersection:
+                    continue
+                if reduced is None:
+                    containing.append(idx)
+                else:
+                    children.append(reduced)
+            containing_of[rows] = frozenset(containing)
+            order.append(rows)
+            for child in children:
+                if child not in known:
+                    known.add(child)
+                    next_level.add(child)
+        level = sorted(next_level)
+
+    mobius_of = {}
+    seen = []
+    for rows in order:
+        containing = containing_of[rows]
+        mu = 1 if not rows else -sum(m for c, m in seen if c <= containing)
+        mobius_of[rows] = mu
+        seen.append((containing, mu))
+    return tuple(
+        Flat(rows=rows, dim=n - len(rows), containing=containing_of[rows], mobius=mobius_of[rows])
+        for rows in order
+    )
+
+
+def _coxeter_normals(n: int) -> list[tuple[int, ...]]:
+    """Type A and B forms in R^n: x_i, x_i - x_j and x_i + x_j."""
+    normals = []
+    for i in range(n):
+        normals.append(tuple(int(k == i) for k in range(n)))
+        for j in range(i + 1, n):
+            for sign in (-1, 1):
+                normals.append(tuple(1 if k == i else sign if k == j else 0 for k in range(n)))
+    return normals
+
+
+@st.composite
+def _arrangements(draw):
+    """Arrangements in R^1..R^4 of Coxeter forms and small general normals.
+
+    Offsets in {-1, 0, 1} (three draws in four) make coincidences likely:
+    non-Boolean lower intervals, parallel hyperplanes and empty
+    intersections.  Eighths in [-3, 3] make them rare.
+    """
+    n = draw(st.integers(1, 4))
+    general = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    coxeter = st.sampled_from(_coxeter_normals(n))
+    normal = st.one_of(coxeter, coxeter, general)
+    if draw(st.integers(0, 3)):
+        offset = st.integers(-1, 1)
+    else:
+        offset = st.integers(-24, 24).map(lambda k: Fraction(k, 8))
+    count = draw(st.integers(n + 1, 9 if n < 4 else 7))
+    planes = st.builds(hp, normal, offset)
+    return Arrangement(n, draw(st.lists(planes, min_size=count, max_size=count, unique_by=lambda h: h.row)))
+
+
+class TestGroupedResiduals:
+    """``build_poset`` against the per-pair reference, and its work bound."""
+
+    @given(_arrangements())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_reference(self, arr):
+        assert build_poset(arr).flats == reference_flats(arr)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_cox_a(5),
+            lambda: make_m_catalan(4, 1),
+            lambda: make_cox_b(4),
+            lambda: random_deformation_a(5, random.Random(7), 2),
+        ],
+        ids=["cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7"],
+    )
+    def test_matches_reference_on_fixed_cases(self, make):
+        arr = make()
+        assert build_poset(arr).flats == reference_flats(arr)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [make_cox_a(4), make_cox_b(3), make_m_catalan(3, 1), random_deformation_a(4, random.Random(7), 2)],
+        ids=["cox_a4", "cox_b3", "m_catalan_3_1", "random_a4_seed7"],
+    )
+    def test_one_merge_per_new_flat(self, arr, monkeypatch):
+        calls = []
+
+        def counting_reduce(rows, row):
+            calls.append(row)
+            return _reduce(rows, row)
+
+        monkeypatch.setattr(poset_module, "_reduce", counting_reduce)
+        poset = build_poset(arr)
+        assert len(calls) == len(poset) - 1
+
+    def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
+        # A hyperplane that reduces to nothing at a flat must already be in
+        # the flat's containing set; anything else is an elimination fault.
+        def zero_residual(rows, pivots, row):
+            return [0] * len(row) if rows else row
+
+        monkeypatch.setattr(poset_module, "_residual", zero_residual)
+        with pytest.raises(ArithmeticError):
+            build_poset(make_cox_a(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cox_a_top_is_partition_lattice_top(self, n):
+        # The top of the partition lattice of [n] has mu = (-1)^(n-1) (n-1)!.
+        (top,) = build_poset(make_cox_a(n)).flats_of_codim(n - 1)
+        assert top.dim == 1
+        assert top.mobius == (-1) ** (n - 1) * math.factorial(n - 1)
+
+    def test_boolean_lower_intervals(self, example_a):
+        arrangements = [example_a, make_cox_b(3), make_m_catalan(3, 1), random_deformation_a(4, random.Random(3), 2)]
+        boolean = 0
+        for arr in arrangements:
+            for flat in build_poset(arr):
+                if len(flat.containing) == flat.codim:
+                    boolean += 1
+                    assert flat.mobius == (-1) ** flat.codim
+                else:
+                    assert len(flat.containing) > flat.codim
+        assert boolean > 0
 
 
 class TestCharPoly:
