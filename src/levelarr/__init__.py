@@ -10,12 +10,10 @@ rational arithmetic.
 from .arrangement import (
     Arrangement,
     DegenerateDeformationError,
-    DirectionClass,
     Hyperplane,
     Kind,
     NondegeneracyReport,
     delete,
-    direction_classes,
     is_nondegenerate,
     make_catalan_type,
     make_cox_a,
@@ -28,14 +26,11 @@ from .arrangement import (
     restrict,
 )
 from .exactmath import (
-    AffineSolution,
     Scalar,
     Vector,
     as_scalar,
     as_vector,
     cone_span_dimension,
-    feasible_strict,
-    solve_affine,
 )
 from .expansion import (
     BasisKind,
@@ -56,7 +51,7 @@ from .ffcount import (
     count_complement_points,
     ff_oracle_check,
 )
-from .poset import CharPoly, Flat, IntersectionPoset, build_poset, char_poly, mobius
+from .poset import CharPoly, Flat, IntersectionPoset, build_poset, char_poly
 from .regions import (
     LevelProfile,
     Region,
@@ -64,7 +59,6 @@ from .regions import (
     feasible_sign_vectors,
     level_profile,
     mcatalan_level_count,
-    region_level,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -160,29 +160,6 @@ class Arrangement:
     def __repr__(self) -> str:
         return f"Arrangement(dim={self.dim}, m={len(self.hyperplanes)}, kind={self.kind.value})"
 
-    def same_set(self, other: "Arrangement") -> bool:
-        """Set equality, ignoring hyperplane order."""
-        return self.dim == other.dim and set(self.hyperplanes) == set(other.hyperplanes)
-
-
-@dataclass(frozen=True)
-class DirectionClass:
-    """A parallelism class: canonical normal plus member hyperplane indices."""
-
-    normal: tuple[int, ...]
-    members: tuple[int, ...]
-
-
-def direction_classes(arr: Arrangement) -> tuple[DirectionClass, ...]:
-    """Group hyperplanes by direction; every hyperplane lands in exactly one class."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, h in enumerate(arr.hyperplanes):
-        groups.setdefault(h.normal, []).append(idx)
-    return tuple(
-        DirectionClass(normal, tuple(members))
-        for normal, members in sorted(groups.items())
-    )
-
 
 # ---------------------------------------------------------------------------
 # Kind classification and non-degeneracy
@@ -260,12 +237,17 @@ class NondegeneracyReport:
 
 
 def _describe_direction(entry) -> str:
-    if entry and entry[0] == "x":
+    """Name a missing direction: x_i, x_i-x_j or x_i+x_j.
+
+    Type B tags its entries ("x", i), ("diff", i, j) or ("sum", i, j); type
+    A's are bare pairs (i, j) of x_i - x_j.
+    """
+    if entry[0] == "x":
         return f"x{entry[1]}"
-    if entry and entry[0] in ("diff", "sum"):
-        op = "-" if entry[0] == "diff" else "+"
-        return f"x{entry[1]}{op}x{entry[2]}"
-    return f"({entry[0]}, {entry[1]})"
+    if entry[0] == "sum":
+        return f"x{entry[1]}+x{entry[2]}"
+    i, j = entry[-2:]
+    return f"x{i}-x{j}"
 
 
 def is_nondegenerate(arr: Arrangement, kind: Kind) -> NondegeneracyReport:

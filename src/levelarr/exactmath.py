@@ -7,8 +7,8 @@ computed downstream trustworthy: every predicate here is decided exactly.
 
 Equation systems live here in one form, the canonical integer row system
 built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
-intersection poset keys flats by it, and ``solve_affine`` and the rank step
-of ``cone_span_dimension`` fold their equations through the same routine.
+intersection poset keys flats by it, and the rank step of
+``cone_span_dimension`` folds its implicit rows through the same routine.
 ``_reduce`` is two steps: ``_residual`` eliminates the system's pivot
 columns from the new row, and ``_merge`` inserts the result.  The poset
 calls ``_residual`` on its own for every (flat, hyperplane) pair.
@@ -34,7 +34,6 @@ present is implicit without an LP variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -154,89 +153,11 @@ def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntR
     return _merge(rows, new)
 
 
-def _solve_rows(rows: tuple[IntRow, ...], dim: int) -> tuple[Vector, tuple[Vector, ...]]:
-    """Point and direction basis of a canonical (consistent) system."""
-    pivots = [_pivot(r) for r in rows]
-    free = [c for c in range(dim) if c not in pivots]
-    point = [Fraction(0)] * dim
-    for r, p in zip(rows, pivots):
-        point[p] = Fraction(r[dim], r[p])
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        for r, p in zip(rows, pivots):
-            v[p] = Fraction(-r[f], r[p])
-        basis.append(tuple(v))
-    return tuple(point), tuple(basis)
-
-
-# ---------------------------------------------------------------------------
-# Affine equality systems
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Nonempty solution set of an equality system: a point plus directions.
-
-    ``basis`` spans the direction space; its length is the dimension of the
-    solution set.
-    """
-
-    point: Vector
-    basis: tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def satisfies(self, normal, offset) -> bool:
-        """True when the whole solution set lies on ``normal . x = offset``."""
-        if dot(normal, self.point) != as_scalar(offset):
-            return False
-        return all(dot(normal, b) == 0 for b in self.basis)
-
-
-def solve_affine(equalities, dim: int) -> Optional[AffineSolution]:
-    """Solve a conjunction of ``a . x = b`` constraints in R^dim exactly.
-
-    Returns None when the system is inconsistent.  An empty system yields the
-    whole space.
-    """
-    eqs = [(as_vector(a), as_scalar(b)) for a, b in equalities]
-    for a, _ in eqs:
-        if len(a) != dim:
-            raise ValueError("ambient dimension mismatch")
-    system: tuple[IntRow, ...] = ()
-    try:
-        for a, b in eqs:
-            system = _reduce(system, _int_row(a, b)) or system
-    except _EmptyIntersection:
-        return None
-    return AffineSolution(*_solve_rows(system, dim))
-
-
 # ---------------------------------------------------------------------------
 # Strict inequality systems (internal engine)
 #
 # A row is an integer tuple (c_1, ..., c_d, r) read as  c . y > r.
 # ---------------------------------------------------------------------------
-
-
-def _primitive_lhs(row: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
-    """Split a row into a primitive integer lhs and a rational rhs.
-
-    Dividing by the gcd of the lhs makes rescaled copies of one direction
-    collide in a set or dict.
-    """
-    *lhs, rhs = row
-    g = 0
-    for c in lhs:
-        g = gcd(g, c)
-    if g == 0:
-        return tuple(lhs), Fraction(rhs)
-    return tuple(c // g for c in lhs), Fraction(rhs, g)
 
 
 class _IntTableau:
@@ -375,57 +296,13 @@ def _feasible_system(
     return tuple(w + t * v / scale for w, v in zip(witness, y))
 
 
-# ---------------------------------------------------------------------------
-# Public feasibility surface
-# ---------------------------------------------------------------------------
-
-
-def feasible_strict(strict, equalities=(), *, dim: int) -> Optional[Vector]:
-    """Decide an open polyhedron and return an exact interior witness.
-
-    Each strict constraint is ``(a, b, sign)`` with sign in {+1, -1}, read as
-    ``sign * (a . x - b) > 0``; each entry of ``equalities`` is ``(a, b)``
-    read as ``a . x = b``.  Returns None when the system is infeasible.  The
-    witness satisfies every strict constraint strictly, exactly.
-    """
-    constraints = [(as_vector(a), as_scalar(b), int(s)) for a, b, s in strict]
-    for a, _, s in constraints:
-        if len(a) != dim:
-            raise ValueError("ambient dimension mismatch")
-        if s not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {s}")
-
-    space = solve_affine(equalities, dim)
-    if space is None:
-        return None
-    d = space.dim
-
-    rows = []
-    for a, b, s in constraints:
-        coeffs = tuple(s * dot(a, bv) for bv in space.basis)
-        rhs = s * (b - dot(a, space.point))
-        if not any(coeffs):
-            if rhs >= 0:
-                return None
-            continue
-        rows.append(_int_row(coeffs, rhs))
-
-    # Fold the rows in one at a time: each split test starts at the witness
-    # of the rows before it, and the first at the affine point itself.
-    y: Optional[Vector] = tuple(Fraction(0) for _ in range(d))
-    for i, row in enumerate(rows):
-        y = _feasible_system(rows[:i], y, row)
-        if y is None:
-            return None
-    point = list(space.point)
-    for yj, bv in zip(y, space.basis):
-        if yj:
-            point = [p + yj * c for p, c in zip(point, bv)]
-    return tuple(point)
-
-
 def cone_span_dimension(constraints, *, dim: int) -> int:
     """Dimension of the linear span of ``{d : sign_i * (a_i . d) >= 0}``.
+
+    Each normal ``a_i`` is a sequence of ints, such as ``Hyperplane.normal``;
+    a ``Fraction`` or float entry raises TypeError, nothing is converted.
+    Rescaled copies of one row count once: each row is divided by the gcd of
+    its entries before it is compared.
 
     The span is the null space of the implicit equalities: the constraints
     that hold with equality on the whole cone.  Its dimension is therefore
@@ -438,15 +315,14 @@ def cone_span_dimension(constraints, *, dim: int) -> int:
     rows: list[tuple[int, ...]] = []
     seen = set()
     for a, s in constraints:
-        vec = as_vector(a)
-        if len(vec) != dim:
+        if len(a) != dim:
             raise ValueError("ambient dimension mismatch")
-        if int(s) not in (1, -1):
+        if s != 1 and s != -1:
             raise ValueError(f"sign must be +1 or -1, got {s}")
-        if not any(vec):
+        g = gcd(*a)  # TypeError on any entry that is not an int
+        if g == 0:
             continue  # 0 >= 0 constrains nothing
-        row = _int_row(tuple(int(s) * c for c in vec), Fraction(0))
-        lhs, _ = _primitive_lhs(row)
+        lhs = tuple(c // g for c in a) if s > 0 else tuple(-c // g for c in a)
         if lhs not in seen:
             seen.add(lhs)
             rows.append(lhs)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arrangement import Arrangement
-from .exactmath import IntRow, Vector, _normalize, _pivot, _reduce, _residual, _solve_rows
+from .exactmath import IntRow, _normalize, _pivot, _reduce, _residual
 
 
 @dataclass(frozen=True)
@@ -47,48 +47,23 @@ class Flat:
     def codim(self) -> int:
         return len(self.rows)
 
-    @property
-    def point(self) -> Vector:
-        """A point of the flat, computed on access."""
-        return _solve_rows(self.rows, self.dim + self.codim)[0]
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        """A basis of the flat's direction space, computed on access."""
-        return _solve_rows(self.rows, self.dim + self.codim)[1]
-
 
 class IntersectionPoset:
     """All flats of an arrangement, ordered by reverse inclusion.
 
-    The ambient space is the unique minimal element; flats are stored in
-    codimension-major order, deterministically within each codimension.
+    The ambient space, the unique minimal element, is ``flats[0]``; flats
+    are stored in codimension-major order, deterministically within each
+    codimension, and x <= y exactly when ``x.containing <= y.containing``.
     """
 
-    def __init__(self, arrangement: Arrangement, flats: tuple[Flat, ...]):
-        self.arrangement = arrangement
+    def __init__(self, flats: tuple[Flat, ...]):
         self.flats = flats
-        self._by_rows = {f.rows: f for f in flats}
 
     def __len__(self) -> int:
         return len(self.flats)
 
     def __iter__(self):
         return iter(self.flats)
-
-    @property
-    def bottom(self) -> Flat:
-        return self.flats[0]
-
-    def __contains__(self, flat: Flat) -> bool:
-        return isinstance(flat, Flat) and self._by_rows.get(flat.rows) is flat
-
-    def leq(self, x: Flat, y: Flat) -> bool:
-        """x <= y in the reverse-inclusion order, i.e. x contains y."""
-        return x.containing <= y.containing
-
-    def flats_of_codim(self, codim: int) -> tuple[Flat, ...]:
-        return tuple(f for f in self.flats if f.codim == codim)
 
 
 def build_poset(arr: Arrangement) -> IntersectionPoset:
@@ -150,7 +125,7 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
                 else:
                     child[1] |= below
         level = sorted(((rows, mask, ancestors) for mask, (rows, ancestors) in children.items()), reverse=True)
-    return IntersectionPoset(arr, tuple(flats))
+    return IntersectionPoset(tuple(flats))
 
 
 def _bits(x: int):
@@ -159,13 +134,6 @@ def _bits(x: int):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-def mobius(poset: IntersectionPoset, flat: Flat) -> int:
-    """Möbius value mu(bottom, flat); the flat must belong to the poset."""
-    if flat.rows not in poset._by_rows:
-        raise KeyError("flat does not belong to this poset")
-    return poset._by_rows[flat.rows].mobius
 
 
 # ---------------------------------------------------------------------------

@@ -111,20 +111,6 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     return tuple(regions)
 
 
-def region_level(arr: Arrangement, region: Region) -> int:
-    """Level of a region, recomputed from its sign vector.
-
-    The recession cone of ``{x : sign_i (a_i . x - b_i) > 0}`` is
-    ``{d : sign_i (a_i . d) >= 0}``; the level is the dimension of its span.
-    """
-    if len(region.sign_vector) != len(arr.hyperplanes):
-        raise ValueError("region does not match the arrangement")
-    return cone_span_dimension(
-        [(h.normal, s) for h, s in zip(arr.hyperplanes, region.sign_vector)],
-        dim=arr.dim,
-    )
-
-
 def level_profile(arr: Arrangement) -> LevelProfile:
     """Counts (r_0, ..., r_n) of regions by level."""
     counts = [0] * (arr.dim + 1)

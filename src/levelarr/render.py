@@ -109,6 +109,12 @@ def _clip(line: _Line, box) -> Optional[tuple[float, float, float, float]]:
     return (px + tlo * dx, py + tlo * dy, px + thi * dx, py + thi * dy)
 
 
+def _xml_text(text: str) -> str:
+    # Not xml.sax.saxutils.escape: importing it would load urllib.request,
+    # http and email at the start-up of every command, not only render.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(arr: Arrangement, labels: Optional[Sequence[str]] = None) -> str:
     """Render to SVG text: one line per hyperplane, levels at witness points."""
     if labels is None:
@@ -158,7 +164,7 @@ def render_svg(arr: Arrangement, labels: Optional[Sequence[str]] = None) -> str:
         tx, ty = to_screen(lx, ly)
         out.append(
             f'<text class="hyperplane-label" x="{tx:.2f}" y="{ty:.2f}" '
-            f'font-size="16" text-anchor="middle" fill="gray">{line.label}</text>'
+            f'font-size="16" text-anchor="middle" fill="gray">{_xml_text(line.label)}</text>'
         )
     margin = 0.04 * extent
     for (wx, wy), level in witnesses:

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from levelarr.arrangement import Arrangement, Hyperplane
+from levelarr.exactmath import _EmptyIntersection, _feasible_system, _int_row, _pivot, _reduce, as_scalar, as_vector
 
 
 def hp(normal, offset=0) -> Hyperplane:
@@ -60,3 +63,53 @@ def grid_example() -> Arrangement:
             hp((0, 1), 1),
         ],
     )
+
+
+@pytest.fixture(scope="session")
+def affine_solution():
+    """Solve ``a . x = b`` equations exactly: a point and a direction basis, or None.
+
+    Test-local back-substitution over the canonical rows that
+    ``exactmath._reduce`` folds the equations into.
+    """
+
+    def solve(equations, dim):
+        rows = ()
+        try:
+            for a, b in equations:
+                rows = _reduce(rows, _int_row(as_vector(a), as_scalar(b))) or rows
+        except _EmptyIntersection:
+            return None
+        pivots = [_pivot(r) for r in rows]
+        point = [Fraction(0)] * dim
+        for r, p in zip(rows, pivots):
+            point[p] = Fraction(r[dim], r[p])
+        basis = []
+        for f in (c for c in range(dim) if c not in pivots):
+            v = [Fraction(0)] * dim
+            v[f] = Fraction(1)
+            for r, p in zip(rows, pivots):
+                v[p] = Fraction(-r[f], r[p])
+            basis.append(tuple(v))
+        return tuple(point), tuple(basis)
+
+    return solve
+
+
+@pytest.fixture(scope="session")
+def strict_witness():
+    """A point strictly inside every integer row ``c . y > r``, or None.
+
+    Test-local fold: the rows enter the split test one at a time, each from
+    the witness of the rows before it, the first from the origin.
+    """
+
+    def fold(rows, dim):
+        witness = (Fraction(0),) * dim
+        for i, row in enumerate(rows):
+            witness = _feasible_system(rows[:i], witness, row)
+            if witness is None:
+                return None
+        return witness
+
+    return fold

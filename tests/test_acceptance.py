@@ -2,13 +2,18 @@
 
 Every check here is integer/rational equality; there are no tolerances to
 tune.  Each test prints a single PASS line (visible under ``pytest -s`` or
-``-v`` with the summary) so the suite doubles as a checklist.
+``-v`` with the summary) so the suite doubles as a checklist.  Two more tests
+guard the documented library surface: the package's public names and the
+README's example block.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import levelarr
 from levelarr.arrangement import (
     Arrangement,
     Kind,
@@ -336,3 +341,52 @@ def test_criterion_10_cli_contract(example_a, tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     _report("10 (CLI contract: byte stability and exit semantics)")
+
+
+# ---------------------------------------------------------------------------
+# Library surface
+# ---------------------------------------------------------------------------
+
+
+def test_public_names_are_pinned():
+    # A new re-export must be a deliberate edit of this list.  The package
+    # binds its imported submodules too, so their names are public as well.
+    assert sorted(levelarr.__all__) == [
+        "Arrangement", "BasisKind", "BinomialExpansion", "CharPoly",
+        "DegenerateDeformationError", "ExpansionRow", "Flat", "Hyperplane",
+        "IntersectionPoset", "Kind", "LevelProfile", "NondegeneracyReport",
+        "PrimePlan", "Region", "Scalar", "Vector", "VerificationReport",
+        "ZaslavskyResult", "admissible_primes", "arrangement", "as_scalar",
+        "as_vector", "basis_polynomial", "build_poset", "char_poly",
+        "coefficient_bound", "cone_span_dimension", "count_complement_points",
+        "delete", "enumerate_regions", "exactmath", "expansion",
+        "feasible_sign_vectors", "ff_oracle_check", "ffcount",
+        "is_nondegenerate", "level_profile", "make_catalan_type", "make_cox_a",
+        "make_cox_b", "make_deformation_a", "make_deformation_b",
+        "make_m_catalan", "mcatalan_level_count", "poset",
+        "random_deformation_a", "random_deformation_b", "regions", "restrict",
+        "to_binomial_basis", "verify_type_a_expansion",
+        "verify_type_b_expansion", "zaslavsky_check",
+    ]
+
+
+def test_readme_library_surface():
+    # Run the README's "Library surface" block statement by statement and
+    # check the value that each commented expression documents.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    documented = []  # (value, comment) per expression statement
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            documented.append((value, lines[stmt.lineno - 1].partition("#")[2].strip()))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    (coeffs, c1), (counts, c2), (passed, c3), (zaslavsky, _), (plan, _) = documented
+    assert coeffs == (0, 6, -5, 1) and c1.startswith("(0, 6, -5, 1)")
+    assert counts == (0, 2, 4, 6) and c2.startswith("(0, 2, 4, 6)")
+    assert passed is True and c3.startswith("True")
+    assert zaslavsky.ok and zaslavsky.region_count == sum(counts)
+    assert plan.agree

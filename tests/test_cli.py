@@ -1,6 +1,7 @@
 import json
 import re
 from collections import Counter
+from xml.dom import minidom
 
 import pytest
 
@@ -129,6 +130,17 @@ class TestVerify:
         assert "degenerate" in err
         assert "missing direction" in err
 
+    def test_degenerate_type_a_names_the_direction(self, capsys, doc_path, example_a):
+        from levelarr.arrangement import delete
+
+        # Without x1-x2 = 0 and x1-x2 = 1 the direction x1-x2 is missing;
+        # type A names it the way type B names its directions.
+        broken = delete(delete(example_a, 1), 0)
+        code, _, err = run(capsys, "verify", doc_path(broken), "--theorem=A")
+        assert code == 3
+        assert "missing direction x1-x2" in err
+        assert "(1, 2)" not in err
+
     def test_zaslavsky(self, capsys, doc_path, grid_example):
         code, out, _ = run(capsys, "verify", doc_path(grid_example), "--theorem=zaslavsky")
         assert code == 0
@@ -236,6 +248,20 @@ class TestRender:
         )
         assert code == 2
         assert "rendering supports" in err
+
+    def test_labels_are_escaped(self, doc_path, tmp_path, capsys, example_b):
+        out_path = tmp_path / "labels.svg"
+        labels = ("a<b", "R&D", "x>y", "plain")
+        code, _, _ = run(capsys, "render", doc_path(example_b, labels=labels), "--output", str(out_path))
+        assert code == 0
+        svg = out_path.read_text()
+        assert "a&lt;b" in svg and "R&amp;D" in svg
+        texts = [
+            node.firstChild.data
+            for node in minidom.parseString(svg).getElementsByTagName("text")
+            if node.getAttribute("class") == "hyperplane-label"
+        ]
+        assert sorted(texts) == sorted(labels)
 
     def test_byte_stable(self, doc_path, tmp_path, capsys, example_a):
         p1, p2 = tmp_path / "r1.svg", tmp_path / "r2.svg"

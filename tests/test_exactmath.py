@@ -7,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelarr import exactmath
-from levelarr.arrangement import make_cox_b
-from levelarr.regions import enumerate_regions, region_level
+from levelarr.arrangement import Hyperplane, make_cox_b
+from levelarr.regions import enumerate_regions
 from levelarr.exactmath import (
     as_scalar,
     as_vector,
     cone_span_dimension,
     dot,
-    feasible_strict,
-    solve_affine,
 )
 from levelarr.exactmath import (
     _EmptyIntersection,
@@ -36,8 +34,7 @@ def fold(equations):
 
 
 def rank(rows):
-    dim = len(rows[0])
-    return dim - solve_affine([(row, 0) for row in rows], dim).dim
+    return len(fold([(row, 0) for row in rows]))
 
 
 _equations = st.lists(
@@ -78,8 +75,12 @@ class TestRref:
         assert rank(rows) == 2
 
     def test_rejects_float(self):
+        # A float never reaches a canonical row: Hyperplane.row is built
+        # through as_scalar, which refuses it.
         with pytest.raises(TypeError):
-            solve_affine([((0.5, 1.0), 0)], dim=2)
+            Hyperplane((0.5, 1.0), 0)
+        with pytest.raises(TypeError):
+            as_scalar(0.5)
 
     @given(_equations)
     @settings(max_examples=60, deadline=None)
@@ -110,24 +111,26 @@ class TestRref:
 
 
 class TestSolveAffine:
-    def test_parallel_distinct_is_empty(self):
-        assert solve_affine([((1, -1), 0), ((1, -1), 1)], dim=2) is None
+    """The canonical rows describe exactly the solution set of the equations
+    folded into them, read back by the test-local back-substitution."""
 
-    def test_single_point_line(self):
-        sol = solve_affine([((1,), 0)], dim=1)
-        assert sol.point == (0,)
-        assert sol.basis == ()
+    def test_parallel_distinct_is_empty(self, affine_solution):
+        assert affine_solution([((1, -1), 0), ((1, -1), 1)], dim=2) is None
 
-    def test_diagonal_line(self):
-        sol = solve_affine([((1, -1, 0), 0), ((0, 1, -1), 0)], dim=3)
-        assert sol.dim == 1
-        (direction,) = sol.basis
+    def test_single_point_line(self, affine_solution):
+        point, basis = affine_solution([((1,), 0)], dim=1)
+        assert point == (0,)
+        assert basis == ()
+
+    def test_diagonal_line(self, affine_solution):
+        _, basis = affine_solution([((1, -1, 0), 0), ((0, 1, -1), 0)], dim=3)
+        (direction,) = basis
         assert direction[0] == direction[1] == direction[2] != 0
 
-    def test_empty_system_full_space(self):
-        sol = solve_affine([], dim=3)
-        assert sol.dim == 3
-        assert sol.point == (0, 0, 0)
+    def test_empty_system_full_space(self, affine_solution):
+        point, basis = affine_solution([], dim=3)
+        assert len(basis) == 3
+        assert point == (0, 0, 0)
 
     @given(
         st.lists(
@@ -140,49 +143,33 @@ class TestSolveAffine:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_solution_satisfies_all_equalities(self, eqs):
-        sol = solve_affine(eqs, dim=3)
+    def test_solution_satisfies_all_equalities(self, affine_solution, eqs):
+        sol = affine_solution(eqs, dim=3)
         if sol is None:
             return
+        point, basis = sol
         for normal, offset in eqs:
-            assert dot(normal, sol.point) == as_scalar(offset)
-            for b in sol.basis:
+            assert dot(normal, point) == as_scalar(offset)
+            for b in basis:
                 assert dot(normal, b) == 0
 
 
 class TestFeasibleStrict:
-    def test_open_unit_interval(self):
-        witness = feasible_strict([((1,), 0, 1), ((1,), 1, -1)], dim=1)
+    """Strict systems decided by folding their rows into the split test."""
+
+    def test_open_unit_interval(self, strict_witness):
+        witness = strict_witness([(1, 0), (-1, -1)], dim=1)  # x > 0, -x > -1
         assert witness is not None
         assert 0 < witness[0] < 1
 
-    def test_contradictory_halves(self):
-        assert feasible_strict([((1,), 0, 1), ((1,), 0, -1)], dim=1) is None
+    def test_contradictory_halves(self, strict_witness):
+        assert strict_witness([(1, 0), (-1, 0)], dim=1) is None
 
-    def test_all_positive_side_of_example(self, example_a):
-        constraints = [(h.normal, h.offset, 1) for h in example_a.hyperplanes]
-        witness = feasible_strict(constraints, dim=3)
+    def test_all_positive_side_of_example(self, example_a, strict_witness):
+        witness = strict_witness([h.row for h in example_a.hyperplanes], dim=3)
         assert witness is not None
         for h in example_a.hyperplanes:
             assert h.evaluate(witness) > 0
-
-    def test_with_equalities(self):
-        witness = feasible_strict(
-            [((1, 0), 0, 1)], [((0, 1), Fraction(1, 2))], dim=2
-        )
-        assert witness is not None
-        assert witness[1] == Fraction(1, 2)
-        assert witness[0] > 0
-
-    def test_inconsistent_equalities(self):
-        assert feasible_strict([], [((1,), 0), ((1,), 1)], dim=1) is None
-
-    def test_constraint_vacuous_after_substitution(self):
-        # On the line x1 = x2 the constraint x1 - x2 > -1 holds identically,
-        # while x1 - x2 > 0 is impossible.
-        eq = [((1, -1), 0)]
-        assert feasible_strict([((1, -1), -1, 1)], eq, dim=2) is not None
-        assert feasible_strict([((1, -1), 0, 1)], eq, dim=2) is None
 
 
 # --- test-local reference: Fourier-Motzkin elimination ----------------------
@@ -296,12 +283,12 @@ class TestEngineAgreement:
 
     @given(_mixed_system())
     @settings(max_examples=120, deadline=None)
-    def test_fm_matches_simplex(self, system):
+    def test_fm_matches_simplex(self, strict_witness, system):
         # The simplex decides strict systems only.  Weak rows would send the
         # reference's elimination past 20,000 rows on some draws in R^5.
         d, strict, _ = system
         by_fm = _fm_witness(list(strict), [], d)
-        by_simplex = feasible_strict([(row[:d], row[d], 1) for row in strict], dim=d)
+        by_simplex = strict_witness(strict, dim=d)
         assert (by_fm is None) == (by_simplex is None)
         for witness in (by_fm, by_simplex):
             if witness is not None:
@@ -471,9 +458,10 @@ class TestConeSpanDimension:
         assert cone_span_dimension([((0, 0), -1), ((1, 0), 1), ((1, 0), -1)], dim=2) == 1
 
     def test_rescaled_duplicates_count_once(self):
-        half = Fraction(1, 2)
-        assert cone_span_dimension([((1, 1), 1), ((2, 2), 1), ((half, half), 1)], dim=2) == 2
-        cone = [((1, 0), 1), ((3, 0), 1), ((-2, 0), 1), ((-half, 0), 1)]
+        assert cone_span_dimension([((1, 1), 1), ((2, 2), 1), ((3, 3), 1)], dim=2) == 2
+        cone = [((1, 0), 1), ((3, 0), 1), ((-2, 0), 1), ((-4, 0), 1)]
+        assert cone_span_dimension(cone, dim=2) == 1
+        cone = [((2, -4), 1), ((-3, 6), -1), ((1, -2), -1)]
         assert cone_span_dimension(cone, dim=2) == 1
 
     def test_rejects_bad_input(self):
@@ -481,6 +469,17 @@ class TestConeSpanDimension:
             cone_span_dimension([((1, 0, 0), 1)], dim=2)
         with pytest.raises(ValueError):
             cone_span_dimension([((1, 0), 0)], dim=2)
+
+    @pytest.mark.parametrize(
+        "entry", [Fraction(1, 2), Fraction(2), 0.5, 1.0], ids=["half", "fraction_two", "float_half", "float_one"]
+    )
+    def test_rejects_non_integer_normals(self, entry):
+        # Normals are integer rows; nothing is converted, not even an
+        # integral Fraction or float.
+        with pytest.raises(TypeError):
+            cone_span_dimension([((entry, 1), 1)], dim=2)
+        with pytest.raises(TypeError):
+            cone_span_dimension([((1, 0), 1), ((0, entry), -1)], dim=2)
 
     @given(_cone())
     @settings(max_examples=120, deadline=None)
@@ -524,5 +523,6 @@ class TestConeSpanDimension:
         monkeypatch.setattr(_IntTableau, "minimize", counted)
         for region in regions:
             calls.clear()
-            assert region_level(arr, region) == region.level
+            cone = [(h.normal, s) for h, s in zip(arr.hyperplanes, region.sign_vector)]
+            assert cone_span_dimension(cone, dim=arr.dim) == region.level
             assert len(calls) <= 1

@@ -12,13 +12,13 @@ from levelarr.arrangement import (
     random_deformation_a,
     random_deformation_b,
 )
+from levelarr.exactmath import cone_span_dimension
 from levelarr.poset import char_poly
 from levelarr.regions import (
     enumerate_regions,
     feasible_sign_vectors,
     level_profile,
     mcatalan_level_count,
-    region_level,
 )
 
 
@@ -96,18 +96,16 @@ class TestRegionLevel:
         assert sum(1 for r in by_signs.values() if r.level == 2) == 6
 
     def test_stored_level_matches_recompute(self, example_b):
+        # The recession cone of {x : s_i (a_i . x - b_i) > 0} is
+        # {d : s_i (a_i . d) >= 0}; the level is the dimension of its span.
         for region in enumerate_regions(example_b):
-            assert region_level(example_b, region) == region.level
+            cone = [(h.normal, s) for h, s in zip(example_b.hyperplanes, region.sign_vector)]
+            assert cone_span_dimension(cone, dim=example_b.dim) == region.level
 
     def test_cox_a3_all_top_level(self):
         regions = enumerate_regions(make_cox_a(3))
         assert len(regions) == 6
         assert all(r.level == 3 for r in regions)
-
-    def test_mismatched_region_rejected(self, example_a, example_b):
-        region = enumerate_regions(example_b)[0]
-        with pytest.raises(ValueError):
-            region_level(example_a, region)
 
 
 def _strong_components(arr, region):
@@ -219,20 +217,16 @@ class TestExhaustiveOracle:
                 feasible_sign_vectors(arr)
             )
 
-    def test_pruned_walk_equals_flat_enumeration(self, example_b, grid_example):
+    def test_pruned_walk_equals_flat_enumeration(self, example_b, grid_example, strict_witness):
         # The prefix-pruned walk must coincide with testing all 2^m sign
-        # vectors one by one through the public feasibility surface.
+        # vectors one by one, each as a fresh strict system.
         from itertools import product
-
-        from levelarr.exactmath import feasible_strict
 
         for arr in (example_b, grid_example):
             flat = set()
             for signs in product((1, -1), repeat=len(arr)):
-                constraints = [
-                    (h.normal, h.offset, s) for h, s in zip(arr.hyperplanes, signs)
-                ]
-                if feasible_strict(constraints, dim=arr.dim) is not None:
+                rows = [tuple(s * c for c in h.row) for h, s in zip(arr.hyperplanes, signs)]
+                if strict_witness(rows, dim=arr.dim) is not None:
                     flat.add(signs)
             assert flat == set(feasible_sign_vectors(arr))
 
