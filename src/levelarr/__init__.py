@@ -5,61 +5,24 @@ with levels (dimensions of unbounded directions), binomial-basis expansions
 relating the two, and independent oracles (finite-field point counts,
 deletion-restriction, exhaustive sign vectors).  All geometry is exact
 rational arithmetic.
+
+The package root re-exports the names the README's library example uses;
+everything else is imported from its module (``levelarr.arrangement``,
+``levelarr.regions``, ...).
 """
 
-from .arrangement import (
-    Arrangement,
-    DegenerateDeformationError,
-    Hyperplane,
-    Kind,
-    NondegeneracyReport,
-    delete,
-    is_nondegenerate,
-    make_catalan_type,
-    make_cox_a,
-    make_cox_b,
-    make_deformation_a,
-    make_deformation_b,
-    make_m_catalan,
-    random_deformation_a,
-    random_deformation_b,
-    restrict,
-)
-from .exactmath import (
-    Scalar,
-    Vector,
-    as_scalar,
-    as_vector,
-    cone_span_dimension,
-)
-from .expansion import (
-    BasisKind,
-    BinomialExpansion,
-    ExpansionRow,
-    VerificationReport,
-    ZaslavskyResult,
-    basis_polynomial,
-    to_binomial_basis,
-    verify_type_a_expansion,
-    verify_type_b_expansion,
-    zaslavsky_check,
-)
-from .ffcount import (
-    PrimePlan,
-    admissible_primes,
-    coefficient_bound,
-    count_complement_points,
-    ff_oracle_check,
-)
-from .poset import CharPoly, Flat, IntersectionPoset, build_poset, char_poly
-from .regions import (
-    LevelProfile,
-    Region,
-    enumerate_regions,
-    feasible_sign_vectors,
-    level_profile,
-    mcatalan_level_count,
-)
+from .arrangement import make_deformation_a
+from .expansion import verify_type_a_expansion, zaslavsky_check
+from .ffcount import ff_oracle_check
+from .poset import char_poly
+from .regions import level_profile
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "char_poly",
+    "ff_oracle_check",
+    "level_profile",
+    "make_deformation_a",
+    "verify_type_a_expansion",
+    "zaslavsky_check",
+]
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import IntRow, _int_row, _normalize, as_scalar, as_vector, dot
+from .exactmath import IntRow, _int_row, _normalize, as_scalar, as_vector
 
 
 class Kind(str, Enum):
@@ -64,10 +64,6 @@ class Hyperplane:
     @property
     def dim(self) -> int:
         return len(self.normal)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Signed value ``normal . point - offset``."""
-        return dot(self.normal, point) - self.offset
 
     def form(self) -> Optional[tuple]:
         """Coxeter form of the normal, if any.

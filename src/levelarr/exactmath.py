@@ -1,9 +1,11 @@
 """Exact integer elimination and linear feasibility.
 
-Everything in this module works over arbitrary-precision integers and
-rationals (`fractions.Fraction`); there is no floating point anywhere.  That
-is what makes sign vectors, Möbius values and recession-cone dimensions
-computed downstream trustworthy: every predicate here is decided exactly.
+Everything in this module works over arbitrary-precision integers; there is
+no floating point anywhere.  That is what makes sign vectors, Möbius values
+and recession-cone dimensions computed downstream trustworthy: every
+predicate here is decided exactly.  Rationals (`fractions.Fraction`) appear
+only at the edge: ``as_scalar``/``as_vector``/``_int_row`` turn a rational
+hyperplane into its integer row once, when the hyperplane is built.
 
 Equation systems live here in one form, the canonical integer row system
 built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
@@ -22,7 +24,10 @@ them, so translating it to the origin makes the slack basis feasible, and
 ``_feasible_system`` maximizes the new row's form from there until it
 crosses the offset.  The new witness is an exact point between the old
 witness and the simplex vertex (or ray point) reached, so witnesses are
-deterministic.
+deterministic.  Witnesses are homogeneous integer points ``(X, L)`` meaning
+``X / L`` in lowest terms, so the slack of a row is one integer dot product
+(``_slack``); region enumeration turns a witness into ``Fraction``s once,
+for the final region.
 
 The span of a recession cone ``{d : r_i . d >= 0}`` needs no feasibility
 test per row.  ``cone_span_dimension`` finds every implicit equality with one
@@ -38,7 +43,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 
@@ -57,12 +61,6 @@ def as_scalar(value) -> Fraction:
 
 def as_vector(values) -> Vector:
     return tuple(as_scalar(v) for v in values)
-
-
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch in dot product")
-    return sum((as_scalar(x) * as_scalar(y) for x, y in zip(a, b)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -241,39 +239,45 @@ class _IntTableau:
             self.pivot(leave, enter)
 
 
+IntPoint = tuple[int, ...]  # (X_1, ..., X_n, L) meaning X / L, L > 0, gcd 1
+
+
+def _slack(row: Sequence[int], point: IntPoint) -> int:
+    """``c . X - r * L`` for the row ``(c, r)``: L times ``c . x - r`` at x = X / L."""
+    return sum(c * x for c, x in zip(row[:-1], point)) - row[-1] * point[-1]
+
+
 def _feasible_system(
     rows: list[tuple[int, ...]],
-    witness: Vector,
+    point: IntPoint,
     row: tuple[int, ...],
-) -> Optional[Vector]:
-    """Split test: a point strictly inside ``rows`` and ``row``, or None.
+) -> Optional[IntPoint]:
+    """Split test: an integer point strictly inside ``rows`` and ``row``, or None.
 
-    ``witness`` must lie strictly inside every row of ``rows``; it is
-    returned as it is when it also satisfies ``row``.  Otherwise, in the
-    coordinates ``y = L * (x - witness)`` (L the common denominator of the
-    witness) each old row reads ``c . y + k > 0`` with an integer ``k > 0``,
-    so the slack basis, at ``y = 0``, is feasible for the closure.  The
-    simplex maximizes the new form ``g . y`` from there and stops as soon as
-    the value crosses the row's offset ``h >= 0`` in these coordinates, at a
-    point p of the closure.  On an unbounded ray p is the first integer step
-    past ``2h``.  The new witness is ``t * p`` with t the simplest rational
-    in ``(h / g.p, 1)`` (1/2 whenever ``g.p > 2h``): strictly inside every
-    old row because ``y = 0`` is and p is in the closure, and strictly on
-    the new side because ``t * g.p > h``.  When the maximum is at most ``h``
-    the system is infeasible.
+    Points are homogeneous: ``(X_1, ..., X_n, L)`` stands for ``X / L``, with
+    ``L > 0`` and the gcd of all entries 1, so ``L`` is the common
+    denominator of the coordinates.  ``point`` must lie strictly inside
+    every row of ``rows``; it is returned as it is when it also satisfies
+    ``row``.  Otherwise, in the coordinates ``y = L * x - X`` each old row
+    reads ``c . y + s > 0`` with its slack ``s = c . X - r * L > 0``, so the
+    slack basis, at ``y = 0``, is feasible for the closure.  The simplex
+    maximizes the new form ``g . y`` from there and stops as soon as the
+    value crosses the row's offset ``h >= 0`` in these coordinates, at a
+    point ``p = Y / den`` of the closure.  On an unbounded ray p is the first
+    integer step past ``2h``.  With ``g . p = Z / den``, the new point is
+    ``y = t * p`` for ``t = (k - 1) / k``, where ``k = 2`` whenever
+    ``Z > 2 * h * den`` and ``k = Z // (Z - h * den) + 1`` otherwise: strictly
+    inside every old row because ``y = 0`` is and p is in the closure, and
+    strictly on the new side because ``t * g . p > h``.  In x that is
+    ``(k * den * X + (k - 1) * Y, k * den * L)``, divided by its gcd.  When
+    the maximum is at most ``h`` the system is infeasible.
     """
-    dim = len(witness)
-    scale = lcm(*(x.denominator for x in witness))
-    point = [int(x * scale) for x in witness]
-
-    def slack(r: tuple[int, ...]) -> int:
-        return sum(c * x for c, x in zip(r, point)) - r[dim] * scale
-
-    h = -slack(row)
+    h = -_slack(row, point)
     if h < 0:
-        return witness
+        return point
+    dim = len(point) - 1
     tab = _IntTableau(
-        [list(r[:dim]) + [slack(r)] for r in rows] + [[-c for c in row[:dim]] + [0]],
+        [list(r[:dim]) + [_slack(r, point)] for r in rows] + [[-c for c in row[:dim]] + [0]],
         dim,
     )
     obj = len(rows)
@@ -285,15 +289,18 @@ def _feasible_system(
         move = sign * ((2 * h * tab.den + cost[-1]) // -(sign * cost[col]) + 1)
     elif cost[-1] >= -h * tab.den:
         return None
-    y = [Fraction(0)] * dim
+    den = tab.den
+    y = [0] * dim  # p * den
     for r, label in zip(tab.rows, tab.basis):
         if label < dim:
-            y[label] = Fraction(r[-1] + r[col] * move, tab.den)
+            y[label] = r[-1] + r[col] * move
     if move and tab.cols[col] < dim:
-        y[tab.cols[col]] = Fraction(move)
-    z = Fraction(-(cost[-1] + cost[col] * move), tab.den)
-    t = Fraction(1, 2) if 2 * h < z else 1 - Fraction(1, z // (z - h) + 1)
-    return tuple(w + t * v / scale for w, v in zip(witness, y))
+        y[tab.cols[col]] = move * den
+    z = -(cost[-1] + cost[col] * move)  # (g . p) * den
+    k = 2 if 2 * h * den < z else z // (z - h * den) + 1
+    new = [k * den * x + (k - 1) * v for x, v in zip(point, y)] + [k * den * point[-1]]
+    g = gcd(*new)
+    return tuple(v // g for v in new)
 
 
 def cone_span_dimension(constraints, *, dim: int) -> int:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .arrangement import Arrangement
 from .poset import CharPoly, char_poly
 
@@ -77,6 +75,8 @@ def count_complement_points(arr: Arrangement, q: int) -> int:
             f"q^n = {total} exceeds the enumeration guard ({POINT_LIMIT}); "
             "evaluate char_poly at q instead"
         )
+    import numpy as np  # here, so that commands that count no points never load it
+
     rows = [tuple(c % q for c in h.row) for h in arr]
 
     count = 0

@@ -3,7 +3,11 @@
 Regions are produced by incremental insertion: hyperplanes are added one at a
 time and every region whose interior meets the new hyperplane is split in
 two.  Each region carries a sign vector over the hyperplanes, an exact
-rational interior witness, and its level.
+rational interior witness, and its level.  During the walk a witness is an
+integer point ``(X_1, ..., X_n, L)`` meaning ``X / L`` (see
+``exactmath._feasible_system``), so the side of a hyperplane is one integer
+dot product; it becomes a tuple of ``Fraction``s once, in the final
+``Region``.
 
 The level of a region is the smallest dimension of a linear subspace the
 region stays within bounded distance of.  For an open convex polyhedron that
@@ -19,7 +23,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .arrangement import Arrangement
-from .exactmath import Vector, _feasible_system, cone_span_dimension
+from .exactmath import IntPoint, Vector, _feasible_system, _slack, cone_span_dimension
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,13 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """
     n = arr.dim
 
-    # (signs, witness, strict integer rows of the region's constraints)
-    origin = tuple(Fraction(0) for _ in range(n))
-    live: list[tuple[list[int], Vector, list[tuple[int, ...]]]] = [([], origin, [])]
+    # (signs, integer witness point, strict integer rows of the region's constraints)
+    origin = (0,) * n + (1,)
+    live: list[tuple[list[int], IntPoint, list[tuple[int, ...]]]] = [([], origin, [])]
     for h in arr.hyperplanes:
         updated = []
         for signs, witness, rows in live:
-            value = h.evaluate(witness)
+            value = _slack(h.row, witness)
             sides: list[int]
             if value > 0:
                 sides = [1, -1]
@@ -102,11 +106,11 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
         live = updated
 
     regions = []
-    for signs, witness, rows in live:
+    for signs, (*x, scale), rows in live:
         level = cone_span_dimension(
             [(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n
         )
-        regions.append(Region(tuple(signs), witness, level))
+        regions.append(Region(tuple(signs), tuple(Fraction(v, scale) for v in x), level))
     regions.sort(key=lambda r: _sign_key(r.sign_vector))
     return tuple(regions)
 
@@ -132,7 +136,7 @@ def feasible_sign_vectors(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     hrows = [h.row for h in arr.hyperplanes]
     out: list[tuple[int, ...]] = []
 
-    def walk(prefix: list[int], rows: list[tuple[int, ...]], witness: Vector):
+    def walk(prefix: list[int], rows: list[tuple[int, ...]], witness: IntPoint):
         if len(prefix) == len(hrows):
             out.append(tuple(prefix))
             return
@@ -143,7 +147,7 @@ def feasible_sign_vectors(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
             if w is not None:
                 walk(prefix + [side], rows + [srow], w)
 
-    walk([], [], tuple(Fraction(0) for _ in range(n)))
+    walk([], [], (0,) * n + (1,))
     out.sort(key=_sign_key)
     return tuple(out)
 

@@ -37,14 +37,10 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT6 = math.sqrt(6.0)
 
 
-def _project_normal_3d(normal: Sequence[int]) -> tuple[float, float]:
-    a, b, c = (float(v) for v in normal)
+def _project_3d(vec: Sequence) -> tuple[float, float]:
+    """Coordinates of a normal or a point in the plane x1+x2+x3 = 0."""
+    a, b, c = (float(x) for x in vec)
     # Orthonormal basis of x1+x2+x3 = 0: u = (1,-1,0)/sqrt2, v = (1,1,-2)/sqrt6.
-    return ((a - b) / _SQRT2, (a + b - 2 * c) / _SQRT6)
-
-
-def _project_point_3d(p: Sequence) -> tuple[float, float]:
-    a, b, c = (float(v) for v in p)
     return ((a - b) / _SQRT2, (a + b - 2 * c) / _SQRT6)
 
 
@@ -60,9 +56,9 @@ def _scene(arr: Arrangement, labels: Sequence[str]):
     ):
         lines = []
         for h, lab in zip(arr.hyperplanes, labels):
-            nx, ny = _project_normal_3d(h.normal)
+            nx, ny = _project_3d(h.normal)
             lines.append(_Line(nx, ny, float(h.offset), lab))
-        project = _project_point_3d
+        project = _project_3d
     else:
         raise RenderUnsupportedError(
             "rendering supports R^2 arrangements, or difference-form arrangements "

@@ -98,18 +98,33 @@ def affine_solution():
 
 @pytest.fixture(scope="session")
 def strict_witness():
-    """A point strictly inside every integer row ``c . y > r``, or None.
+    """An integer point ``(X, L)`` strictly inside every row ``c . y > r``, or None.
 
-    Test-local fold: the rows enter the split test one at a time, each from
-    the witness of the rows before it, the first from the origin.
+    The point stands for ``X / L``.  Test-local fold: the rows enter the
+    split test one at a time, each from the point of the rows before it, the
+    first from the origin ``(0, ..., 0, 1)``.
     """
 
     def fold(rows, dim):
-        witness = (Fraction(0),) * dim
+        point = (0,) * dim + (1,)
         for i, row in enumerate(rows):
-            witness = _feasible_system(rows[:i], witness, row)
-            if witness is None:
+            point = _feasible_system(rows[:i], point, row)
+            if point is None:
                 return None
-        return witness
+        return point
 
     return fold
+
+
+@pytest.fixture(scope="session")
+def side():
+    """Signed value ``normal . point - offset`` of a hyperplane at a rational point.
+
+    Test-local and in ``Fraction``s, so witness checks share no code with the
+    package's integer slack.
+    """
+
+    def value(h, point):
+        return sum((c * Fraction(x) for c, x in zip(h.normal, point)), Fraction(0)) - h.offset
+
+    return value

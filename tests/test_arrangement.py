@@ -21,7 +21,11 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import dot
+
+
+def dot(a, b):
+    """Test-local exact dot product of two rational vectors."""
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
 def hp(normal, offset=0):

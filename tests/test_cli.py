@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
+import levelarr
 from levelarr.cli import main
 from levelarr.document import document_of, dumps_document, loads_document
 
@@ -26,6 +31,16 @@ def run(capsys, *argv):
 
 
 LEVEL_LABEL = re.compile(r'class="level"[^>]*>(\d+)</text>')
+
+
+def test_import_leaves_numpy_unloaded():
+    # Only the finite-field point count needs numpy; no command pays for
+    # loading it at start-up.
+    src = str(Path(levelarr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, levelarr.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 class TestChi:

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from levelarr.exactmath import (
     as_scalar,
     as_vector,
     cone_span_dimension,
-    dot,
 )
 from levelarr.exactmath import (
     _EmptyIntersection,
@@ -23,6 +22,11 @@ from levelarr.exactmath import (
     _pivot,
     _reduce,
 )
+
+
+def dot(a, b):
+    """Test-local exact dot product of two rational vectors."""
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
 def fold(equations):
@@ -158,18 +162,18 @@ class TestFeasibleStrict:
     """Strict systems decided by folding their rows into the split test."""
 
     def test_open_unit_interval(self, strict_witness):
-        witness = strict_witness([(1, 0), (-1, -1)], dim=1)  # x > 0, -x > -1
-        assert witness is not None
-        assert 0 < witness[0] < 1
+        point = strict_witness([(1, 0), (-1, -1)], dim=1)  # x > 0, -x > -1
+        assert point is not None
+        assert 0 < _affine(point)[0] < 1
 
     def test_contradictory_halves(self, strict_witness):
         assert strict_witness([(1, 0), (-1, 0)], dim=1) is None
 
-    def test_all_positive_side_of_example(self, example_a, strict_witness):
-        witness = strict_witness([h.row for h in example_a.hyperplanes], dim=3)
-        assert witness is not None
+    def test_all_positive_side_of_example(self, example_a, strict_witness, side):
+        point = strict_witness([h.row for h in example_a.hyperplanes], dim=3)
+        assert point is not None
         for h in example_a.hyperplanes:
-            assert h.evaluate(witness) > 0
+            assert side(h, _affine(point)) > 0
 
 
 # --- test-local reference: Fourier-Motzkin elimination ----------------------
@@ -265,6 +269,17 @@ def _strictly_inside(rows, point):
     return all(sum(c * x for c, x in zip(row, point)) > row[-1] for row in rows)
 
 
+def _affine(point):
+    """The rational point ``X / L`` of an integer point ``(X, L)``."""
+    return tuple(Fraction(x, point[-1]) for x in point[:-1])
+
+
+def _homogeneous(witness):
+    """The integer point ``(X, L)`` of a rational point, L the common denominator."""
+    scale = lcm(*(x.denominator for x in witness))
+    return tuple(int(x * scale) for x in witness) + (scale,)
+
+
 @st.composite
 def _mixed_system(draw):
     d = draw(st.integers(1, 5))
@@ -290,9 +305,9 @@ class TestEngineAgreement:
         by_fm = _fm_witness(list(strict), [], d)
         by_simplex = strict_witness(strict, dim=d)
         assert (by_fm is None) == (by_simplex is None)
-        for witness in (by_fm, by_simplex):
-            if witness is not None:
-                assert _strictly_inside(strict, witness)
+        if by_simplex is not None:
+            assert _strictly_inside(strict, by_fm)
+            assert _strictly_inside(strict, _affine(by_simplex))
 
 
 class TestIntTableau:
@@ -328,7 +343,8 @@ class TestIntTableau:
 @st.composite
 def _split_case(draw):
     """Old rows around a witness that lies strictly inside them by construction,
-    and a new row that the witness does not satisfy strictly.
+    and a new row that the witness does not satisfy strictly.  The witness is
+    drawn as rational coordinates and returned as its integer point.
 
     ``above`` puts the witness strictly on the wrong side of the new row
     (h > 0) and ``on`` puts it on the new hyperplane (h = 0).  ``ray`` also
@@ -347,7 +363,7 @@ def _split_case(draw):
             c = tuple(-x for x in c)
         rows.append(_int_row(as_vector(c), dot(c, witness) - draw(positive)))
     gap = 0 if case == "on" else draw(positive)
-    return case, witness, rows, _int_row(as_vector(g), dot(g, witness) + gap)
+    return case, _homogeneous(witness), rows, _int_row(as_vector(g), dot(g, witness) + gap)
 
 
 class TestSplitTest:
@@ -356,14 +372,24 @@ class TestSplitTest:
     @given(_split_case())
     @settings(max_examples=150, deadline=None)
     def test_matches_elimination(self, split):
-        case, witness, rows, row = split
-        assert _strictly_inside(rows, witness)
-        result = _feasible_system(rows, witness, row)
-        assert (result is None) == (_fm_witness(rows + [row], [], len(witness)) is None)
+        case, point, rows, row = split
+        assert _strictly_inside(rows, _affine(point))
+        result = _feasible_system(rows, point, row)
+        assert (result is None) == (_fm_witness(rows + [row], [], len(point) - 1) is None)
         if case == "ray":
             assert result is not None
         if result is not None:
-            assert _strictly_inside(rows + [row], result)
+            assert _strictly_inside(rows + [row], _affine(result))
+
+    @given(_split_case())
+    @settings(max_examples=150, deadline=None)
+    def test_point_in_lowest_terms(self, split):
+        _, point, rows, row = split
+        result = _feasible_system(rows, point, row)
+        if result is not None:
+            assert all(type(v) is int for v in result)
+            assert result[-1] > 0
+            assert gcd(*result) == 1
 
     def test_unbounded_ray(self, monkeypatch):
         rays = []
@@ -374,25 +400,25 @@ class TestSplitTest:
             return rays[-1]
 
         monkeypatch.setattr(_IntTableau, "minimize", spy)
-        origin = (Fraction(0), Fraction(0))
+        origin = (0, 0, 1)
         # The root region has no rows: every split test there is a ray.
-        assert _strictly_inside([(1, -1, 5)], _feasible_system([], origin, (1, -1, 5)))
+        assert _strictly_inside([(1, -1, 5)], _affine(_feasible_system([], origin, (1, -1, 5))))
         # From (1, 1) in the open quadrant, x + y > 10 lies along a ray.
         rows = [(1, 0, 0), (0, 1, 0)]
-        witness = _feasible_system(rows, (Fraction(1), Fraction(1)), (1, 1, 10))
-        assert _strictly_inside(rows + [(1, 1, 10)], witness)
+        point = _feasible_system(rows, (1, 1, 1), (1, 1, 10))
+        assert _strictly_inside(rows + [(1, 1, 10)], _affine(point))
         assert len(rays) == 2 and None not in rays
 
     def test_witness_on_the_new_hyperplane(self):
         # 0 < x < 2 from x = 1: both sides of x = 1 split off.
         rows = [(1, 0), (-1, -2)]
         for row in [(1, 1), (-1, -1)]:
-            assert _strictly_inside(rows + [row], _feasible_system(rows, (Fraction(1),), row))
-        assert _feasible_system(rows, (Fraction(1),), (1, 2)) is None
+            assert _strictly_inside(rows + [row], _affine(_feasible_system(rows, (1, 1), row)))
+        assert _feasible_system(rows, (1, 1), (1, 2)) is None
 
     def test_witness_already_inside_is_returned(self):
-        witness = (Fraction(1, 3),)
-        assert _feasible_system([(1, 0)], witness, (1, -1)) is witness
+        point = (1, 3)  # x = 1/3
+        assert _feasible_system([(1, 0)], point, (1, -1)) is point
 
 
 @st.composite

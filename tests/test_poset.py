@@ -18,8 +18,13 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import _EmptyIntersection, _reduce, dot
+from levelarr.exactmath import _EmptyIntersection, _reduce
 from levelarr.poset import CharPoly, Flat, build_poset, char_poly
+
+
+def dot(a, b):
+    """Test-local exact dot product of two rational vectors."""
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
 def hp(normal, offset=0):
@@ -58,7 +63,7 @@ class TestBuildPoset:
         assert line.mobius == 2
         assert line.containing == frozenset({0, 1, 2})
 
-    def test_flat_geometry_is_consistent(self, example_a, affine_solution):
+    def test_flat_geometry_is_consistent(self, example_a, affine_solution, side):
         poset = build_poset(example_a)
         assert len({f.rows for f in poset}) == len(poset)  # pairwise distinct
         for flat in poset:
@@ -66,12 +71,12 @@ class TestBuildPoset:
             assert flat.dim == len(basis)
             for idx in flat.containing:
                 h = example_a.hyperplanes[idx]
-                assert h.evaluate(point) == 0
+                assert side(h, point) == 0
                 assert all(dot(h.normal, b) == 0 for b in basis)
             # maximality: no other hyperplane contains the flat
             for idx, h in enumerate(example_a.hyperplanes):
                 if idx not in flat.containing:
-                    assert h.evaluate(point) != 0 or any(
+                    assert side(h, point) != 0 or any(
                         dot(h.normal, b) != 0 for b in basis
                     )
 

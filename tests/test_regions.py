@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -39,11 +40,11 @@ class TestEnumerateRegions:
     def test_worked_example_count(self, example_a):
         assert len(enumerate_regions(example_a)) == 12
 
-    def test_witnesses_strictly_inside(self, example_a, example_b, grid_example):
+    def test_witnesses_strictly_inside(self, example_a, example_b, grid_example, side):
         for arr in (example_a, example_b, grid_example, make_cox_b(2)):
             for region in enumerate_regions(arr):
                 for h, s in zip(arr.hyperplanes, region.sign_vector):
-                    assert s * h.evaluate(region.witness) > 0
+                    assert s * side(h, region.witness) > 0
 
     def test_output_sorted_and_unique(self, example_a):
         regions = enumerate_regions(example_a)
@@ -64,7 +65,7 @@ class TestEnumerateRegions:
 
 
 class TestGeneralR4:
-    def test_twelve_planes(self):
+    def test_twelve_planes(self, side):
         # A seeded general arrangement in R^4, 12 distinct hyperplanes with
         # normals in [-2, 2]^4 and offsets k/8 in [-3, 3].  R^4 is where a
         # Fourier-Motzkin split test can build a million rows; the simplex
@@ -81,7 +82,7 @@ class TestGeneralR4:
         assert len(regions) == (-1) ** arr.dim * char_poly(arr).evaluate(-1) == 722
         for region in regions:
             for h, s in zip(arr.hyperplanes, region.sign_vector):
-                assert s * h.evaluate(region.witness) > 0
+                assert s * side(h, region.witness) > 0
 
 
 class TestRegionLevel:
@@ -229,6 +230,47 @@ class TestExhaustiveOracle:
                 if strict_witness(rows, dim=arr.dim) is not None:
                     flat.add(signs)
             assert flat == set(feasible_sign_vectors(arr))
+
+
+class TestWitnessPins:
+    """Witness coordinates move only on purpose: a change here must be deliberate."""
+
+    def test_example_a_witnesses(self, example_a):
+        pinned = [
+            ("+++++", ("5/4", "1/8", "0")),
+            ("++-++", ("5/4", "-1/8", "0")),
+            ("++--+", ("31/32", "-1/8", "0")),
+            ("++---", ("-1/64", "-17/16", "0")),
+            ("+-+++", ("17/16", "1/4", "0")),
+            ("+-+-+", ("1/2", "1/4", "0")),
+            ("+---+", ("1/2", "-1/4", "0")),
+            ("+----", ("-1/16", "-1/4", "0")),
+            ("--+++", ("9/8", "3/2", "0")),
+            ("--+-+", ("1/16", "1/4", "0")),
+            ("--+--", ("-1/2", "1/4", "0")),
+            ("-----", ("-1/2", "-1/4", "0")),
+        ]
+        regions = enumerate_regions(example_a)
+        assert [(r.sign_string(), r.witness) for r in regions] == [
+            (signs, tuple(Fraction(x) for x in witness)) for signs, witness in pinned
+        ]
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: make_cox_b(3), "a21aad34e0fb79ef06bcd678c6a33fdf4d2b426acec15feef74173ca7e8e1100"),
+            (
+                lambda: random_deformation_a(4, random.Random(7), 2),
+                "0d837f3ba01df52f55ae12dcd530b42a10fcba6731b81835cfd4602179d3826c",
+            ),
+        ],
+        ids=["cox_b3", "random_a4_seed7"],
+    )
+    def test_digest(self, make, digest):
+        # sha256 of repr([(sign_vector, witness as strings, level), ...]).
+        regions = enumerate_regions(make())
+        data = repr([(r.sign_vector, tuple(str(x) for x in r.witness), r.level) for r in regions])
+        assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
 class TestMCatalanFormula:
