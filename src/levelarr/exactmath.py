@@ -11,9 +11,9 @@ Equation systems live here in one form, the canonical integer row system
 built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
 intersection poset keys flats by it, and the rank step of
 ``cone_span_dimension`` folds its implicit rows through the same routine.
-``_reduce`` is two steps: ``_residual`` eliminates the system's pivot
-columns from the new row, and ``_merge`` inserts the result.  The poset
-calls ``_residual`` on its own for every (flat, hyperplane) pair.
+``_reduce`` eliminates the system's pivot columns from the new row, and
+``_merge`` inserts the result.  The poset calls ``_merge`` on its own: its
+residuals are already reduced, one pivot column per flat.
 
 Every inequality question goes to one engine, ``_IntTableau``: a
 fraction-free simplex dictionary with free variables and Bland's rule, always
@@ -102,22 +102,6 @@ class _EmptyIntersection(Exception):
     pass
 
 
-def _residual(rows: tuple[IntRow, ...], pivots: Sequence[int], row: Sequence[int]) -> Sequence[int]:
-    """Eliminate a canonical system's pivot columns from one row.
-
-    ``pivots`` are the pivot columns of ``rows``.  The result is 0 on every
-    pivot column but not normalized; it is ``row`` itself when no entry had to
-    be eliminated.
-    """
-    work = row
-    for r, p in zip(rows, pivots):
-        f = work[p]
-        if f:
-            rp = r[p]
-            work = [w * rp - rv * f for w, rv in zip(work, r)]
-    return work
-
-
 def _merge(rows: tuple[IntRow, ...], new: IntRow) -> tuple[IntRow, ...]:
     """Insert a canonical residual of ``rows``, clearing its pivot column from the other rows."""
     p = _pivot(new)
@@ -143,7 +127,13 @@ def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntR
     Returns the new canonical system, or None when the equation already holds
     on the flat.  Raises _EmptyIntersection when it contradicts the system.
     """
-    new = _normalize(_residual(rows, [_pivot(r) for r in rows], row))
+    for r in rows:
+        p = _pivot(r)
+        f = row[p]
+        if f:
+            rp = r[p]
+            row = [w * rp - rv * f for w, rv in zip(row, r)]
+    new = _normalize(row)
     if new is None:
         return None
     if not any(new[:-1]):

@@ -2,21 +2,21 @@
 
 Flats (nonempty intersections of hyperplanes) are found by breadth-first
 search over codimension levels, which avoids enumerating 2^m subsets.  At
-each flat, every hyperplane that does not contain it is reduced against the
-flat's equations once; hyperplanes with equal residuals cut out the same
-child, so each group of equal residuals is one child and its containing set
-is known without further elimination.  Children are keyed by that containing
-set (a flat is the intersection of the hyperplanes that contain it), and
-Möbius values are read off the cover relations the search finds: (-1)^codim
-on a Boolean lower interval, and otherwise minus the sum over the ancestor
-set that the covers accumulate.
+each flat, the hyperplanes that do not contain it are grouped by residual
+(the row reduced against the flat's equations); each group is one child, and
+its containing set is known without further elimination.  A child inherits
+its parent's groups and eliminates one pivot column from each.  Children are
+keyed by containing set (a flat is the intersection of the hyperplanes that
+contain it), and Möbius values are read off the cover relations the search
+finds: (-1)^codim on a Boolean lower interval, and otherwise minus the sum
+over the ancestor set that the covers accumulate.
 
 A flat's equations are the canonical integer row system of ``exactmath``
 (the reduced row-echelon form of [A | b], rescaled row-wise to primitive
 integer vectors with positive pivots), built once per flat by
-``exactmath._reduce``; the residuals come from the same elimination step,
-``exactmath._residual``.  Rational row spaces and canonical systems are in
-bijection, so flats are ordered by these rows, bit for bit.
+``exactmath._merge`` from the parent's rows and the canonical residual.
+Rational row spaces and canonical systems are in bijection, so flats are
+ordered by these rows, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arrangement import Arrangement
-from .exactmath import IntRow, _normalize, _pivot, _reduce, _residual
+from .exactmath import IntRow, _merge, _normalize, _pivot
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,20 @@ class IntersectionPoset:
 def build_poset(arr: Arrangement) -> IntersectionPoset:
     """Construct the intersection poset with Möbius values.
 
-    BFS over codimension levels.  At a flat Y every hyperplane H outside
-    cont(Y) costs one elimination: its residual, H's row reduced against Y's
-    canonical rows.  Those rows are in RREF, so every residual is 0 on Y's
-    pivot columns, and H' contains Y ∩ H exactly when its residual equals
-    H's.  Each group of equal residuals is therefore one child Z, with
-    cont(Z) = cont(Y) plus the group; a residual with a zero normal and a
-    nonzero constant is an empty intersection.  A flat is the intersection of
-    the hyperplanes that contain it, so children are keyed by that containing
-    bitmask, and a new child's canonical rows are built once, by ``_reduce``.
+    BFS over codimension levels.  A flat Y groups the hyperplanes H outside
+    cont(Y) by their residual: the unique primitive row in H + rowspace(Y)
+    that is 0 on Y's pivot columns.  H' contains Y ∩ H exactly when its
+    residual equals H's, so each group is one child Z, cont(Z) = cont(Y)
+    plus the group, and Z's rows are ``_merge(rows(Y), r)`` for the group's
+    residual r.  A zero normal is an empty intersection; that group is
+    dropped, as it stays parallel to every flat below Y.  The root's groups
+    are the hyperplanes' own rows.
+
+    Z inherits the groups and r of the first parent Y that finds it, and
+    one elimination step in r's pivot column takes each residual at Y to its
+    residual at Z: the result is 0 on Z's pivots and lies in H +
+    rowspace(Z), so any parent gives the same.  Groups with equal results
+    merge; a zero residual outside cont(Z) is an elimination fault.
 
     Möbius values come from the cover relations the BFS finds.  When exactly
     codim(Z) hyperplanes contain Z, its lower interval is Boolean and
@@ -86,17 +91,18 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
     each parent's ancestors and the parent itself.
     """
     n = arr.dim
-    hrows = [h.row for h in arr.hyperplanes]
+    roots = {h.row: 1 << idx for idx, h in enumerate(arr.hyperplanes)}
 
     flats: list[Flat] = []
     # One entry per flat of the current codimension: (rows, containing mask,
-    # ancestor bitset over flat indices), sorted by rows in descending order
-    # and popped, so that a bitset is freed once its children have taken it.
-    level: list[tuple[tuple[IntRow, ...], int, int]] = [((), 0, 0)]
+    # ancestor bitset over flat indices, parent's groups, residual), sorted
+    # by rows in descending order and popped, so that a bitset and the
+    # parent's groups are freed once the children have taken them.
+    level: list[tuple] = [((), 0, 0, roots, None)]
     for codim in range(n + 1):
-        children: dict[int, list] = {}  # containing mask -> [rows, ancestors]
+        children: dict[int, list] = {}  # containing mask -> [rows, ancestors, groups, residual]
         while level:
-            rows, mask, ancestors = level.pop()
+            rows, mask, ancestors, groups, r = level.pop()
             index = len(flats)
             if mask.bit_count() == codim:
                 mu = -1 if codim % 2 else 1
@@ -104,27 +110,30 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
                 mu = -sum(flats[i].mobius for i in _bits(ancestors))
             flats.append(Flat(rows=rows, dim=n - codim, containing=frozenset(_bits(mask)), mobius=mu))
 
-            pivots = [_pivot(r) for r in rows]
-            groups: dict[IntRow, int] = {}
-            for idx, hrow in enumerate(hrows):
-                if mask >> idx & 1:
-                    continue
-                residual = _residual(rows, pivots, hrow)
-                if residual is not hrow:
-                    residual = _normalize(residual)
-                    if residual is None:
-                        raise ArithmeticError(f"hyperplane {idx} contains a flat but is not in its containing set")
-                if any(residual[:-1]):
-                    groups[residual] = groups.get(residual, 0) | 1 << idx
+            if r is not None:
+                p = _pivot(r)
+                rp = r[p]
+                inherited, groups = groups, {}
+                for g, gmask in inherited.items():
+                    if gmask & mask:
+                        continue  # r's own group, which contains this flat
+                    f = g[p]
+                    if f:
+                        g = _normalize([a * rp - b * f for a, b in zip(g, r)])
+                        if g is None:
+                            raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
+                        if not any(g[:-1]):
+                            continue
+                    groups[g] = groups.get(g, 0) | gmask
 
             below = ancestors | 1 << index
             for residual, group in groups.items():
                 child = children.get(mask | group)
                 if child is None:
-                    children[mask | group] = [_reduce(rows, residual), below]
+                    children[mask | group] = [_merge(rows, residual), below, groups, residual]
                 else:
                     child[1] |= below
-        level = sorted(((rows, mask, ancestors) for mask, (rows, ancestors) in children.items()), reverse=True)
+        level = sorted(((rows, mask, ancestors, groups, r) for mask, (rows, ancestors, groups, r) in children.items()), reverse=True)
     return IntersectionPoset(tuple(flats))
 
 

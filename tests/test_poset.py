@@ -18,7 +18,7 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import _EmptyIntersection, _reduce
+from levelarr.exactmath import _EmptyIntersection, _merge, _reduce
 from levelarr.poset import CharPoly, Flat, build_poset, char_poly
 
 
@@ -186,8 +186,9 @@ class TestGroupedResiduals:
             lambda: make_m_catalan(4, 1),
             lambda: make_cox_b(4),
             lambda: random_deformation_a(5, random.Random(7), 2),
+            lambda: make_m_catalan(3, 2),
         ],
-        ids=["cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7"],
+        ids=["cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2"],
     )
     def test_matches_reference_on_fixed_cases(self, make):
         arr = make()
@@ -201,21 +202,21 @@ class TestGroupedResiduals:
     def test_one_merge_per_new_flat(self, arr, monkeypatch):
         calls = []
 
-        def counting_reduce(rows, row):
+        def counting_merge(rows, row):
             calls.append(row)
-            return _reduce(rows, row)
+            return _merge(rows, row)
 
-        monkeypatch.setattr(poset_module, "_reduce", counting_reduce)
+        monkeypatch.setattr(poset_module, "_merge", counting_merge)
         poset = build_poset(arr)
         assert len(calls) == len(poset) - 1
 
     def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
-        # A hyperplane that reduces to nothing at a flat must already be in
+        # A hyperplane whose residual vanishes at a flat must already be in
         # the flat's containing set; anything else is an elimination fault.
-        def zero_residual(rows, pivots, row):
-            return [0] * len(row) if rows else row
+        def zero_residual(row):
+            return None  # what ``_normalize`` returns for the zero row
 
-        monkeypatch.setattr(poset_module, "_residual", zero_residual)
+        monkeypatch.setattr(poset_module, "_normalize", zero_residual)
         with pytest.raises(ArithmeticError):
             build_poset(make_cox_a(3))
 
