@@ -12,8 +12,9 @@ built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
 intersection poset keys flats by it, and the rank step of
 ``cone_span_dimension`` folds its implicit rows through the same routine.
 ``_reduce`` eliminates the system's pivot columns from the new row, and
-``_merge`` inserts the result.  The poset calls ``_merge`` on its own: its
-residuals are already reduced, one pivot column per flat.
+``_merge`` inserts the result.  The poset folds its normals through
+``_reduce`` once per build for their rank, and calls ``_merge`` on its own
+for flats: its residuals are already reduced, one pivot column per flat.
 
 Every inequality question goes to one engine, ``_IntTableau``: a
 fraction-free simplex dictionary with free variables and Bland's rule, always

@@ -5,11 +5,12 @@ search over codimension levels, which avoids enumerating 2^m subsets.  At
 each flat, the hyperplanes that do not contain it are grouped by residual
 (the row reduced against the flat's equations); each group is one child, and
 its containing set is known without further elimination.  A child inherits
-its parent's groups and eliminates one pivot column from each.  Children are
-keyed by containing set (a flat is the intersection of the hyperplanes that
-contain it), and Möbius values are read off the cover relations the search
-finds: (-1)^codim on a Boolean lower interval, and otherwise minus the sum
-over the ancestor set that the covers accumulate.
+its parent's groups and eliminates one pivot column from each; a flat of
+top rank has no children, so it only checks that no group vanishes.
+Children are keyed by containing set (a flat is the intersection of the
+hyperplanes that contain it), and Möbius values are read off the cover
+relations the search finds: (-1)^codim on a Boolean lower interval, and
+otherwise minus the sum over the ancestor set that the covers accumulate.
 
 A flat's equations are the canonical integer row system of ``exactmath``
 (the reduced row-echelon form of [A | b], rescaled row-wise to primitive
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arrangement import Arrangement
-from .exactmath import IntRow, _merge, _normalize, _pivot
+from .exactmath import IntRow, _merge, _normalize, _pivot, _reduce
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,13 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
     rowspace(Z), so any parent gives the same.  Groups with equal results
     merge; a zero residual outside cont(Z) is an elimination fault.
 
+    A top-rank flat, whose codim is the rank of the normals (folded once per
+    build with ``_reduce``), has no children: every residual there has a zero
+    normal.  Its groups are not eliminated, only checked with two products
+    each: the step must clear a nonzero pivot entry g[p] and leave a nonzero
+    offset, g[-1] * r[p] != r[-1] * g[p].  Anything else raises
+    ``ArithmeticError``.
+
     Möbius values come from the cover relations the BFS finds.  When exactly
     codim(Z) hyperplanes contain Z, its lower interval is Boolean and
     mu(Z) = (-1)^codim; otherwise mu(Z) is minus the sum over its ancestors,
@@ -92,6 +100,10 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
     """
     n = arr.dim
     roots = {h.row: 1 << idx for idx, h in enumerate(arr.hyperplanes)}
+    normals: tuple[IntRow, ...] = ()
+    for h in arr.hyperplanes:
+        normals = _reduce(normals, h.normal + (0,)) or normals
+    top = len(normals)  # the rank of the normals: the largest codim of a flat
 
     flats: list[Flat] = []
     # One entry per flat of the current codimension: (rows, containing mask,
@@ -118,6 +130,15 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
                     if gmask & mask:
                         continue  # r's own group, which contains this flat
                     f = g[p]
+                    if codim == top:
+                        # Every residual at a top-rank flat has a zero normal
+                        # and the flat has no children: the step only has to
+                        # leave a nonzero offset.
+                        if not f:
+                            raise ArithmeticError(f"hyperplane {next(_bits(gmask))} keeps a nonzero normal at a top-rank flat")
+                        if g[-1] * rp == r[-1] * f:
+                            raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
+                        continue
                     if f:
                         g = _normalize([a * rp - b * f for a, b in zip(g, r)])
                         if g is None:

@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from levelarr.arrangement import Arrangement, Hyperplane, make_cox_a, make_cox_b
 from levelarr.ffcount import (
+    POINT_LIMIT,
     admissible_primes,
     coefficient_bound,
     count_complement_points,
@@ -13,6 +18,44 @@ from levelarr.poset import char_poly
 
 def hp(normal, offset=0):
     return Hyperplane(normal, offset)
+
+
+def direct_count(arr, q):
+    """Reference count: every point of F_q^n tested against every row."""
+    n = arr.dim
+    idx = np.arange(q**n, dtype=np.int64)
+    coords = [(idx // q**j) % q for j in range(n)]
+    ok = np.ones(idx.shape, dtype=bool)
+    for h in arr:
+        row = [c % q for c in h.row]
+        acc = np.zeros(idx.shape, dtype=np.int64)
+        for a, coord in zip(row[:n], coords):
+            acc += a * coord
+        ok &= (acc - row[n]) % q != 0
+    return int(ok.sum())
+
+
+def sweep_arrangement(rng, n):
+    """Rows through one integer point, a row with a_n = 0, and rational offsets.
+
+    The first three rows meet at the point, so above its prefix they forbid
+    the same x_n; the first row has a_n = 0 when n > 1.
+    """
+    point = [rng.randint(-4, 4) for _ in range(n)]
+    planes = {}
+    for k in range(rng.randint(3, 7)):
+        normal = [rng.randint(-3, 3) for _ in range(n)]
+        if k == 0 and n > 1:
+            normal[-1] = 0
+        if not any(normal):
+            normal[0] = 1
+        if k < 3:
+            offset = sum(a * x for a, x in zip(normal, point))
+        else:
+            offset = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4]))
+        h = hp(normal, offset)
+        planes[h.row] = h
+    return Arrangement(n, planes.values())
 
 
 class TestPrimes:
@@ -39,11 +82,36 @@ class TestCountComplementPoints:
         assert count_complement_points(example_a, 7) == 140
 
     def test_rational_offsets_cleared(self):
-        from fractions import Fraction
-
         arr = Arrangement(1, [hp((1,), Fraction(1, 2))])
         # 2x = 1 (mod q) has exactly one solution for odd q
         assert count_complement_points(arr, 5) == 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_direct_count_on_seeded_sweep(self, n):
+        rng = random.Random(n)
+        for _ in range(25):
+            arr = sweep_arrangement(rng, n)
+            for q in (2, 3, 5, 7, 11, 13):
+                assert count_complement_points(arr, q) == direct_count(arr, q)
+
+    def test_dim_zero_is_one_point(self):
+        # restrict() produces R^0 arrangements, which hold no hyperplane.
+        assert count_complement_points(Arrangement(0, []), 7) == 1
+
+    def test_int64_headroom_line_at_guard(self):
+        q = 9999991  # the largest prime <= POINT_LIMIT
+        assert is_prime(q) and q <= POINT_LIMIT
+        # x = 1 twice modulo q, -x = -2, and q x = 1 (a_n = 0, never holds).
+        arr = Arrangement(1, [hp((1,), 1), hp((1,), 1 + q), hp((q - 1,), q - 2), hp((q,), 1)])
+        assert count_complement_points(arr, q) == q - 2
+
+    def test_int64_headroom_plane_at_guard(self):
+        q = 3137  # the largest prime with q^2 <= POINT_LIMIT
+        assert is_prime(q) and q**2 <= POINT_LIMIT
+        # x1 = 0, x2 = 0 and x2 = x1 + 1 (normal (q - 1, 1)): above x1 != 0
+        # two values of x2 are forbidden, except above x1 = -1, where one is.
+        arr = Arrangement(2, [hp((1, 0), 0), hp((0, 1), 0), hp((q - 1, 1), 1)])
+        assert count_complement_points(arr, q) == (q - 2) ** 2 + (q - 1)
 
     def test_rejects_composite(self, example_a):
         with pytest.raises(ValueError, match="not prime"):

@@ -18,7 +18,7 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import _EmptyIntersection, _merge, _reduce
+from levelarr.exactmath import _EmptyIntersection, _merge, _normalize, _reduce
 from levelarr.poset import CharPoly, Flat, build_poset, char_poly
 
 
@@ -219,6 +219,24 @@ class TestGroupedResiduals:
         monkeypatch.setattr(poset_module, "_normalize", zero_residual)
         with pytest.raises(ArithmeticError):
             build_poset(make_cox_a(3))
+
+    def test_containing_hyperplane_left_out_of_top_rank_flat_raises(self, monkeypatch):
+        # With every residual's sign flipped, x1 = x3 and x2 = x3 reduce at
+        # x1 = x2 to opposite rows that no longer group, so the line
+        # x1 = x2 = x3 (a top-rank flat of this rank-2 arrangement) is found
+        # twice, each time with one containing hyperplane outside its mask.
+        seen = []
+
+        def flipped(row):
+            seen.append(tuple(row))
+            out = _normalize(row)
+            return out and tuple(-c for c in out)
+
+        monkeypatch.setattr(poset_module, "_normalize", flipped)
+        with pytest.raises(ArithmeticError, match="not in its containing set"):
+            build_poset(make_cox_a(3))
+        # The top-rank check caught it without eliminating to the zero row.
+        assert seen and all(any(row) for row in seen)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cox_a_top_is_partition_lattice_top(self, n):
