@@ -11,8 +11,14 @@ dot product; it becomes a tuple of ``Fraction``s once, in the final
 
 The level of a region is the smallest dimension of a linear subspace the
 region stays within bounded distance of.  For an open convex polyhedron that
-equals the dimension of the linear span of its recession cone, which is what
-``cone_span_dimension`` computes from the homogenized sign constraints.
+equals the dimension of the linear span of its recession cone.  For a type B
+deformation that cone is cut out by relations d_u >= d_v on the nodes
+{0, +-1, ..., +-n} (d_0 = 0, d_{-i} = -d_i), and its span has one dimension
+per pair C != -C of strongly connected components of that signed digraph
+with 0 not in C (the type B analogue of braid cones as preposets; Postnikov,
+Reiner & Williams, Doc. Math. 2008).  Every other arrangement gets its level
+from one exact LP per region, ``cone_span_dimension`` of the homogenized sign
+constraints.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Kind
 from .exactmath import IntPoint, Vector, _feasible_system, _slack, cone_span_dimension
 
 
@@ -65,6 +71,53 @@ def _sign_key(signs: Sequence[int]) -> tuple[int, ...]:
     return tuple(0 if s > 0 else 1 for s in signs)
 
 
+def _signed_edges(arr: Arrangement) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """Edges of the signed digraph, per hyperplane: ``(plus side, minus side)``.
+
+    Node 0 stands for d_0 = 0, node i for d_i and node n + i for d_{-i} = -d_i
+    (1-based i).  An edge ``(u, 1 << v)`` reads d_u >= d_v; the + side of
+    ``coord i`` is d_i >= d_0, of ``diff i j`` d_i >= d_j and of ``sum i j``
+    d_i >= d_{-j}, and the - side reverses it.  Each side also holds the
+    mirror edge -v -> -u.  Every hyperplane must have one of these forms.
+    """
+    n = arr.dim
+    mirror = [0] + [n + i for i in range(1, n + 1)] + list(range(1, n + 1))
+    out = []
+    for h in arr.hyperplanes:
+        form = h.form()
+        u = form[1] + 1
+        v = 0 if form[0] == "coord" else form[2] + 1 + (n if form[0] == "sum" else 0)
+        plus = ((u, 1 << v), (mirror[v], 1 << mirror[u]))
+        minus = ((v, 1 << u), (mirror[u], 1 << mirror[v]))
+        out.append((plus, minus))
+    return out
+
+
+def _digraph_level(edges, signs: Sequence[int], n: int) -> int:
+    """Level of a region from its signed digraph (see ``_signed_edges``).
+
+    Closes reachability as bitmasks over the 2n + 1 nodes and counts the
+    strongly connected components C with 0 not in C and C != -C.  They come
+    in mirror pairs, and each pair is one dimension of the cone's span.
+    """
+    size = 2 * n + 1
+    reach = [1 << u for u in range(size)]
+    for sides, s in zip(edges, signs):
+        for tail, head in sides[s < 0]:
+            reach[tail] |= head
+    for k in range(size):
+        bit, row = 1 << k, reach[k]
+        for u in range(size):
+            if reach[u] & bit:
+                reach[u] |= row
+    comps = {
+        reach[u] & sum(1 << v for v in range(size) if reach[v] >> u & 1)
+        for u in range(1, size)
+    }
+    pos = ((1 << n) - 1) << 1
+    return sum(1 for c in comps if not c & 1 and c != (c & pos) << n | (c >> n) & pos) // 2
+
+
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """All regions of the arrangement, sorted by sign vector (+ before -).
 
@@ -105,12 +158,18 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
                     updated.append((signs + [side], w, rows + [srow]))
         live = updated
 
+    if arr.kind is Kind.TYPE_B:
+        edges = _signed_edges(arr)
+
+        def level(signs):
+            return _digraph_level(edges, signs, n)
+    else:
+        def level(signs):
+            return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n)
+
     regions = []
-    for signs, (*x, scale), rows in live:
-        level = cone_span_dimension(
-            [(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n
-        )
-        regions.append(Region(tuple(signs), tuple(Fraction(v, scale) for v in x), level))
+    for signs, (*x, scale), _ in live:
+        regions.append(Region(tuple(signs), tuple(Fraction(v, scale) for v in x), level(signs)))
     regions.sort(key=lambda r: _sign_key(r.sign_vector))
     return tuple(regions)
 

@@ -125,6 +125,32 @@ class TestLevels:
         assert len(region_lines) == 10
         assert all(re.match(r"region [+-]{4} level \d witness \(", l) for l in region_lines)
 
+    def test_type_b_json_matches_lp_levels(self, capsys, doc_path, monkeypatch):
+        # Type B levels come from the signed digraph; the same document with
+        # every level taken from the cone-span LP prints the same bytes.
+        import random
+
+        from levelarr import regions
+        from levelarr.arrangement import random_deformation_b
+        from levelarr.exactmath import cone_span_dimension
+
+        arr = random_deformation_b(3, random.Random(11))
+        path = doc_path(arr)
+        code, digraph_out, _ = run(capsys, "levels", path, "--regions", "--json")
+        assert code == 0
+
+        lp_calls = []
+
+        def lp_level(edges, signs, n):
+            lp_calls.append(signs)
+            return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n)
+
+        monkeypatch.setattr(regions, "_digraph_level", lp_level)
+        code, lp_out, _ = run(capsys, "levels", path, "--regions", "--json")
+        assert code == 0
+        assert len(lp_calls) == json.loads(lp_out)["total"] > 100
+        assert digraph_out == lp_out
+
 
 class TestVerify:
     def test_theorem_a_pass(self, capsys, doc_path, example_a):
@@ -135,6 +161,28 @@ class TestVerify:
     def test_theorem_b_pass(self, capsys, doc_path, example_b):
         code, out, _ = run(capsys, "verify", doc_path(example_b), "--theorem=B")
         assert code == 0
+
+    def test_theorem_b_catches_a_wrong_level(self, capsys, doc_path, monkeypatch, example_b):
+        # chi is an independent check of the digraph levels: one region off
+        # by one fails the verification.
+        from levelarr import regions
+        from levelarr.cli import EXIT_VERIFY_FAILED
+
+        exact = regions._digraph_level
+        calls = []
+
+        def off_by_one(edges, signs, n):
+            level = exact(edges, signs, n)
+            calls.append(signs)
+            if len(calls) == 1:
+                return level - 1 if level else 1
+            return level
+
+        monkeypatch.setattr(regions, "_digraph_level", off_by_one)
+        code, out, _ = run(capsys, "verify", doc_path(example_b), "--theorem=B")
+        assert len(calls) == 10
+        assert code == EXIT_VERIFY_FAILED
+        assert out.rstrip().endswith("FAIL")
 
     def test_degenerate_refused_with_status_3(self, capsys, doc_path, example_a):
         from levelarr.arrangement import delete

@@ -7,6 +7,8 @@ import pytest
 from levelarr.arrangement import (
     Arrangement,
     Hyperplane,
+    Kind,
+    delete,
     make_cox_a,
     make_cox_b,
     make_m_catalan,
@@ -16,6 +18,8 @@ from levelarr.arrangement import (
 from levelarr.exactmath import cone_span_dimension
 from levelarr.poset import char_poly
 from levelarr.regions import (
+    _digraph_level,
+    _signed_edges,
     enumerate_regions,
     feasible_sign_vectors,
     level_profile,
@@ -109,32 +113,17 @@ class TestRegionLevel:
         assert all(r.level == 3 for r in regions)
 
 
-def _strong_components(arr, region):
-    """Strongly connected components of the region's recession digraph.
-
-    Every hyperplane of a type A deformation has normal e_i - e_j, i < j, so
-    its sign constraint ``s (d_i - d_j) >= 0`` is the edge i -> j (s = +1)
-    or j -> i (s = -1), read as "d at the tail >= d at the head".
-    """
-    n = arr.dim
-    reach = [[i == j for j in range(n)] for i in range(n)]
-    for h, s in zip(arr.hyperplanes, region.sign_vector):
-        i = next(k for k, c in enumerate(h.normal) if c == 1)
-        j = next(k for k, c in enumerate(h.normal) if c == -1)
-        tail, head = (i, j) if s > 0 else (j, i)
-        reach[tail][head] = True
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    classes = {frozenset(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)}
-    return len(classes)
+def _lp_level(arr, signs):
+    return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)
 
 
 class TestTypeALevelOracle:
     """In a type A deformation the recession cone is cut out by d_i >= d_j
     relations; its span has one dimension per strongly connected component of
-    that digraph (the braid cone of a preposet)."""
+    that digraph (the braid cone of a preposet).  The signed digraph level
+    reads it off: type A normals are ``diff`` forms only, so node 0 is its own
+    excluded component and every component C of the nodes +i has its own
+    mirror -C."""
 
     def test_levels_match_strong_components(self):
         rng = random.Random(2024)
@@ -142,8 +131,65 @@ class TestTypeALevelOracle:
         arrangements += [random_deformation_a(4, rng) for _ in range(4)]
         arrangements.append(make_cox_a(4))
         for arr in arrangements:
+            edges = _signed_edges(arr)
             for region in enumerate_regions(arr):
-                assert region.level == _strong_components(arr, region)
+                assert region.level == _digraph_level(edges, region.sign_vector, arr.dim)
+
+
+class TestTypeBLevelOracle:
+    """Type B levels come from the signed digraph; the LP is the cross-check."""
+
+    def test_digraph_level_matches_lp(self, example_b):
+        rng = random.Random(2025)
+        arrangements = [random_deformation_b(2 + k % 2, rng) for k in range(26)]
+        arrangements += [make_cox_b(3), make_cox_b(4), example_b]
+        checked = 0
+        for arr in arrangements:
+            assert arr.kind is Kind.TYPE_B
+            for region in enumerate_regions(arr):
+                assert region.level == _lp_level(arr, region.sign_vector)
+                checked += 1
+        assert checked > 3000
+
+    def test_self_mirror_components(self):
+        # Bands on x1 +- x2 and x3 +- x4 with no coordinate hyperplanes: a
+        # region inside all four bands has the components {+-1, +-2} and
+        # {+-3, +-4}, each its own mirror, and they add no dimension.
+        planes = [
+            hp(normal, offset)
+            for normal in ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
+            for offset in (0, 1)
+        ]
+        arr = Arrangement(4, planes)
+        edges = _signed_edges(arr)
+        regions = enumerate_regions(arr)
+        levels = [_digraph_level(edges, r.sign_vector, 4) for r in regions]
+        assert levels == [r.level for r in regions]
+        assert levels.count(0) == 1
+
+    def test_level_routing(self, monkeypatch, example_a, example_b, grid_example):
+        # Type B takes the digraph; type A, general arrangements and
+        # degenerate ones with type B normals only take one LP per region.
+        calls = {"lp": 0, "digraph": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr("levelarr.regions.cone_span_dimension", counted("lp", cone_span_dimension))
+        monkeypatch.setattr("levelarr.regions._digraph_level", counted("digraph", _digraph_level))
+        degenerate = delete(make_cox_b(3), 0)
+        assert degenerate.kind is Kind.GENERAL
+        for arr in (example_a, make_cox_a(3), grid_example, degenerate, example_b, make_cox_b(3)):
+            calls.update(lp=0, digraph=0)
+            count = len(enumerate_regions(arr))
+            if arr.kind is Kind.TYPE_B:
+                assert calls == {"lp": 0, "digraph": count}
+            else:
+                assert calls == {"lp": count, "digraph": 0}
 
 
 class TestLevelProfile:
