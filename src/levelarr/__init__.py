@@ -3,8 +3,7 @@
 Characteristic polynomials via the intersection poset, region enumeration
 with levels (dimensions of unbounded directions), binomial-basis expansions
 relating the two, and independent oracles (finite-field point counts,
-deletion-restriction, exhaustive sign vectors).  All geometry is exact
-rational arithmetic.
+deletion-restriction).  All geometry is exact rational arithmetic.
 
 The package root re-exports the names the README's library example uses;
 everything else is imported from its module (``levelarr.arrangement``,

@@ -8,13 +8,12 @@ only at the edge: ``as_scalar``/``as_vector``/``_int_row`` turn a rational
 hyperplane into its integer row once, when the hyperplane is built.
 
 Equation systems live here in one form, the canonical integer row system
-built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, the
-intersection poset keys flats by it, and the rank step of
-``cone_span_dimension`` folds its implicit rows through the same routine.
-``_reduce`` eliminates the system's pivot columns from the new row, and
-``_merge`` inserts the result.  The poset folds its normals through
-``_reduce`` once per build for their rank, and calls ``_merge`` on its own
-for flats: its residuals are already reduced, one pivot column per flat.
+built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, and the rank
+step of ``cone_span_dimension`` folds its implicit rows through the same
+routine.  ``_reduce`` eliminates the system's pivot columns from the new row
+and inserts the result, clearing its pivot column from the other rows.  The
+intersection poset folds its normals through ``_reduce`` once per build for
+their rank; it keys flats by their containing hyperplanes, not by rows.
 
 Every inequality question goes to one engine, ``_IntTableau``: a
 fraction-free simplex dictionary with free variables and Bland's rule, always
@@ -103,25 +102,6 @@ class _EmptyIntersection(Exception):
     pass
 
 
-def _merge(rows: tuple[IntRow, ...], new: IntRow) -> tuple[IntRow, ...]:
-    """Insert a canonical residual of ``rows``, clearing its pivot column from the other rows."""
-    p = _pivot(new)
-    merged: list[IntRow] = []
-    inserted = False
-    for r in rows:
-        if not inserted and _pivot(r) > p:
-            merged.append(new)
-            inserted = True
-        if r[p]:
-            combo = _normalize([rv * new[p] - nv * r[p] for rv, nv in zip(r, new)])
-            merged.append(combo)
-        else:
-            merged.append(r)
-    if not inserted:
-        merged.append(new)
-    return tuple(merged)
-
-
 def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntRow, ...]]:
     """Add one equation to a canonical system.
 
@@ -139,7 +119,11 @@ def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntR
         return None
     if not any(new[:-1]):
         raise _EmptyIntersection
-    return _merge(rows, new)
+    # Clear the new pivot column from the other rows (their pivots stay put)
+    # and insert the new row in pivot order.
+    p = _pivot(new)
+    cleared = [_normalize([a * new[p] - b * r[p] for a, b in zip(r, new)]) if r[p] else r for r in rows]
+    return tuple(sorted(cleared + [new], key=_pivot))
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,14 @@ each flat, the hyperplanes that do not contain it are grouped by residual
 its containing set is known without further elimination.  A child inherits
 its parent's groups and eliminates one pivot column from each; a flat of
 top rank has no children, so it only checks that no group vanishes.
-Children are keyed by containing set (a flat is the intersection of the
-hyperplanes that contain it), and Möbius values are read off the cover
-relations the search finds: (-1)^codim on a Boolean lower interval, and
-otherwise minus the sum over the ancestor set that the covers accumulate.
 
-A flat's equations are the canonical integer row system of ``exactmath``
-(the reduced row-echelon form of [A | b], rescaled row-wise to primitive
-integer vectors with positive pivots), built once per flat by
-``exactmath._merge`` from the parent's rows and the canonical residual.
-Rational row spaces and canonical systems are in bijection, so flats are
-ordered by these rows, bit for bit.
+A flat is the intersection of the hyperplanes that contain it, so it is
+keyed by its containing set alone, an int mask over hyperplane indices, and
+each codimension level is ordered by ascending mask.  No flat carries
+equations of its own.  Möbius values are read off the cover relations the
+search finds: (-1)^codim on a Boolean lower interval, and otherwise minus the
+sum over the ancestor set that the covers accumulate, taken as one popcount
+per Möbius value seen so far.
 """
 
 from __future__ import annotations
@@ -27,33 +24,34 @@ from fractions import Fraction
 from typing import Union
 
 from .arrangement import Arrangement
-from .exactmath import IntRow, _merge, _normalize, _pivot, _reduce
+from .exactmath import IntRow, _normalize, _pivot, _reduce
 
 
 @dataclass(frozen=True)
 class Flat:
     """An element of the intersection poset: an affine subspace.
 
-    ``containing`` is the maximal set of hyperplane indices whose hyperplanes
-    contain the subspace; ``rows`` is the canonical defining equation system
-    that keys the flat.
+    ``mask`` has bit i set when hyperplane i contains the subspace; that
+    maximal set of hyperplanes determines the flat, so it keys and orders
+    flats, and a flat carries no equation system of its own.
     """
 
-    rows: tuple[IntRow, ...]
     dim: int
-    containing: frozenset[int]
+    codim: int
+    mask: int
     mobius: int
 
     @property
-    def codim(self) -> int:
-        return len(self.rows)
+    def containing(self) -> frozenset[int]:
+        """The indices of the hyperplanes that contain the flat."""
+        return frozenset(_bits(self.mask))
 
 
 class IntersectionPoset:
     """All flats of an arrangement, ordered by reverse inclusion.
 
     The ambient space, the unique minimal element, is ``flats[0]``; flats
-    are stored in codimension-major order, deterministically within each
+    are stored in codimension-major order, by ascending mask within each
     codimension, and x <= y exactly when ``x.containing <= y.containing``.
     """
 
@@ -73,15 +71,14 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
     BFS over codimension levels.  A flat Y groups the hyperplanes H outside
     cont(Y) by their residual: the unique primitive row in H + rowspace(Y)
     that is 0 on Y's pivot columns.  H' contains Y ∩ H exactly when its
-    residual equals H's, so each group is one child Z, cont(Z) = cont(Y)
-    plus the group, and Z's rows are ``_merge(rows(Y), r)`` for the group's
-    residual r.  A zero normal is an empty intersection; that group is
-    dropped, as it stays parallel to every flat below Y.  The root's groups
-    are the hyperplanes' own rows.
+    residual equals H's, so each group is one child Z, keyed by its mask
+    cont(Z) = cont(Y) plus the group.  A zero normal is an empty
+    intersection; that group is dropped, as it stays parallel to every flat
+    below Y.  The root's groups are the hyperplanes' own rows.
 
-    Z inherits the groups and r of the first parent Y that finds it, and
-    one elimination step in r's pivot column takes each residual at Y to its
-    residual at Z: the result is 0 on Z's pivots and lies in H +
+    Z inherits the groups and residual r of the first parent Y that finds
+    it, and one elimination step in r's pivot column takes each residual at
+    Y to its residual at Z: the result is 0 on Z's pivots and lies in H +
     rowspace(Z), so any parent gives the same.  Groups with equal results
     merge; a zero residual outside cont(Z) is an elimination fault.
 
@@ -94,9 +91,10 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
 
     Möbius values come from the cover relations the BFS finds.  When exactly
     codim(Z) hyperplanes contain Z, its lower interval is Boolean and
-    mu(Z) = (-1)^codim; otherwise mu(Z) is minus the sum over its ancestors,
+    mu(Z) = (-1)^codim.  Otherwise mu(Z) is minus the sum over its ancestors,
     a bitset over flat indices that is the union, over Z's cover parents, of
-    each parent's ancestors and the parent itself.
+    each parent's ancestors and the parent itself; with one bitset B_v of the
+    flats of each Möbius value v, that sum is sum_v v * popcount(ancestors & B_v).
     """
     n = arr.dim
     roots = {h.row: 1 << idx for idx, h in enumerate(arr.hyperplanes)}
@@ -106,21 +104,23 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
     top = len(normals)  # the rank of the normals: the largest codim of a flat
 
     flats: list[Flat] = []
-    # One entry per flat of the current codimension: (rows, containing mask,
-    # ancestor bitset over flat indices, parent's groups, residual), sorted
-    # by rows in descending order and popped, so that a bitset and the
+    by_mobius: dict[int, int] = {}  # Möbius value -> bitset of the flats that have it
+    # One entry per flat of the current codimension: (containing mask,
+    # [ancestor bitset over flat indices, parent's groups, residual]), sorted
+    # by mask in descending order and popped, so that a bitset and the
     # parent's groups are freed once the children have taken them.
-    level: list[tuple] = [((), 0, 0, roots, None)]
+    level: list[tuple] = [(0, [0, roots, None])]
     for codim in range(n + 1):
-        children: dict[int, list] = {}  # containing mask -> [rows, ancestors, groups, residual]
+        children: dict[int, list] = {}  # containing mask -> [ancestors, groups, residual]
         while level:
-            rows, mask, ancestors, groups, r = level.pop()
+            mask, (ancestors, groups, r) = level.pop()
             index = len(flats)
             if mask.bit_count() == codim:
                 mu = -1 if codim % 2 else 1
             else:
-                mu = -sum(flats[i].mobius for i in _bits(ancestors))
-            flats.append(Flat(rows=rows, dim=n - codim, containing=frozenset(_bits(mask)), mobius=mu))
+                mu = -sum(v * (ancestors & b).bit_count() for v, b in by_mobius.items())
+            by_mobius[mu] = by_mobius.get(mu, 0) | 1 << index
+            flats.append(Flat(dim=n - codim, codim=codim, mask=mask, mobius=mu))
 
             if r is not None:
                 p = _pivot(r)
@@ -151,10 +151,10 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
             for residual, group in groups.items():
                 child = children.get(mask | group)
                 if child is None:
-                    children[mask | group] = [_merge(rows, residual), below, groups, residual]
+                    children[mask | group] = [below, groups, residual]
                 else:
-                    child[1] |= below
-        level = sorted(((rows, mask, ancestors, groups, r) for mask, (rows, ancestors, groups, r) in children.items()), reverse=True)
+                    child[0] |= below
+        level = sorted(children.items(), reverse=True)
     return IntersectionPoset(tuple(flats))
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 from typing import Sequence
 
 from .arrangement import Arrangement, Kind
@@ -180,49 +179,3 @@ def level_profile(arr: Arrangement) -> LevelProfile:
     for region in enumerate_regions(arr):
         counts[region.level] += 1
     return LevelProfile(tuple(counts))
-
-
-def feasible_sign_vectors(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
-    """Exhaustive enumeration of feasible sign vectors, independent of insertion.
-
-    Walks the full {+1,-1}^m tree depth-first, testing both sides of every
-    prefix with the exact split test, which starts from the witness the
-    prefix carries down the walk; an infeasible prefix rules out all of its
-    extensions, which keeps the walk exhaustive while skipping dead subtrees.
-    Intended as an oracle for ``enumerate_regions`` at small m.
-    """
-    n = arr.dim
-    hrows = [h.row for h in arr.hyperplanes]
-    out: list[tuple[int, ...]] = []
-
-    def walk(prefix: list[int], rows: list[tuple[int, ...]], witness: IntPoint):
-        if len(prefix) == len(hrows):
-            out.append(tuple(prefix))
-            return
-        hrow = hrows[len(prefix)]
-        for side in (1, -1):
-            srow = _strict_row(hrow, side)
-            w = _feasible_system(rows, witness, srow)
-            if w is not None:
-                walk(prefix + [side], rows + [srow], w)
-
-    walk([], [], (0,) * n + (1,))
-    out.sort(key=_sign_key)
-    return tuple(out)
-
-
-def mcatalan_level_count(n: int, m: int, k: int) -> int:
-    """Closed-form number of level-k regions of the m-Catalan arrangement.
-
-    Evaluates n! m k / ((m+1)n - k) * C((m+1)n - k, mn) exactly; the division
-    is checked to be exact.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    if not 1 <= k <= n:
-        raise ValueError("level k must satisfy 1 <= k <= n")
-    numerator = factorial(n) * m * k * comb((m + 1) * n - k, m * n)
-    denominator = (m + 1) * n - k
-    if numerator % denominator:
-        raise ArithmeticError("level-count formula did not divide exactly")
-    return numerator // denominator

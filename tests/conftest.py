@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from levelarr.arrangement import Arrangement, Hyperplane
 from levelarr.exactmath import _EmptyIntersection, _feasible_system, _int_row, _pivot, _reduce, as_scalar, as_vector
+from levelarr.regions import _sign_key, _strict_row
 
 
 def hp(normal, offset=0) -> Hyperplane:
@@ -128,3 +130,58 @@ def side():
         return sum((c * Fraction(x) for c, x in zip(h.normal, point)), Fraction(0)) - h.offset
 
     return value
+
+
+@pytest.fixture(scope="session")
+def feasible_sign_vectors():
+    """Exhaustive enumeration of feasible sign vectors, independent of insertion.
+
+    Walks the full {+1,-1}^m tree depth-first, testing both sides of every
+    prefix with the exact split test, which starts from the witness the
+    prefix carries down the walk; an infeasible prefix rules out all of its
+    extensions, which keeps the walk exhaustive while skipping dead subtrees.
+    An oracle for ``enumerate_regions`` at small m.
+    """
+
+    def enumerate_all(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
+        hrows = [h.row for h in arr.hyperplanes]
+        out: list[tuple[int, ...]] = []
+
+        def walk(prefix, rows, witness):
+            if len(prefix) == len(hrows):
+                out.append(tuple(prefix))
+                return
+            hrow = hrows[len(prefix)]
+            for s in (1, -1):
+                srow = _strict_row(hrow, s)
+                w = _feasible_system(rows, witness, srow)
+                if w is not None:
+                    walk(prefix + [s], rows + [srow], w)
+
+        walk([], [], (0,) * arr.dim + (1,))
+        out.sort(key=_sign_key)
+        return tuple(out)
+
+    return enumerate_all
+
+
+@pytest.fixture(scope="session")
+def mcatalan_level_count():
+    """Closed-form number of level-k regions of the m-Catalan arrangement.
+
+    Evaluates n! m k / ((m+1)n - k) * C((m+1)n - k, mn) exactly; the division
+    is checked to be exact.
+    """
+
+    def count(n: int, m: int, k: int) -> int:
+        if n < 1 or m < 1:
+            raise ValueError("need n >= 1 and m >= 1")
+        if not 1 <= k <= n:
+            raise ValueError("level k must satisfy 1 <= k <= n")
+        numerator = factorial(n) * m * k * comb((m + 1) * n - k, m * n)
+        denominator = (m + 1) * n - k
+        if numerator % denominator:
+            raise ArithmeticError("level-count formula did not divide exactly")
+        return numerator // denominator
+
+    return count

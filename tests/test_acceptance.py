@@ -36,9 +36,7 @@ from levelarr.ffcount import ff_oracle_check
 from levelarr.poset import char_poly
 from levelarr.regions import (
     enumerate_regions,
-    feasible_sign_vectors,
     level_profile,
-    mcatalan_level_count,
 )
 
 SIGN_ENUM_MAX_HYPERPLANES = 12
@@ -205,7 +203,7 @@ def _padded(chi, width):
     return tuple(chi.coeffs) + (0,) * (width - len(chi.coeffs))
 
 
-def test_criterion_7_oracle_triangulation(all_criteria_arrangements):
+def test_criterion_7_oracle_triangulation(all_criteria_arrangements, feasible_sign_vectors):
     for name, arr in all_criteria_arrangements:
         width = arr.dim + 1
         chi = char_poly(arr)
@@ -243,7 +241,7 @@ def test_criterion_7_oracle_triangulation(all_criteria_arrangements):
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
-def test_criterion_8_m_catalan_formula(n, m):
+def test_criterion_8_m_catalan_formula(n, m, mcatalan_level_count):
     profile = level_profile(make_m_catalan(n, m))
     assert profile.counts[0] == 0
     for k in range(1, n + 1):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from xml.dom import minidom
 import pytest
 
 import levelarr
+from levelarr.arrangement import make_cox_b, make_m_catalan, random_deformation_a
 from levelarr.cli import main
 from levelarr.document import document_of, dumps_document, loads_document
 
@@ -331,3 +334,26 @@ class TestRender:
         run(capsys, "render", doc_path(example_a), "--output", str(p1))
         run(capsys, "render", doc_path(example_a), "--output", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestOutputPins:
+    """Poset-backed JSON output is pinned byte for byte: a change here must be deliberate."""
+
+    @pytest.mark.parametrize(
+        "make, argv, digest",
+        [
+            pytest.param(lambda: make_m_catalan(4, 1), ("chi",), "e7eddf377739c9a334b79819d7e7803c7fe0e9a10bf90b6663c2eb1eff1f5d0e", id="m_catalan_4_1-chi"),
+            pytest.param(lambda: make_m_catalan(4, 1), ("verify", "--theorem=deletion-restriction"), "eb63d66dc96c8876f6302a9770e9bf9c428f3cea6d90d90fc7f8128a8f5f7964", id="m_catalan_4_1-deletion_restriction"),
+            pytest.param(lambda: make_m_catalan(4, 1), ("verify", "--theorem=ff"), "84e35457a4daad843ed3b3ef7fc3e04c63f47f944435c662c4c386e694482186", id="m_catalan_4_1-ff"),
+            pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("chi",), "6c72bf88b36b1b5c858eaedc679a0c31304091dfe1751e3c681521eaeeb601d7", id="random_a5_seed7-chi"),
+            pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=deletion-restriction"), "195b3f78087fb85dd65ab7e3739c932792e2e1b933063dfba988775fdc52071e", id="random_a5_seed7-deletion_restriction"),
+            pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=ff"), "76cc425ff1463e420862f25857be668568a71ac839dbc1a2ee68f6a383c65379", id="random_a5_seed7-ff"),
+            pytest.param(lambda: make_cox_b(3), ("chi",), "3684271ec4036a796181d190cd2827fe4d1b685dc6fb587c26615f72188b09af", id="cox_b3-chi"),
+            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=deletion-restriction"), "82b58436140413c8c71e38b3527ced4dad05c871f9ccd80d83428befd1f9febe", id="cox_b3-deletion_restriction"),
+            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", id="cox_b3-ff"),
+        ],
+    )
+    def test_json_digest(self, capsys, doc_path, make, argv, digest):
+        code, out, _ = run(capsys, argv[0], doc_path(make()), *argv[1:], "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

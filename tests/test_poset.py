@@ -18,8 +18,8 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import _EmptyIntersection, _merge, _normalize, _reduce
-from levelarr.poset import CharPoly, Flat, build_poset, char_poly
+from levelarr.exactmath import _EmptyIntersection, _normalize, _reduce
+from levelarr.poset import CharPoly, build_poset, char_poly
 
 
 def dot(a, b):
@@ -37,6 +37,20 @@ def poly_from_roots(roots) -> tuple[int, ...]:
         shifted = [0] + coeffs
         coeffs = [c - r * d for c, d in zip(shifted, coeffs + [0])]
     return tuple(coeffs)
+
+
+def canonical_rows(arr: Arrangement, containing) -> tuple:
+    """A flat's canonical row system: a test-local ``_reduce`` fold of the
+    rows of the hyperplanes that contain it."""
+    rows = ()
+    for idx in sorted(containing):
+        rows = _reduce(rows, arr.hyperplanes[idx].row) or rows
+    return rows
+
+
+def keyed(arr: Arrangement, flats) -> list:
+    """Sorted (rows, dim, containing, mobius) of each flat, rows from the fold."""
+    return sorted((canonical_rows(arr, f.containing), f.dim, tuple(sorted(f.containing)), f.mobius) for f in flats)
 
 
 def test_poly_from_roots_helper():
@@ -65,9 +79,11 @@ class TestBuildPoset:
 
     def test_flat_geometry_is_consistent(self, example_a, affine_solution, side):
         poset = build_poset(example_a)
-        assert len({f.rows for f in poset}) == len(poset)  # pairwise distinct
-        for flat in poset:
-            point, basis = affine_solution([(r[:-1], r[-1]) for r in flat.rows], example_a.dim)
+        systems = [canonical_rows(example_a, f.containing) for f in poset]
+        assert len(set(systems)) == len({f.mask for f in poset}) == len(poset)  # pairwise distinct
+        for flat, rows in zip(poset, systems):
+            assert flat.codim == len(rows)
+            point, basis = affine_solution([(r[:-1], r[-1]) for r in rows], example_a.dim)
             assert flat.dim == len(basis)
             for idx in flat.containing:
                 h = example_a.hyperplanes[idx]
@@ -94,10 +110,11 @@ class TestBuildPoset:
                 assert (flat.mobius > 0) == (flat.codim % 2 == 0)
 
 
-def reference_flats(arr: Arrangement) -> tuple[Flat, ...]:
+def reference_flats(arr: Arrangement) -> list:
     """The poset as a plain BFS builds it: one ``_reduce`` per (flat, hyperplane)
     pair, containing sets from the hyperplanes that reduce to nothing, and
-    Möbius values from a scan of every earlier flat."""
+    Möbius values from a scan of every earlier flat.  Sorted (rows, dim,
+    containing, mobius), flats keyed by their canonical rows."""
     n = arr.dim
     hrows = [h.row for h in arr.hyperplanes]
     containing_of = {}
@@ -133,10 +150,7 @@ def reference_flats(arr: Arrangement) -> tuple[Flat, ...]:
         mu = 1 if not rows else -sum(m for c, m in seen if c <= containing)
         mobius_of[rows] = mu
         seen.append((containing, mu))
-    return tuple(
-        Flat(rows=rows, dim=n - len(rows), containing=containing_of[rows], mobius=mobius_of[rows])
-        for rows in order
-    )
+    return sorted((rows, n - len(rows), tuple(sorted(containing_of[rows])), mobius_of[rows]) for rows in order)
 
 
 def _coxeter_normals(n: int) -> list[tuple[int, ...]]:
@@ -177,7 +191,11 @@ class TestGroupedResiduals:
     @given(_arrangements())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_pair_reference(self, arr):
-        assert build_poset(arr).flats == reference_flats(arr)
+        flats = build_poset(arr).flats
+        assert keyed(arr, flats) == reference_flats(arr)
+        # Codimension-major, ascending mask within a codimension.
+        order = [(f.codim, f.mask) for f in flats]
+        assert order == sorted(order) and flats[0].mask == 0
 
     @pytest.mark.parametrize(
         "make",
@@ -192,23 +210,36 @@ class TestGroupedResiduals:
     )
     def test_matches_reference_on_fixed_cases(self, make):
         arr = make()
-        assert build_poset(arr).flats == reference_flats(arr)
+        assert keyed(arr, build_poset(arr)) == reference_flats(arr)
+
+    @pytest.mark.parametrize("i", range(len(random_deformation_a(5, random.Random(7), 2))), ids="restrict_{}".format)
+    def test_matches_reference_on_restrictions_of_random_a5_seed7(self, i):
+        arr = restrict(random_deformation_a(5, random.Random(7), 2), i)[0]
+        assert keyed(arr, build_poset(arr)) == reference_flats(arr)
 
     @pytest.mark.parametrize(
         "arr",
         [make_cox_a(4), make_cox_b(3), make_m_catalan(3, 1), random_deformation_a(4, random.Random(7), 2)],
         ids=["cox_a4", "cox_b3", "m_catalan_3_1", "random_a4_seed7"],
     )
-    def test_one_merge_per_new_flat(self, arr, monkeypatch):
-        calls = []
+    def test_work_bound(self, arr, monkeypatch):
+        # One ``_reduce`` per hyperplane (the rank fold), and at most one
+        # elimination step per (flat, hyperplane outside it) pair.
+        reduces, normalizes = [], []
 
-        def counting_merge(rows, row):
-            calls.append(row)
-            return _merge(rows, row)
+        def counting_reduce(rows, row):
+            reduces.append(row)
+            return _reduce(rows, row)
 
-        monkeypatch.setattr(poset_module, "_merge", counting_merge)
+        def counting_normalize(row):
+            normalizes.append(row)
+            return _normalize(row)
+
+        monkeypatch.setattr(poset_module, "_reduce", counting_reduce)
+        monkeypatch.setattr(poset_module, "_normalize", counting_normalize)
         poset = build_poset(arr)
-        assert len(calls) == len(poset) - 1
+        assert len(reduces) == len(arr)
+        assert len(normalizes) <= sum(len(arr) - len(f.containing) for f in poset)
 
     def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
         # A hyperplane whose residual vanishes at a flat must already be in
@@ -299,6 +330,56 @@ class TestCharPoly:
         cp = CharPoly((0, 6, -5, 1))
         assert cp.evaluate(7) == 140
         assert cp.evaluate(Fraction(1, 2)) == Fraction(1, 8) - Fraction(5, 4) + 3
+
+
+def _pairs(n: int, offsets, signs=(-1,)) -> list:
+    """x_i + s x_j = a for i < j, each sign s and offset a, built by hand."""
+    planes = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in signs:
+                normal = tuple(1 if k == i else sign if k == j else 0 for k in range(n))
+                planes += [hp(normal, a) for a in offsets]
+    return planes
+
+
+def _linial_chi(n: int) -> tuple[int, ...]:
+    """(t / 2^n) sum_k C(n, k) (t - k)^(n-1), ascending coefficients."""
+    total = [0] * n
+    for k in range(n + 1):
+        total = [c + math.comb(n, k) * d for c, d in zip(total, poly_from_roots([k] * (n - 1)))]
+    assert all(c % 2**n == 0 for c in total)
+    return (0,) + tuple(c // 2**n for c in total)
+
+
+class TestClosedForms:
+    """chi against closed forms that share no code with the poset
+    (Stanley 2007, Lecture 5; Athanasiadis 1996)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_catalan(self, n):
+        # x_i - x_j in {-1, 0, 1}: t (t - n - 1) (t - n - 2) ... (t - 2n + 1).
+        arr = Arrangement(n, _pairs(n, (-1, 0, 1)))
+        assert char_poly(arr).coeffs == poly_from_roots([0] + list(range(n + 1, 2 * n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_shi(self, n):
+        # x_i - x_j in {0, 1}: t (t - n)^(n-1).
+        arr = Arrangement(n, _pairs(n, (0, 1)))
+        assert char_poly(arr).coeffs == poly_from_roots([0] + [n] * (n - 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_linial(self, n):
+        # x_i - x_j = 1.
+        arr = Arrangement(n, _pairs(n, (1,)))
+        assert char_poly(arr).coeffs == _linial_chi(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_type_b_shi(self, n):
+        # x_i = 0, 1 and x_i +- x_j = 0, 1: (t - 2n)^n.
+        coordinates = [hp(tuple(int(k == i) for k in range(n)), a) for i in range(n) for a in (0, 1)]
+        arr = Arrangement(n, coordinates + _pairs(n, (0, 1), signs=(-1, 1)))
+        assert char_poly(arr).coeffs == poly_from_roots([2 * n] * n)
 
 
 def padded(cp: CharPoly, width: int) -> tuple[int, ...]:

@@ -21,9 +21,7 @@ from levelarr.regions import (
     _digraph_level,
     _signed_edges,
     enumerate_regions,
-    feasible_sign_vectors,
     level_profile,
-    mcatalan_level_count,
 )
 
 
@@ -56,7 +54,7 @@ class TestEnumerateRegions:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
-    def test_matches_exhaustive_enumeration(self, example_a, example_b, grid_example):
+    def test_matches_exhaustive_enumeration(self, example_a, example_b, grid_example, feasible_sign_vectors):
         for arr in (example_a, example_b, grid_example, make_cox_b(2)):
             incremental = tuple(r.sign_vector for r in enumerate_regions(arr))
             assert incremental == feasible_sign_vectors(arr)
@@ -251,7 +249,7 @@ class TestLevelProfile:
 
 
 class TestExhaustiveOracle:
-    def test_matches_on_random_small_arrangements(self):
+    def test_matches_on_random_small_arrangements(self, feasible_sign_vectors):
         rng = random.Random(31)
         for _ in range(4):
             arr = random_deformation_a(2, rng)
@@ -264,7 +262,7 @@ class TestExhaustiveOracle:
                 feasible_sign_vectors(arr)
             )
 
-    def test_pruned_walk_equals_flat_enumeration(self, example_b, grid_example, strict_witness):
+    def test_pruned_walk_equals_flat_enumeration(self, example_b, grid_example, strict_witness, feasible_sign_vectors):
         # The prefix-pruned walk must coincide with testing all 2^m sign
         # vectors one by one, each as a fresh strict system.
         from itertools import product
@@ -320,24 +318,24 @@ class TestWitnessPins:
 
 
 class TestMCatalanFormula:
-    def test_small_values(self):
+    def test_small_values(self, mcatalan_level_count):
         assert mcatalan_level_count(2, 1, 1) == 2
         assert mcatalan_level_count(2, 1, 2) == 2
 
-    def test_formula_matches_enumeration(self):
+    def test_formula_matches_enumeration(self, mcatalan_level_count):
         for n, m in [(2, 1), (2, 2)]:
             profile = level_profile(make_m_catalan(n, m))
             for k in range(1, n + 1):
                 assert profile.counts[k] == mcatalan_level_count(n, m, k)
             assert profile.counts[0] == 0
 
-    def test_classical_catalan_top_level(self):
+    def test_classical_catalan_top_level(self, mcatalan_level_count):
         # n! * Catalan(n) regions in total for m = 1; level n count is n! * C(2n-... )
         assert mcatalan_level_count(3, 1, 3) == 6
         assert mcatalan_level_count(3, 1, 2) == 12
         assert mcatalan_level_count(3, 1, 1) == 12
 
-    def test_domain_checks(self):
+    def test_domain_checks(self, mcatalan_level_count):
         with pytest.raises(ValueError):
             mcatalan_level_count(2, 1, 0)
         with pytest.raises(ValueError):
