@@ -92,9 +92,6 @@ class Hyperplane:
     def __hash__(self) -> int:
         return hash((self.normal, self.offset))
 
-    def __lt__(self, other: "Hyperplane"):
-        return (self.normal, self.offset) < (other.normal, other.offset)
-
     def __repr__(self) -> str:
         terms = []
         for i, c in enumerate(self.normal):

@@ -107,6 +107,10 @@ def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntR
 
     Returns the new canonical system, or None when the equation already holds
     on the flat.  Raises _EmptyIntersection when it contradicts the system.
+
+    Only the tests' affine reference folds can contradict (the package folds
+    homogeneous rows); the raise keeps such a row, whose normal reduces to
+    zero, from reaching ``_pivot`` and escaping as a bare ``StopIteration``.
     """
     for r in rows:
         p = _pivot(r)

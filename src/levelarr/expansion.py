@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .arrangement import Arrangement, DegenerateDeformationError, Kind, is_nondegenerate
 from .poset import CharPoly, char_poly
@@ -54,24 +53,10 @@ class BinomialExpansion:
     basis: BasisKind
     coeffs: tuple[Fraction, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
-    def expanded(self) -> tuple[Fraction, ...]:
-        """Re-expand into ordinary (ascending) polynomial coefficients."""
-        out = [Fraction(0)] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, b in enumerate(basis_polynomial(self.basis, k)):
-                    out[i] += c * b
-        return tuple(out)
-
-
-def to_binomial_basis(p: Union[CharPoly, Sequence], kind: BasisKind) -> BinomialExpansion:
+def to_binomial_basis(p: CharPoly, kind: BasisKind) -> BinomialExpansion:
     """Exact change of basis by back-substitution from the top degree down."""
-    coeffs = list(p.coeffs) if isinstance(p, CharPoly) else list(p)
-    remaining = [Fraction(c) for c in coeffs]
+    remaining = [Fraction(c) for c in p.coeffs]
     n = len(remaining) - 1
     out = [Fraction(0)] * (n + 1)
     for k in range(n, -1, -1):

@@ -14,10 +14,10 @@ primes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .arrangement import Arrangement
-from .poset import CharPoly, char_poly
+from .poset import char_poly
 
 POINT_LIMIT = 10**7
 _CHUNK = 1 << 16
@@ -146,9 +146,7 @@ class PrimePlan:
 _SCAN_SLACK = 10
 
 
-def ff_oracle_check(
-    arr: Arrangement, num_primes: int = 2, chi: Optional[CharPoly] = None
-) -> PrimePlan:
+def ff_oracle_check(arr: Arrangement, num_primes: int = 2) -> PrimePlan:
     """Count complement points over admissible primes and compare to chi.
 
     Scans the smallest admissible primes (above twice the coefficient bound,
@@ -159,8 +157,7 @@ def ff_oracle_check(
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
-    if chi is None:
-        chi = char_poly(arr)
+    chi = char_poly(arr)
     primes: list[int] = []
     counts: list[int] = []
     values: list[int] = []

@@ -47,26 +47,13 @@ class Flat:
         return frozenset(_bits(self.mask))
 
 
-class IntersectionPoset:
-    """All flats of an arrangement, ordered by reverse inclusion.
+def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
+    """All flats of the arrangement with their Möbius values.
 
     The ambient space, the unique minimal element, is ``flats[0]``; flats
-    are stored in codimension-major order, by ascending mask within each
-    codimension, and x <= y exactly when ``x.containing <= y.containing``.
-    """
-
-    def __init__(self, flats: tuple[Flat, ...]):
-        self.flats = flats
-
-    def __len__(self) -> int:
-        return len(self.flats)
-
-    def __iter__(self):
-        return iter(self.flats)
-
-
-def build_poset(arr: Arrangement) -> IntersectionPoset:
-    """Construct the intersection poset with Möbius values.
+    come in codimension-major order, by ascending mask within each
+    codimension, and x <= y in the poset (reverse inclusion) exactly when
+    ``x.containing <= y.containing``.
 
     BFS over codimension levels.  A flat Y groups the hyperplanes H outside
     cont(Y) by their residual: the unique primitive row in H + rowspace(Y)
@@ -155,7 +142,7 @@ def build_poset(arr: Arrangement) -> IntersectionPoset:
                 else:
                     child[0] |= below
         level = sorted(children.items(), reverse=True)
-    return IntersectionPoset(tuple(flats))
+    return tuple(flats)
 
 
 def _bits(x: int):

@@ -2,9 +2,11 @@
 
 Regions are produced by incremental insertion: hyperplanes are added one at a
 time and every region whose interior meets the new hyperplane is split in
-two.  Each region carries a sign vector over the hyperplanes, an exact
-rational interior witness, and its level.  During the walk a witness is an
-integer point ``(X_1, ..., X_n, L)`` meaning ``X / L`` (see
+two, + side first, so the walk emits regions in sign order and nothing is
+sorted afterwards.  Each region carries a sign vector over the hyperplanes,
+an exact rational interior witness, and its level; its constraint rows are
+read off the sign vector rather than stored.  During the walk a witness is
+an integer point ``(X_1, ..., X_n, L)`` meaning ``X / L`` (see
 ``exactmath._feasible_system``), so the side of a hyperplane is one integer
 dot product; it becomes a tuple of ``Fraction``s once, in the final
 ``Region``.
@@ -52,22 +54,6 @@ class LevelProfile:
     """Region counts by level: ``counts[k]`` regions have level k."""
 
     counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def nonzero(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, c) for k, c in enumerate(self.counts) if c)
-
-
-def _strict_row(h_row: tuple[int, ...], sign: int) -> tuple[int, ...]:
-    return h_row if sign > 0 else tuple(-c for c in h_row)
-
-
-def _sign_key(signs: Sequence[int]) -> tuple[int, ...]:
-    # lexicographic with + before -
-    return tuple(0 if s > 0 else 1 for s in signs)
 
 
 def _signed_edges(arr: Arrangement) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
@@ -120,41 +106,27 @@ def _digraph_level(edges, signs: Sequence[int], n: int) -> int:
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """All regions of the arrangement, sorted by sign vector (+ before -).
 
-    Incremental insertion: when hyperplane H arrives, a region's witness
-    settles the side it lies on for free; only the opposite side needs a
-    split test.  That test starts the simplex at the region's own witness,
-    which is strictly inside every old constraint, so it needs no phase 1;
-    when the region splits, the new side gets a witness between the old one
-    and the point the simplex reached.  The root region (no constraints) is
-    the whole space, with the origin as its witness.
+    Incremental insertion: when hyperplane H arrives, each region tries its
+    + side, then its - side, so the walk stays in sign order without a sort.
+    A side the witness lies on keeps it; the other side needs a split test
+    against the rows read off the region's sign vector.  The test starts the
+    simplex at the witness, strictly inside every old row, so it needs no
+    phase 1; a new side gets a witness between the old one and the point the
+    simplex reached.  The root region is the whole space, witness the origin.
     """
     n = arr.dim
+    signed = [(h.row, tuple(-c for c in h.row)) for h in arr.hyperplanes]
 
-    # (signs, integer witness point, strict integer rows of the region's constraints)
-    origin = (0,) * n + (1,)
-    live: list[tuple[list[int], IntPoint, list[tuple[int, ...]]]] = [([], origin, [])]
-    for h in arr.hyperplanes:
+    # (signs, integer witness point), in sign order
+    live: list[tuple[list[int], IntPoint]] = [([], (0,) * n + (1,))]
+    for plus, minus in signed:
         updated = []
-        for signs, witness, rows in live:
-            value = _slack(h.row, witness)
-            sides: list[int]
-            if value > 0:
-                sides = [1, -1]
-                keep_witness = 1
-            elif value < 0:
-                sides = [-1, 1]
-                keep_witness = -1
-            else:
-                sides = [1, -1]
-                keep_witness = 0
-            for side in sides:
-                srow = _strict_row(h.row, side)
-                if side == keep_witness:
-                    updated.append((signs + [side], witness, rows + [srow]))
-                    continue
-                w = _feasible_system(rows, witness, srow)
+        for signs, witness in live:
+            rows = [pm[s < 0] for pm, s in zip(signed, signs)]
+            for side, srow in ((1, plus), (-1, minus)):
+                w = witness if _slack(srow, witness) > 0 else _feasible_system(rows, witness, srow)
                 if w is not None:
-                    updated.append((signs + [side], w, rows + [srow]))
+                    updated.append((signs + [side], w))
         live = updated
 
     if arr.kind is Kind.TYPE_B:
@@ -166,11 +138,10 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
         def level(signs):
             return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n)
 
-    regions = []
-    for signs, (*x, scale), _ in live:
-        regions.append(Region(tuple(signs), tuple(Fraction(v, scale) for v in x), level(signs)))
-    regions.sort(key=lambda r: _sign_key(r.sign_vector))
-    return tuple(regions)
+    return tuple(
+        Region(tuple(signs), tuple(Fraction(v, scale) for v in x), level(signs))
+        for signs, (*x, scale) in live
+    )
 
 
 def level_profile(arr: Arrangement) -> LevelProfile:

@@ -5,11 +5,19 @@ import pytest
 
 from levelarr.arrangement import Arrangement, Hyperplane
 from levelarr.exactmath import _EmptyIntersection, _feasible_system, _int_row, _pivot, _reduce, as_scalar, as_vector
-from levelarr.regions import _sign_key, _strict_row
 
 
 def hp(normal, offset=0) -> Hyperplane:
     return Hyperplane(normal, offset)
+
+
+def _strict_row(h_row: tuple[int, ...], sign: int) -> tuple[int, ...]:
+    return h_row if sign > 0 else tuple(-c for c in h_row)
+
+
+def _sign_key(signs) -> tuple[int, ...]:
+    # lexicographic with + before -
+    return tuple(0 if s > 0 else 1 for s in signs)
 
 
 @pytest.fixture(scope="session")

@@ -223,7 +223,7 @@ def test_criterion_7_oracle_triangulation(all_criteria_arrangements, feasible_si
         # concurrent flats and disagree legitimately, so the oracle scans
         # past them; a wrong polynomial would never collect two consecutive
         # agreements.
-        plan = ff_oracle_check(arr, FF_AGREEMENTS_REQUIRED, chi=chi)
+        plan = ff_oracle_check(arr, FF_AGREEMENTS_REQUIRED)
         assert plan.agree, (name, plan)
         agreeing = sum(1 for _, c, v in plan.rows() if c == v)
         assert agreeing >= FF_AGREEMENTS_REQUIRED, name

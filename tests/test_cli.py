@@ -337,7 +337,13 @@ class TestRender:
 
 
 class TestOutputPins:
-    """Poset-backed JSON output is pinned byte for byte: a change here must be deliberate."""
+    """CLI output is pinned byte for byte: a change here must be deliberate.
+
+    The poset backs ``chi`` and the deletion-restriction and finite-field
+    checks; region enumeration backs ``levels``, the A, B and Zaslavsky
+    checks and ``render``, so these pins also fix sign vectors, witnesses,
+    levels and region order.
+    """
 
     @pytest.mark.parametrize(
         "make, argv, digest",
@@ -351,9 +357,29 @@ class TestOutputPins:
             pytest.param(lambda: make_cox_b(3), ("chi",), "3684271ec4036a796181d190cd2827fe4d1b685dc6fb587c26615f72188b09af", id="cox_b3-chi"),
             pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=deletion-restriction"), "82b58436140413c8c71e38b3527ced4dad05c871f9ccd80d83428befd1f9febe", id="cox_b3-deletion_restriction"),
             pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", id="cox_b3-ff"),
+            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels", "--regions"), "d714fcff671cd74ace59c2aa4810b24bbde415942977e8fd61d6843d091b3b25", id="random_a4_seed7-levels_regions"),
+            pytest.param(lambda: make_cox_b(3), ("levels", "--regions"), "39f25b9a923f81d8f9cca91a1949ba6d9d133ab017ae50c9f49a13cef128243d", id="cox_b3-levels_regions"),
+            pytest.param(lambda: make_m_catalan(3, 1), ("levels", "--regions"), "9a10b7f7e265a60b11afd87f6fc06a526b917b91a58459052783a4492739e9b3", id="m_catalan_3_1-levels_regions"),
+            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=A"), "2cf82c6a61b2d58c2bcb912005a30e63f6a9a25c40601ed3ed9f2a3844d88931", id="random_a4_seed7-A"),
+            pytest.param(lambda: make_m_catalan(3, 1), ("verify", "--theorem=A"), "1858e2092bc0351dbc686b9ba9fc07efe4c9629166c24221c575891bced4eeff", id="m_catalan_3_1-A"),
+            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=B"), "5c6bbb5314cce6168bdc93834d61282e0f4fd50196a0cb85880371ff32438978", id="cox_b3-B"),
+            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=zaslavsky"), "38a6bdcaee27939a6c6e9f0a41d120a5815625f2cdc20da7db586d9189c2d887", id="random_a4_seed7-zaslavsky"),
+            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=zaslavsky"), "25adabda9b77027ecfa9d80c3569224d16f645546aca7d9ec8fc42c9fe6a1a51", id="cox_b3-zaslavsky"),
         ],
     )
     def test_json_digest(self, capsys, doc_path, make, argv, digest):
         code, out, _ = run(capsys, argv[0], doc_path(make()), *argv[1:], "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            pytest.param(lambda example_a: example_a, "18adfb437876aa1b047883a35115366340baeeeb5586532bed4fd57390f48adc", id="example_a"),
+            pytest.param(lambda _: make_m_catalan(3, 1), "4fb1388ef44147e4c1819a6ca8569caed4be39037131ce9f592e8d02cfef765a", id="m_catalan_3_1"),
+        ],
+    )
+    def test_render_digest(self, capsys, doc_path, example_a, make, digest):
+        code, out, _ = run(capsys, "render", doc_path(make(example_a)), "--output", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

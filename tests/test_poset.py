@@ -101,7 +101,7 @@ class TestBuildPoset:
             poset = build_poset(arr)
             for x in poset:
                 total = sum(y.mobius for y in poset if y.containing <= x.containing)
-                assert total == (1 if x is poset.flats[0] else 0)
+                assert total == (1 if x is poset[0] else 0)
 
     def test_mobius_alternation(self, example_a, grid_example):
         for arr in (example_a, grid_example, make_cox_b(3)):
@@ -191,7 +191,7 @@ class TestGroupedResiduals:
     @given(_arrangements())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_pair_reference(self, arr):
-        flats = build_poset(arr).flats
+        flats = build_poset(arr)
         assert keyed(arr, flats) == reference_flats(arr)
         # Codimension-major, ascending mask within a codimension.
         order = [(f.codim, f.mask) for f in flats]

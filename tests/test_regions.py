@@ -29,6 +29,21 @@ def hp(normal, offset=0):
     return Hyperplane(normal, offset)
 
 
+def general_r4() -> Arrangement:
+    # A seeded general arrangement in R^4, 12 distinct hyperplanes with
+    # normals in [-2, 2]^4 and offsets k/8 in [-3, 3].  R^4 is where a
+    # Fourier-Motzkin split test can build a million rows; the simplex
+    # split test has no such cliff.
+    rng = random.Random(5)
+    planes = {}
+    while len(planes) < 12:
+        normal = tuple(rng.randint(-2, 2) for _ in range(4))
+        if any(normal):
+            h = hp(normal, Fraction(rng.randint(-24, 24), 8))
+            planes.setdefault(h.row, h)
+    return Arrangement(4, list(planes.values()))
+
+
 class TestEnumerateRegions:
     def test_empty_arrangement(self):
         regions = enumerate_regions(Arrangement(2, []))
@@ -49,10 +64,21 @@ class TestEnumerateRegions:
                     assert s * side(h, region.witness) > 0
 
     def test_output_sorted_and_unique(self, example_a):
-        regions = enumerate_regions(example_a)
-        keys = [tuple(0 if s > 0 else 1 for s in r.sign_vector) for r in regions]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        # The walk emits regions in sign order; nothing sorts them.
+        # make_cox_a(3) is central: the root's witness, the origin, lies on
+        # the first hyperplane, so both of its sides take a split test.
+        for arr in (
+            example_a,
+            make_cox_a(3),
+            make_cox_b(3),
+            general_r4(),
+            random_deformation_a(4, random.Random(7), 2),
+            random_deformation_b(3, random.Random(3), 2),
+        ):
+            regions = enumerate_regions(arr)
+            keys = [tuple(0 if s > 0 else 1 for s in r.sign_vector) for r in regions]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
 
     def test_matches_exhaustive_enumeration(self, example_a, example_b, grid_example, feasible_sign_vectors):
         for arr in (example_a, example_b, grid_example, make_cox_b(2)):
@@ -68,18 +94,7 @@ class TestEnumerateRegions:
 
 class TestGeneralR4:
     def test_twelve_planes(self, side):
-        # A seeded general arrangement in R^4, 12 distinct hyperplanes with
-        # normals in [-2, 2]^4 and offsets k/8 in [-3, 3].  R^4 is where a
-        # Fourier-Motzkin split test can build a million rows; the simplex
-        # split test has no such cliff.
-        rng = random.Random(5)
-        planes = {}
-        while len(planes) < 12:
-            normal = tuple(rng.randint(-2, 2) for _ in range(4))
-            if any(normal):
-                h = hp(normal, Fraction(rng.randint(-24, 24), 8))
-                planes.setdefault(h.row, h)
-        arr = Arrangement(4, list(planes.values()))
+        arr = general_r4()
         regions = enumerate_regions(arr)
         assert len(regions) == (-1) ** arr.dim * char_poly(arr).evaluate(-1) == 722
         for region in regions:
@@ -197,8 +212,7 @@ class TestLevelProfile:
     def test_worked_example_b(self, example_b):
         profile = level_profile(example_b)
         assert profile.counts == (2, 0, 8)
-        assert profile.total == 10
-        assert profile.nonzero() == ((0, 2), (2, 8))
+        assert sum(profile.counts) == 10
 
     def test_grid_example(self, grid_example):
         assert level_profile(grid_example).counts == (1, 2, 6)
@@ -219,7 +233,7 @@ class TestLevelProfile:
         for k in range(2, n + 1):
             count *= k
         assert profile.counts[n] == count
-        assert profile.total == count
+        assert sum(profile.counts) == count
 
     def test_parallel_addition_splits_levels(self):
         # Adding one parallel hyperplane H0: the new region count at each
