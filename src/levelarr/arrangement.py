@@ -5,7 +5,9 @@ nonzero entry positive) so that equality and parallelism are plain tuple
 comparisons.  Arrangements carry a derived kind tag that records whether they
 are non-degenerate deformations of the type A or type B Coxeter arrangement;
 the tag is always recomputed from the hyperplane list, so deleting the last
-hyperplane of a direction class downgrades the tag automatically.
+hyperplane of a direction class downgrades the tag automatically.  One table
+of Coxeter direction classes, ``_coxeter_forms``, backs the generators, the
+tag and the non-degeneracy reports.
 """
 
 from __future__ import annotations
@@ -159,59 +161,38 @@ class Arrangement:
 # ---------------------------------------------------------------------------
 
 
-def _coord_normal(dim: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else 0 for k in range(dim))
+def _coxeter_forms(kind: Kind, dim: int) -> tuple:
+    """Direction classes of the Coxeter arrangement of ``kind`` in R^dim.
+
+    Each class is a ``Hyperplane.form()`` value, listed in report order:
+    type A has ("diff", i, j) for each pair i < j; type B has every
+    ("coord", i), then ("diff", i, j) and ("sum", i, j) for each pair.
+    """
+    pairs = combinations(range(dim), 2)
+    if kind == Kind.TYPE_A:
+        return tuple(("diff", i, j) for i, j in pairs)
+    coords = tuple(("coord", i) for i in range(dim))
+    return coords + tuple(f for i, j in pairs for f in (("diff", i, j), ("sum", i, j)))
 
 
-def _pair_normal(dim: int, i: int, j: int, sign: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else (sign if k == j else 0) for k in range(dim))
-
-
-def _type_a_missing(dim: int, planes: Sequence[Hyperplane]):
-    forms = [h.form() for h in planes]
-    foreign = tuple(
-        idx for idx, f in enumerate(forms) if f is None or f[0] != "diff"
-    )
-    present = {(f[1], f[2]) for f in forms if f is not None and f[0] == "diff"}
-    missing = tuple(
-        (i + 1, j + 1)
-        for i, j in combinations(range(dim), 2)
-        if (i, j) not in present
-    )
-    return missing, foreign
-
-
-def _type_b_missing(dim: int, planes: Sequence[Hyperplane]):
-    forms = [h.form() for h in planes]
-    foreign = tuple(idx for idx, f in enumerate(forms) if f is None)
-    coords = {f[1] for f in forms if f is not None and f[0] == "coord"}
-    diffs = {(f[1], f[2]) for f in forms if f is not None and f[0] == "diff"}
-    sums = {(f[1], f[2]) for f in forms if f is not None and f[0] == "sum"}
-    missing: list[tuple] = []
-    for i in range(dim):
-        if i not in coords:
-            missing.append(("x", i + 1))
-    for i, j in combinations(range(dim), 2):
-        if (i, j) not in diffs:
-            missing.append(("diff", i + 1, j + 1))
-        if (i, j) not in sums:
-            missing.append(("sum", i + 1, j + 1))
-    return tuple(missing), foreign
-
-
-def _classify(dim: int, planes: Sequence[Hyperplane]) -> Kind:
-    missing_a, foreign_a = _type_a_missing(dim, planes)
-    if not missing_a and not foreign_a:
-        return Kind.TYPE_A
-    missing_b, foreign_b = _type_b_missing(dim, planes)
-    if not missing_b and not foreign_b:
-        return Kind.TYPE_B
-    return Kind.GENERAL
+def _form_normal(dim: int, form: tuple) -> tuple[int, ...]:
+    """The primitive normal of a Coxeter form: the inverse of ``Hyperplane.form()``."""
+    normal = [0] * dim
+    normal[form[1]] = 1
+    if form[0] != "coord":
+        normal[form[2]] = -1 if form[0] == "diff" else 1
+    return tuple(normal)
 
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    """Outcome of a non-degeneracy check against an expected deformation kind."""
+    """Outcome of a non-degeneracy check against an expected deformation kind.
+
+    ``missing`` names each unpopulated direction class with 1-based indices:
+    ("x", i) for x_i, ("diff", i, j) for x_i - x_j, ("sum", i, j) for
+    x_i + x_j.  ``foreign`` holds the indices of hyperplanes of any other
+    direction.
+    """
 
     ok: bool
     missing: tuple
@@ -222,25 +203,35 @@ class NondegeneracyReport:
             return "non-degenerate"
         parts = []
         if self.missing:
-            rendered = ", ".join(_describe_direction(m) for m in self.missing)
+            rendered = ", ".join(
+                ("-" if tag == "diff" else "+").join(f"x{i}" for i in idx)
+                for tag, *idx in self.missing
+            )
             parts.append(f"missing direction {rendered}")
         if self.foreign:
             parts.append(f"hyperplanes of foreign direction at indices {list(self.foreign)}")
         return "degenerate: " + "; ".join(parts)
 
 
-def _describe_direction(entry) -> str:
-    """Name a missing direction: x_i, x_i-x_j or x_i+x_j.
+def _nondegeneracy(kind: Kind, dim: int, planes: Sequence[Hyperplane]) -> NondegeneracyReport:
+    """Report the table's forms no hyperplane has and the hyperplanes off the table."""
+    table = _coxeter_forms(kind, dim)
+    forms = [h.form() for h in planes]
+    known, present = set(table), set(forms)
+    foreign = tuple(idx for idx, f in enumerate(forms) if f not in known)
+    missing = tuple(
+        ("x" if f[0] == "coord" else f[0], *(i + 1 for i in f[1:]))
+        for f in table
+        if f not in present
+    )
+    return NondegeneracyReport(not missing and not foreign, missing, foreign)
 
-    Type B tags its entries ("x", i), ("diff", i, j) or ("sum", i, j); type
-    A's are bare pairs (i, j) of x_i - x_j.
-    """
-    if entry[0] == "x":
-        return f"x{entry[1]}"
-    if entry[0] == "sum":
-        return f"x{entry[1]}+x{entry[2]}"
-    i, j = entry[-2:]
-    return f"x{i}-x{j}"
+
+def _classify(dim: int, planes: Sequence[Hyperplane]) -> Kind:
+    for kind in (Kind.TYPE_A, Kind.TYPE_B):
+        if _nondegeneracy(kind, dim, planes).ok:
+            return kind
+    return Kind.GENERAL
 
 
 def is_nondegenerate(arr: Arrangement, kind: Kind) -> NondegeneracyReport:
@@ -250,13 +241,9 @@ def is_nondegenerate(arr: Arrangement, kind: Kind) -> NondegeneracyReport:
     no hyperplane of any other direction; type B additionally requires every
     coordinate and sum direction.
     """
-    if kind == Kind.TYPE_A:
-        missing, foreign = _type_a_missing(arr.dim, arr.hyperplanes)
-    elif kind == Kind.TYPE_B:
-        missing, foreign = _type_b_missing(arr.dim, arr.hyperplanes)
-    else:
+    if kind not in (Kind.TYPE_A, Kind.TYPE_B):
         raise ValueError("expected kind typeA or typeB")
-    return NondegeneracyReport(not missing and not foreign, missing, foreign)
+    return _nondegeneracy(kind, arr.dim, arr.hyperplanes)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +255,46 @@ def make_cox_a(n: int) -> Arrangement:
     """Type A Coxeter arrangement: x_i - x_j = 0 for all 1 <= i < j <= n."""
     if n < 2:
         raise ValueError("type A Coxeter arrangement needs n >= 2")
-    planes = [
-        Hyperplane(_pair_normal(n, i, j, -1), 0)
-        for i, j in combinations(range(n), 2)
-    ]
-    return Arrangement(n, planes)
+    return Arrangement(n, [Hyperplane(_form_normal(n, f), 0) for f in _coxeter_forms(Kind.TYPE_A, n)])
 
 
 def make_cox_b(n: int) -> Arrangement:
     """Type B Coxeter arrangement: x_i = 0, x_i - x_j = 0 and x_i + x_j = 0."""
     if n < 1:
         raise ValueError("type B Coxeter arrangement needs n >= 1")
-    planes = [Hyperplane(_coord_normal(n, i), 0) for i in range(n)]
-    for i, j in combinations(range(n), 2):
-        planes.append(Hyperplane(_pair_normal(n, i, j, -1), 0))
-        planes.append(Hyperplane(_pair_normal(n, i, j, 1), 0))
+    return Arrangement(n, [Hyperplane(_form_normal(n, f), 0) for f in _coxeter_forms(Kind.TYPE_B, n)])
+
+
+def _deformation(n: int, families) -> Arrangement:
+    """Deformation from offset families ``(name, tag, offsets)``.
+
+    ``offsets`` maps every 1-based key of the forms tagged ``tag`` (i for
+    ("coord", i - 1), (i, j) for a pair form) to the nonempty list of
+    distinct offsets of that direction.  Planes come family by family, each
+    family in table order.
+    """
+    forms = _coxeter_forms(Kind.TYPE_B, n)
+    keyed = []
+    for name, tag, mapping in families:
+        keys = {(f[1] + 1 if tag == "coord" else (f[1] + 1, f[2] + 1)): f for f in forms if f[0] == tag}
+        extra = set(mapping) - set(keys)
+        if extra:
+            raise ValueError(f"{name} keys out of range: {sorted(extra)}")
+        missing = tuple(k for k in keys if k not in mapping)
+        if missing:
+            raise DegenerateDeformationError(f"{name} missing entries {list(missing)}", missing)
+        keyed.append((name, mapping, keys))
+    planes = []
+    for name, mapping, keys in keyed:
+        for key, form in keys.items():
+            offsets = [as_scalar(v) for v in mapping[key]]
+            if not offsets:
+                raise DegenerateDeformationError(f"{name} has an empty offset list at {key}")
+            if len(set(offsets)) != len(offsets):
+                raise ValueError(f"{name} has a duplicate offset at {key}")
+            normal = _form_normal(n, form)
+            planes.extend(Hyperplane(normal, a) for a in offsets)
     return Arrangement(n, planes)
-
-
-def _validated_offsets(values, what: str) -> list[Fraction]:
-    offsets = [as_scalar(v) for v in values]
-    if not offsets:
-        raise DegenerateDeformationError(f"empty offset list for {what}")
-    if len(set(offsets)) != len(offsets):
-        raise ValueError(f"duplicate offset in {what}")
-    return offsets
 
 
 def make_deformation_a(n: int, offsets: dict) -> Arrangement:
@@ -304,20 +306,7 @@ def make_deformation_a(n: int, offsets: dict) -> Arrangement:
     """
     if n < 2:
         raise ValueError("type A deformation needs n >= 2")
-    required = [(i + 1, j + 1) for i, j in combinations(range(n), 2)]
-    extra = set(offsets) - set(required)
-    if extra:
-        raise ValueError(f"offset keys outside 1 <= i < j <= {n}: {sorted(extra)}")
-    missing = tuple(p for p in required if p not in offsets)
-    if missing:
-        raise DegenerateDeformationError(
-            f"missing offset list for pair(s) {list(missing)}", missing
-        )
-    planes = []
-    for i, j in required:
-        for a in _validated_offsets(offsets[(i, j)], f"pair ({i}, {j})"):
-            planes.append(Hyperplane(_pair_normal(n, i - 1, j - 1, -1), a))
-    return Arrangement(n, planes)
+    return _deformation(n, [("offsets", "diff", offsets)])
 
 
 def make_deformation_b(
@@ -332,31 +321,11 @@ def make_deformation_b(
     """
     if n < 1:
         raise ValueError("type B deformation needs n >= 1")
-    pairs = [(i + 1, j + 1) for i, j in combinations(range(n), 2)]
-    for name, mapping, required in (
-        ("x_offsets", x_offsets, [i + 1 for i in range(n)]),
-        ("diff_offsets", diff_offsets, pairs),
-        ("sum_offsets", sum_offsets, pairs),
-    ):
-        extra = set(mapping) - set(required)
-        if extra:
-            raise ValueError(f"{name} keys out of range: {sorted(extra)}")
-        missing = tuple(k for k in required if k not in mapping)
-        if missing:
-            raise DegenerateDeformationError(
-                f"{name} missing entries {list(missing)}", missing
-            )
-    planes = []
-    for i in range(1, n + 1):
-        for a in _validated_offsets(x_offsets[i], f"x{i}"):
-            planes.append(Hyperplane(_coord_normal(n, i - 1), a))
-    for i, j in pairs:
-        for b in _validated_offsets(diff_offsets[(i, j)], f"x{i}-x{j}"):
-            planes.append(Hyperplane(_pair_normal(n, i - 1, j - 1, -1), b))
-    for i, j in pairs:
-        for c in _validated_offsets(sum_offsets[(i, j)], f"x{i}+x{j}"):
-            planes.append(Hyperplane(_pair_normal(n, i - 1, j - 1, 1), c))
-    return Arrangement(n, planes)
+    return _deformation(n, [
+        ("x_offsets", "coord", x_offsets),
+        ("diff_offsets", "diff", diff_offsets),
+        ("sum_offsets", "sum", sum_offsets),
+    ])
 
 
 def make_catalan_type(n: int, values: Sequence, with_zero: bool = True) -> Arrangement:
@@ -374,15 +343,8 @@ def make_catalan_type(n: int, values: Sequence, with_zero: bool = True) -> Arran
         raise ValueError("offset values must be positive")
     if any(a <= b for a, b in zip(vals, vals[1:])):
         raise ValueError("offset values must be strictly decreasing")
-    planes = []
-    for i, j in combinations(range(n), 2):
-        normal = _pair_normal(n, i, j, -1)
-        if with_zero:
-            planes.append(Hyperplane(normal, 0))
-        for a in vals:
-            planes.append(Hyperplane(normal, a))
-            planes.append(Hyperplane(normal, -a))
-    return Arrangement(n, planes)
+    offsets = ([Fraction(0)] if with_zero else []) + [c for a in vals for c in (a, -a)]
+    return make_deformation_a(n, {p: offsets for p in combinations(range(1, n + 1), 2)})
 
 
 def make_m_catalan(n: int, m: int) -> Arrangement:

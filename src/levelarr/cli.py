@@ -75,11 +75,7 @@ def _write_output(text: str, output: Optional[str]) -> None:
             raise DocumentError(f"cannot write {output}: {exc}") from None
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def format_expansion(coeffs: Sequence[Fraction], basis: BasisKind) -> str:
+def format_expansion(coeffs: Sequence[int], basis: BasisKind) -> str:
     """Human form like ``6*C(t,3) - 4*C(t,2) + 2*C(t,1)``."""
     arg = "t" if basis == BasisKind.STANDARD else "(t-1)/2"
     terms = []
@@ -88,7 +84,7 @@ def format_expansion(coeffs: Sequence[Fraction], basis: BasisKind) -> str:
         if c == 0:
             continue
         mag = abs(c)
-        body = f"C({arg},{k})" if mag == 1 else f"{_coeff_str(mag)}*C({arg},{k})"
+        body = f"C({arg},{k})" if mag == 1 else f"{mag}*C({arg},{k})"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")
         else:
@@ -149,16 +145,10 @@ def cmd_levels(args) -> int:
     lines.append(f"total: {len(regions)}")
     if args.regions:
         for r in regions:
-            witness = ", ".join(_coeff_str(x) for x in r.witness)
+            witness = ", ".join(map(str, r.witness))
             lines.append(f"region {r.sign_string()} level {r.level} witness ({witness})")
     _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
-
-
-def _verify_expansion_report(arr, theorem: str):
-    if theorem == "A":
-        return verify_type_a_expansion(arr)
-    return verify_type_b_expansion(arr)
 
 
 def cmd_verify(args) -> int:
@@ -170,14 +160,14 @@ def cmd_verify(args) -> int:
     ok = True
 
     if theorem in ("A", "B"):
-        report = _verify_expansion_report(arr, theorem)
+        report = (verify_type_a_expansion if theorem == "A" else verify_type_b_expansion)(arr)
         lines.append(f"type {theorem} level expansion check")
         lines.append(f"chi = {report.chi}")
         rows_payload = []
         for row in report.rows:
             status = "ok" if row.ok else "MISMATCH"
             lines.append(
-                f"  level {row.level}: coefficient {_coeff_str(row.coefficient)}, "
+                f"  level {row.level}: coefficient {row.coefficient}, "
                 f"signed count {row.signed_count}, regions {row.region_count}  [{status}]"
             )
             rows_payload.append(

@@ -91,6 +91,8 @@ def parse_document(doc: dict) -> ParsedDocument:
         arr = Arrangement(dim, planes)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
+    if kind is not None and kind != arr.kind.value:
+        raise DocumentError(f"kind: declared {kind}, but the hyperplanes form a {arr.kind.value} arrangement")
     return ParsedDocument(arr, labels)
 
 

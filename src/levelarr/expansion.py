@@ -6,18 +6,18 @@ falling-binomial basis:
 * standard:      C(t, k) = t (t-1) ... (t-k+1) / k!
 * shifted half:  C((t-1)/2, k) = (t-1)(t-3)...(t-1-2(k-1)) / (2^k k!)
 
-Both bases are triangular (the degree-k element has degree exactly k), so the
-coefficients come out of an exact back-substitution.  The validators compare
-those coefficients against region counts by level, computed by a completely
-separate code path (poset Möbius sums on one side, incremental region
-enumeration plus recession cones on the other).
+Both are C(s, k) with s = t or s = (t-1)/2, so by Newton's forward-difference
+formula c_k is the k-th forward difference at s = 0 of p(s) or p(2s + 1): an
+exact integer.  The validators compare those coefficients against region
+counts by level, computed by a completely separate code path (poset Möbius
+sums on one side, incremental region enumeration plus recession cones on the
+other).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .arrangement import Arrangement, DegenerateDeformationError, Kind, is_nondegenerate
 from .poset import CharPoly, char_poly
@@ -29,46 +29,23 @@ class BasisKind(str, Enum):
     SHIFTED_HALF = "shifted_half"
 
 
-def basis_polynomial(kind: BasisKind, k: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the degree-k basis polynomial in t."""
-    coeffs = [Fraction(1)]
-    for j in range(k):
-        if kind == BasisKind.STANDARD:
-            root, scale = Fraction(j), Fraction(j + 1)
-        else:
-            root, scale = Fraction(1 + 2 * j), Fraction(2 * (j + 1))
-        # multiply by (t - root) / scale
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c / scale
-            nxt[i] -= c * root / scale
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class BinomialExpansion:
     """Coefficients c_0..c_n with p(t) = sum_k c_k * basis_k(t), exactly."""
 
     basis: BasisKind
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
 
 def to_binomial_basis(p: CharPoly, kind: BasisKind) -> BinomialExpansion:
-    """Exact change of basis by back-substitution from the top degree down."""
-    remaining = [Fraction(c) for c in p.coeffs]
-    n = len(remaining) - 1
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n, -1, -1):
-        basis = basis_polynomial(kind, k)
-        c = remaining[k] / basis[k]
-        out[k] = c
-        if c:
-            for i, b in enumerate(basis):
-                remaining[i] -= c * b
-    if any(remaining):
-        raise ArithmeticError("basis conversion left a nonzero remainder")
-    return BinomialExpansion(kind, tuple(out))
+    """Exact change of basis by forward differences (see the module docstring)."""
+    shifted = kind == BasisKind.SHIFTED_HALF
+    values = [p.evaluate(2 * s + 1 if shifted else s) for s in range(len(p.coeffs))]
+    coeffs = []
+    while values:
+        coeffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return BinomialExpansion(kind, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +58,7 @@ class ExpansionRow:
     """One level's comparison: expansion coefficient vs signed region count."""
 
     level: int
-    coefficient: Fraction
+    coefficient: int
     signed_count: int
     region_count: int
 

@@ -41,11 +41,6 @@ class Flat:
     mask: int
     mobius: int
 
-    @property
-    def containing(self) -> frozenset[int]:
-        """The indices of the hyperplanes that contain the flat."""
-        return frozenset(_bits(self.mask))
-
 
 def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     """All flats of the arrangement with their Möbius values.
@@ -53,7 +48,7 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     The ambient space, the unique minimal element, is ``flats[0]``; flats
     come in codimension-major order, by ascending mask within each
     codimension, and x <= y in the poset (reverse inclusion) exactly when
-    ``x.containing <= y.containing``.
+    ``x.mask & ~y.mask == 0``.
 
     BFS over codimension levels.  A flat Y groups the hyperplanes H outside
     cont(Y) by their residual: the unique primitive row in H + rowspace(Y)

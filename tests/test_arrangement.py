@@ -169,7 +169,7 @@ class TestNondegeneracy:
         arr = Arrangement(3, [hp((0, 1, -1), 0), hp((1, 0, -1), 0)])
         report = is_nondegenerate(arr, Kind.TYPE_A)
         assert not report.ok
-        assert report.missing == ((1, 2),)
+        assert report.missing == (("diff", 1, 2),)
         assert "missing direction" in report.explanation()
 
     def test_semiorder_is_nondegenerate(self):
@@ -189,6 +189,18 @@ class TestNondegeneracy:
         report = is_nondegenerate(arr, Kind.TYPE_B)
         assert not report.ok
         assert ("x", 1) in report.missing
+
+    def test_type_b_report_names_directions_in_table_order(self):
+        # cox_b(3) lists x1, x2, x3, x1-x2, x1+x2, x1-x3, x1+x3, x2-x3, x2+x3.
+        b3 = make_cox_b(3)
+        arr = Arrangement(3, [h for i, h in enumerate(b3) if i not in (1, 4, 5)])
+        report = is_nondegenerate(arr, Kind.TYPE_B)
+        assert report.missing == (("x", 2), ("sum", 1, 2), ("diff", 1, 3))
+        assert is_nondegenerate(arr, Kind.TYPE_A).foreign == (0, 1, 3, 5)
+
+    def test_general_kind_is_refused(self, example_a):
+        with pytest.raises(ValueError, match="typeA or typeB"):
+            is_nondegenerate(example_a, Kind.GENERAL)
 
 
 class TestDelete:

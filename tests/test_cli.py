@@ -12,7 +12,7 @@ from xml.dom import minidom
 import pytest
 
 import levelarr
-from levelarr.arrangement import make_cox_b, make_m_catalan, random_deformation_a
+from levelarr.arrangement import Arrangement, delete, make_cox_b, make_m_catalan, random_deformation_a
 from levelarr.cli import main
 from levelarr.document import document_of, dumps_document, loads_document
 
@@ -120,6 +120,13 @@ class TestLevels:
         code, out, _ = run(capsys, "levels", doc_path(make_cox_b(2)))
         assert code == 0
         assert out.splitlines() == ["level 2: 8", "total: 8"]
+
+    def test_declared_kind_mismatch_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "mislabelled.json"
+        path.write_text(json.dumps({"ambient_dim": 2, "hyperplanes": [{"normal": [1, -1]}], "kind": "typeB"}))
+        code, out, err = run(capsys, "levels", str(path))
+        assert (code, out) == (2, "")
+        assert "typeB" in err and "typeA" in err
 
     def test_region_listing_consistent(self, capsys, doc_path, example_b):
         code, out, _ = run(capsys, "levels", doc_path(example_b), "--regions")
@@ -383,3 +390,53 @@ class TestOutputPins:
         code, out, _ = run(capsys, "render", doc_path(make(example_a)), "--output", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # Generator documents fix each family's hyperplane order.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(("cox_a", "-n", "4"), "0842971ad2320a4bafb350f41fb8f521a55039c884b872ec13bef7971add92c3", id="cox_a_4"),
+            pytest.param(("cox_b", "-n", "3"), "5738266ed5da5a176566e5ce185d820ac96623231d34b150c94e84a7ae3dc23d", id="cox_b_3"),
+            pytest.param(("catalan", "-n", "3", "--values", "2,1"), "21c0cb8319640bbeb7c195594b783eda9f1a5ccf08d4efd2e0fc0c9ddbdd728f", id="catalan_3_2_1"),
+            pytest.param(("semiorder", "-n", "3", "--values", "2,1"), "3376cda83cecc3afd37293cfb936ddcae6757e65c67af7fec7b53607e78ac5de", id="semiorder_3_2_1"),
+            pytest.param(("m_catalan", "-n", "3", "-m", "2"), "21c0cb8319640bbeb7c195594b783eda9f1a5ccf08d4efd2e0fc0c9ddbdd728f", id="m_catalan_3_2"),
+            pytest.param(("random_a", "-n", "4", "--seed", "7"), "6f40ac23b274fb9912bcfac7c057731839c0b8b28fb82b50656694a2a460196f", id="random_a_4_seed7"),
+            pytest.param(("random_b", "-n", "3", "--seed", "7"), "2e2c0167e2462d523d685dd0af97dbc2e5c806695f64320284ee7fd8ff1fe42e", id="random_b_3_seed7"),
+        ],
+    )
+    def test_generate_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "generate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "make, basis, digest",
+        [
+            pytest.param(lambda example_a: example_a, "binomial", "0031004872303fce66c5aa97fc9cd47448416b65d817f1ac83fd1678481fe796", id="example_a-binomial"),
+            pytest.param(lambda example_a: example_a, "half", "cd4f459b4431659282ae19a65837f192b4dfd8ed78cf258e59031c308bf4a701", id="example_a-half"),
+            pytest.param(lambda _: make_cox_b(3), "binomial", "1c439a3de10ae5b61791c6baad7284a507a5e54229ecaa7ca9914e8c9d39990f", id="cox_b3-binomial"),
+            pytest.param(lambda _: make_cox_b(3), "half", "13aa926c118e63bee1d9daa1a07c7c4bd1dd84b5f020d2d30e940f787982adff", id="cox_b3-half"),
+        ],
+    )
+    def test_chi_basis_digest(self, capsys, doc_path, example_a, make, basis, digest):
+        code, out, _ = run(capsys, "chi", doc_path(make(example_a)), f"--basis={basis}", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            pytest.param(lambda b3: delete(b3, 0), "x1", id="x1"),
+            # cox_b(3) lists x1, x2, x3, x1-x2, x1+x2, x1-x3, x1+x3, x2-x3, x2+x3.
+            pytest.param(
+                lambda b3: Arrangement(3, [h for i, h in enumerate(b3) if i not in (1, 4, 5)]),
+                "x2, x1+x2, x1-x3",
+                id="interleaved",
+            ),
+        ],
+    )
+    def test_degenerate_type_b_stderr(self, capsys, doc_path, make, named):
+        arr = make(make_cox_b(3))
+        code, out, err = run(capsys, "verify", doc_path(arr), "--theorem=B")
+        assert (code, out) == (3, "")
+        assert err == f"hypothesis violation: degenerate: missing direction {named}\n"

@@ -91,6 +91,13 @@ class TestParse:
                 }
             )
 
+    def test_declared_kind_must_match_the_hyperplanes(self):
+        doc = {"ambient_dim": 2, "hyperplanes": [{"normal": [1, -1], "offset": 0}], "kind": "typeB"}
+        with pytest.raises(DocumentError, match="kind: declared typeB, but the hyperplanes form a typeA"):
+            parse_document(doc)
+        doc["kind"] = "typeA"
+        assert parse_document(doc).arrangement.kind.value == "typeA"
+
     def test_invalid_json_text(self):
         with pytest.raises(DocumentError, match="invalid JSON"):
             loads_document("{not json")

@@ -17,13 +17,33 @@ from levelarr.arrangement import (
 )
 from levelarr.expansion import (
     BasisKind,
-    basis_polynomial,
     to_binomial_basis,
     verify_type_a_expansion,
     verify_type_b_expansion,
     zaslavsky_check,
 )
 from levelarr.poset import CharPoly
+
+
+def basis_polynomial(kind: BasisKind, k: int) -> tuple[Fraction, ...]:
+    """Coefficients (ascending) of the degree-k basis polynomial in t.
+
+    The product form of the basis, independent of the forward differences
+    that ``to_binomial_basis`` takes.
+    """
+    coeffs = [Fraction(1)]
+    for j in range(k):
+        if kind == BasisKind.STANDARD:
+            root, scale = Fraction(j), Fraction(j + 1)
+        else:
+            root, scale = Fraction(1 + 2 * j), Fraction(2 * (j + 1))
+        # multiply by (t - root) / scale
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c / scale
+            nxt[i] -= c * root / scale
+        coeffs = nxt
+    return tuple(coeffs)
 
 
 class TestBasisPolynomials:
@@ -65,6 +85,7 @@ class TestToBinomialBasis:
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, coeffs, kind):
         expansion = to_binomial_basis(CharPoly(tuple(coeffs)), kind)
+        assert all(type(c) is int for c in expansion.coeffs)
         expanded = [Fraction(0)] * len(coeffs)
         for k, c in enumerate(expansion.coeffs):
             for i, b in enumerate(basis_polynomial(kind, k)):

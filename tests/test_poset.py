@@ -19,7 +19,7 @@ from levelarr.arrangement import (
     restrict,
 )
 from levelarr.exactmath import _EmptyIntersection, _normalize, _reduce
-from levelarr.poset import CharPoly, build_poset, char_poly
+from levelarr.poset import CharPoly, _bits, build_poset, char_poly
 
 
 def dot(a, b):
@@ -39,18 +39,23 @@ def poly_from_roots(roots) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def canonical_rows(arr: Arrangement, containing) -> tuple:
+def containing(flat) -> frozenset[int]:
+    """The indices of the hyperplanes that contain the flat."""
+    return frozenset(_bits(flat.mask))
+
+
+def canonical_rows(arr: Arrangement, indices) -> tuple:
     """A flat's canonical row system: a test-local ``_reduce`` fold of the
-    rows of the hyperplanes that contain it."""
+    rows of the hyperplanes (``indices``) that contain it."""
     rows = ()
-    for idx in sorted(containing):
+    for idx in sorted(indices):
         rows = _reduce(rows, arr.hyperplanes[idx].row) or rows
     return rows
 
 
 def keyed(arr: Arrangement, flats) -> list:
     """Sorted (rows, dim, containing, mobius) of each flat, rows from the fold."""
-    return sorted((canonical_rows(arr, f.containing), f.dim, tuple(sorted(f.containing)), f.mobius) for f in flats)
+    return sorted((canonical_rows(arr, containing(f)), f.dim, tuple(sorted(containing(f))), f.mobius) for f in flats)
 
 
 def test_poly_from_roots_helper():
@@ -75,23 +80,23 @@ class TestBuildPoset:
         (line,) = [f for f in poset if f.codim == 2]
         assert line.dim == 1
         assert line.mobius == 2
-        assert line.containing == frozenset({0, 1, 2})
+        assert containing(line) == frozenset({0, 1, 2})
 
     def test_flat_geometry_is_consistent(self, example_a, affine_solution, side):
         poset = build_poset(example_a)
-        systems = [canonical_rows(example_a, f.containing) for f in poset]
+        systems = [canonical_rows(example_a, containing(f)) for f in poset]
         assert len(set(systems)) == len({f.mask for f in poset}) == len(poset)  # pairwise distinct
         for flat, rows in zip(poset, systems):
             assert flat.codim == len(rows)
             point, basis = affine_solution([(r[:-1], r[-1]) for r in rows], example_a.dim)
             assert flat.dim == len(basis)
-            for idx in flat.containing:
+            for idx in containing(flat):
                 h = example_a.hyperplanes[idx]
                 assert side(h, point) == 0
                 assert all(dot(h.normal, b) == 0 for b in basis)
             # maximality: no other hyperplane contains the flat
             for idx, h in enumerate(example_a.hyperplanes):
-                if idx not in flat.containing:
+                if idx not in containing(flat):
                     assert side(h, point) != 0 or any(
                         dot(h.normal, b) != 0 for b in basis
                     )
@@ -100,7 +105,7 @@ class TestBuildPoset:
         for arr in (example_a, example_b, make_cox_b(2)):
             poset = build_poset(arr)
             for x in poset:
-                total = sum(y.mobius for y in poset if y.containing <= x.containing)
+                total = sum(y.mobius for y in poset if containing(y) <= containing(x))
                 assert total == (1 if x is poset[0] else 0)
 
     def test_mobius_alternation(self, example_a, grid_example):
@@ -239,7 +244,7 @@ class TestGroupedResiduals:
         monkeypatch.setattr(poset_module, "_normalize", counting_normalize)
         poset = build_poset(arr)
         assert len(reduces) == len(arr)
-        assert len(normalizes) <= sum(len(arr) - len(f.containing) for f in poset)
+        assert len(normalizes) <= sum(len(arr) - len(containing(f)) for f in poset)
 
     def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
         # A hyperplane whose residual vanishes at a flat must already be in
@@ -281,11 +286,11 @@ class TestGroupedResiduals:
         boolean = 0
         for arr in arrangements:
             for flat in build_poset(arr):
-                if len(flat.containing) == flat.codim:
+                if len(containing(flat)) == flat.codim:
                     boolean += 1
                     assert flat.mobius == (-1) ** flat.codim
                 else:
-                    assert len(flat.containing) > flat.codim
+                    assert len(containing(flat)) > flat.codim
         assert boolean > 0
 
 
