@@ -8,6 +8,12 @@ its containing set is known without further elimination.  A child inherits
 its parent's groups and eliminates one pivot column from each; a flat of
 top rank has no children, so it only checks that no group vanishes.
 
+A deformation has few normal directions and many offsets, so a residual
+(a, b) is held as (id of nu, k, b) with a = k * nu, nu primitive and
+interned as a small int per build.  An elimination step then splits into a
+normal half that depends on the two normals alone, memoized once per pair,
+and an offset half: two integer products and one two-argument gcd.
+
 A flat is the intersection of the hyperplanes that contain it, so it is
 keyed by its containing set alone, an int mask over hyperplane indices, and
 each codimension level is ordered by ascending mask.  No flat carries
@@ -21,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Optional, Union
 
 from .arrangement import Arrangement
-from .exactmath import IntRow, _normalize, _pivot, _reduce
+from .exactmath import IntRow, _reduce
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,15 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     rowspace(Z), so any parent gives the same.  Groups with equal results
     merge; a zero residual outside cont(Z) is an elimination fault.
 
+    A residual row (k * nu, b), its normal part k times a primitive nu whose
+    first nonzero entry is positive, is keyed (id of nu, k, b), nu interned
+    per build; the key is canonical, as the row is.  The step
+    g * r[p] - r * g[p] splits in two.  Its normal half, with g = kg * nu_g
+    and r = kr * nu_r, is kg * kr * (nu_g * nu_r[p] - nu_r * nu_g[p]): the
+    bracket is sd * nu for one pair of normal ids, so ``_normal_step`` runs
+    once per pair and build.  Its offset half b is two products, and the
+    content of the row is gcd(kg * kr * sd, b).
+
     A top-rank flat, whose codim is the rank of the normals (folded once per
     build with ``_reduce``), has no children: every residual there has a zero
     normal.  Its groups are not eliminated, only checked with two products
@@ -79,12 +95,35 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     flats of each Möbius value v, that sum is sum_v v * popcount(ancestors & B_v).
     """
     n = arr.dim
-    roots = {h.row: 1 << idx for idx, h in enumerate(arr.hyperplanes)}
+    ids: dict[IntRow, int] = {}  # primitive normal -> its id in this build
+    normal_of: list[IntRow] = []  # id -> primitive normal
+    pivot_of: list[int] = []  # id -> index of the normal's first nonzero entry
+
+    def intern(normal: IntRow) -> int:
+        i = ids.get(normal)
+        if i is None:
+            i = ids[normal] = len(normal_of)
+            normal_of.append(normal)
+            for j, c in enumerate(normal):
+                if c:
+                    pivot_of.append(j)
+                    break
+        return i
+
+    roots = {}  # h.row as (id of h.normal, k, b) with h.row = (k * h.normal, b)
+    for idx, h in enumerate(arr.hyperplanes):
+        i = intern(h.normal)
+        p = pivot_of[i]
+        roots[i, h.row[p] // h.normal[p], h.row[-1]] = 1 << idx
     normals: tuple[IntRow, ...] = ()
     for h in arr.hyperplanes:
         normals = _reduce(normals, h.normal + (0,)) or normals
     top = len(normals)  # the rank of the normals: the largest codim of a flat
 
+    # The memoized normal halves: id of r's normal -> {id of g's normal ->
+    # (id of nu, sd)}, from ``_normal_step`` on the two normals; sd == 0
+    # marks a zero normal.
+    halves: dict[int, dict[int, tuple]] = {}
     flats: list[Flat] = []
     by_mobius: dict[int, int] = {}  # Möbius value -> bitset of the flats that have it
     # One entry per flat of the current codimension: (containing mask,
@@ -105,29 +144,50 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
             flats.append(Flat(dim=n - codim, codim=codim, mask=mask, mobius=mu))
 
             if r is not None:
-                p = _pivot(r)
-                rp = r[p]
+                ir, kr, br = r
+                rn, p = normal_of[ir], pivot_of[ir]
+                rp = kr * rn[p]  # r's entry in its pivot column
                 inherited, groups = groups, {}
-                for g, gmask in inherited.items():
-                    if gmask & mask:
-                        continue  # r's own group, which contains this flat
-                    f = g[p]
-                    if codim == top:
-                        # Every residual at a top-rank flat has a zero normal
-                        # and the flat has no children: the step only has to
-                        # leave a nonzero offset.
+                if codim == top:
+                    # Every residual at a top-rank flat has a zero normal and
+                    # the flat has no children: the step only has to leave a
+                    # nonzero offset.
+                    for (ig, kg, bg), gmask in inherited.items():
+                        if gmask & mask:
+                            continue  # r's own group, which contains this flat
+                        f = kg * normal_of[ig][p]
                         if not f:
                             raise ArithmeticError(f"hyperplane {next(_bits(gmask))} keeps a nonzero normal at a top-rank flat")
-                        if g[-1] * rp == r[-1] * f:
+                        if bg * rp == br * f:
                             raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
-                        continue
-                    if f:
-                        g = _normalize([a * rp - b * f for a, b in zip(g, r)])
-                        if g is None:
-                            raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
-                        if not any(g[:-1]):
+                else:
+                    memo = halves.get(ir)
+                    if memo is None:
+                        memo = halves[ir] = {}
+                    for g, gmask in inherited.items():
+                        if gmask & mask:
                             continue
-                    groups[g] = groups.get(g, 0) | gmask
+                        ig, kg, bg = g
+                        f = normal_of[ig][p]
+                        if f:
+                            half = memo.get(ig)
+                            if half is None:
+                                nu = _normal_step(normal_of[ig], rn, p)
+                                half = memo[ig] = (intern(nu[0]), nu[1]) if nu else (None, 0)
+                            iv, sd = half
+                            b = bg * rp - br * kg * f  # the offset half
+                            if not sd:
+                                if not b:
+                                    raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
+                                continue  # an empty intersection
+                            # The row is (kg * kr * sd * nu, b): divide it by
+                            # its content, signed to keep nu's leading sign.
+                            s = kg * kr * sd
+                            e = gcd(s, b)
+                            if s < 0:
+                                e = -e
+                            g = (iv, s // e, b // e)
+                        groups[g] = groups.get(g, 0) | gmask
 
             below = ancestors | 1 << index
             for residual, group in groups.items():
@@ -138,6 +198,25 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                     child[0] |= below
         level = sorted(children.items(), reverse=True)
     return tuple(flats)
+
+
+def _normal_step(g: IntRow, r: IntRow, p: int) -> Optional[tuple[IntRow, int]]:
+    """The normal half of one elimination step in column ``p``.
+
+    Returns (nu, sd) with g * r[p] - r * g[p] = sd * nu, nu primitive with a
+    positive first nonzero entry, or None when the result is zero.
+    """
+    rp, f = r[p], g[p]
+    v = [a * rp - c * f for a, c in zip(g, r)]
+    d = gcd(*v)
+    if not d:
+        return None
+    for c in v:
+        if c:
+            break
+    if c < 0:
+        d = -d
+    return tuple([c // d for c in v]) if d != 1 else tuple(v), d
 
 
 def _bits(x: int):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -9,6 +11,41 @@ from levelarr.exactmath import _EmptyIntersection, _feasible_system, _int_row, _
 
 def hp(normal, offset=0) -> Hyperplane:
     return Hyperplane(normal, offset)
+
+
+def eighths_arrangement(dim: int, normals, extra: int, seed: int) -> Arrangement:
+    """Hyperplanes ``normal . x = c`` with offsets c in eighths in [-3, 3],
+    drawn by ``random.Random(seed)``: two offsets on each of the first
+    ``extra`` normals and one on every other, the shape of the benchmark's
+    documents.  Eighths keep most rows non-primitive in their normal part."""
+    rng = random.Random(seed)
+    offsets = [Fraction(k, 8) for k in range(-24, 25)]
+    return Arrangement(dim, [
+        hp(normal, c) for i, normal in enumerate(normals) for c in sorted(rng.sample(offsets, 2 if i < extra else 1))
+    ])
+
+
+def _unit(dim: int, i: int, j: int = -1, sign: int = 0) -> tuple[int, ...]:
+    return tuple(1 if k == i else sign if k == j else 0 for k in range(dim))
+
+
+def eighths_a5() -> Arrangement:
+    """A type A deformation in R^5: x_i - x_j = c, 13 hyperplanes."""
+    return eighths_arrangement(5, [_unit(5, i, j, -1) for i, j in combinations(range(5), 2)], extra=3, seed=14)
+
+
+def eighths_b4() -> Arrangement:
+    """A type B deformation in R^4: x_i = c, x_i - x_j = c and x_i + x_j = c, 18 hyperplanes."""
+    normals = [_unit(4, i) for i in range(4)]
+    normals += [_unit(4, i, j, s) for i, j in combinations(range(4), 2) for s in (-1, 1)]
+    return eighths_arrangement(4, normals, extra=2, seed=14)
+
+
+def skew_r3() -> Arrangement:
+    """Eleven planes in R^3 over normals of no Coxeter form, whose residuals
+    pick up scales other than 1 from the normal half alone."""
+    normals = [(1, 2, 0), (2, 0, 1), (0, 1, 2), (1, 1, -1), (1, -1, 1), (1, 0, -2), (3, 1, 0)]
+    return eighths_arrangement(3, normals, extra=4, seed=14)
 
 
 def _strict_row(h_row: tuple[int, ...], sign: int) -> tuple[int, ...]:

@@ -16,6 +16,8 @@ from levelarr.arrangement import Arrangement, delete, make_cox_b, make_m_catalan
 from levelarr.cli import main
 from levelarr.document import document_of, dumps_document, loads_document
 
+from conftest import eighths_a5, eighths_b4, skew_r3
+
 
 @pytest.fixture()
 def doc_path(tmp_path):
@@ -362,6 +364,9 @@ class TestOutputPins:
             pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=deletion-restriction"), "195b3f78087fb85dd65ab7e3739c932792e2e1b933063dfba988775fdc52071e", id="random_a5_seed7-deletion_restriction"),
             pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=ff"), "76cc425ff1463e420862f25857be668568a71ac839dbc1a2ee68f6a383c65379", id="random_a5_seed7-ff"),
             pytest.param(lambda: make_cox_b(3), ("chi",), "3684271ec4036a796181d190cd2827fe4d1b685dc6fb587c26615f72188b09af", id="cox_b3-chi"),
+            pytest.param(eighths_a5, ("chi",), "60ff324630d4b8acfc511b5f3b45d18405fa586a388cd27daa88d3815d9f0d1a", id="eighths_a5-chi"),
+            pytest.param(eighths_b4, ("chi",), "aeb48c6c53bf9705a676256579c6b7c77be4b56e40f8aa03792a6eab421bc2b0", id="eighths_b4-chi"),
+            pytest.param(skew_r3, ("chi",), "b139627e5b47220a6660846c83250e4b8c90a2f750f21c2fb6cb022a36922812", id="skew_r3-chi"),
             pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=deletion-restriction"), "82b58436140413c8c71e38b3527ced4dad05c871f9ccd80d83428befd1f9febe", id="cox_b3-deletion_restriction"),
             pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", id="cox_b3-ff"),
             pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels", "--regions"), "d714fcff671cd74ace59c2aa4810b24bbde415942977e8fd61d6843d091b3b25", id="random_a4_seed7-levels_regions"),

@@ -18,8 +18,10 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import _EmptyIntersection, _normalize, _reduce
-from levelarr.poset import CharPoly, _bits, build_poset, char_poly
+from levelarr.exactmath import _EmptyIntersection, _reduce
+from levelarr.poset import CharPoly, _bits, _normal_step, build_poset, char_poly
+
+from conftest import eighths_a5, eighths_b4, skew_r3
 
 
 def dot(a, b):
@@ -210,8 +212,11 @@ class TestGroupedResiduals:
             lambda: make_cox_b(4),
             lambda: random_deformation_a(5, random.Random(7), 2),
             lambda: make_m_catalan(3, 2),
+            eighths_a5,
+            eighths_b4,
+            skew_r3,
         ],
-        ids=["cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2"],
+        ids=["cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2", "eighths_a5", "eighths_b4", "skew_r3"],
     )
     def test_matches_reference_on_fixed_cases(self, make):
         arr = make()
@@ -229,50 +234,70 @@ class TestGroupedResiduals:
     )
     def test_work_bound(self, arr, monkeypatch):
         # One ``_reduce`` per hyperplane (the rank fold), and at most one
-        # elimination step per (flat, hyperplane outside it) pair.
-        reduces, normalizes = [], []
+        # elimination step per (flat, hyperplane outside it) pair.  A step's
+        # offset half is the build's only two-argument ``gcd`` (every case
+        # here has n > 2), and its normal half is computed once per pair of
+        # normals: the memo misses.
+        assert arr.dim > 2
+        reduces, gcds, misses = [], [], []
 
         def counting_reduce(rows, row):
             reduces.append(row)
             return _reduce(rows, row)
 
-        def counting_normalize(row):
-            normalizes.append(row)
-            return _normalize(row)
+        def counting_gcd(*args):
+            gcds.append(args)
+            return math.gcd(*args)
+
+        def counting_step(g, r, p):
+            misses.append((g, r))
+            return _normal_step(g, r, p)
 
         monkeypatch.setattr(poset_module, "_reduce", counting_reduce)
-        monkeypatch.setattr(poset_module, "_normalize", counting_normalize)
+        monkeypatch.setattr(poset_module, "gcd", counting_gcd)
+        monkeypatch.setattr(poset_module, "_normal_step", counting_step)
         poset = build_poset(arr)
+        steps = [args for args in gcds if len(args) == 2]
         assert len(reduces) == len(arr)
-        assert len(normalizes) <= sum(len(arr) - len(containing(f)) for f in poset)
+        assert 0 < len(steps) <= sum(len(arr) - len(containing(f)) for f in poset)
+        # No pair of normals misses twice, so misses <= distinct pairs.
+        assert len(misses) == len(set(misses))
+        assert len(misses) < len(steps)
 
     def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
         # A hyperplane whose residual vanishes at a flat must already be in
         # the flat's containing set; anything else is an elimination fault.
-        def zero_residual(row):
-            return None  # what ``_normalize`` returns for the zero row
+        # Every offset of cox_a3 is 0, so a zero normal half is a zero row.
+        calls = []
 
-        monkeypatch.setattr(poset_module, "_normalize", zero_residual)
-        with pytest.raises(ArithmeticError):
-            build_poset(make_cox_a(3))
+        def zero_normal(g, r, p):
+            calls.append((g, r))
+            return None  # what ``_normal_step`` returns for a zero normal
 
-    def test_containing_hyperplane_left_out_of_top_rank_flat_raises(self, monkeypatch):
-        # With every residual's sign flipped, x1 = x3 and x2 = x3 reduce at
-        # x1 = x2 to opposite rows that no longer group, so the line
-        # x1 = x2 = x3 (a top-rank flat of this rank-2 arrangement) is found
-        # twice, each time with one containing hyperplane outside its mask.
-        seen = []
-
-        def flipped(row):
-            seen.append(tuple(row))
-            out = _normalize(row)
-            return out and tuple(-c for c in out)
-
-        monkeypatch.setattr(poset_module, "_normalize", flipped)
+        monkeypatch.setattr(poset_module, "_normal_step", zero_normal)
         with pytest.raises(ArithmeticError, match="not in its containing set"):
             build_poset(make_cox_a(3))
-        # The top-rank check caught it without eliminating to the zero row.
-        assert seen and all(any(row) for row in seen)
+        assert calls
+
+    def test_containing_hyperplane_left_out_of_top_rank_flat_raises(self, monkeypatch):
+        # With every normal half's sign flipped (-nu, -sd: the same vector,
+        # but not the canonical nu), x1 = x3 and x2 = x3 reduce at x1 = x2 to
+        # residuals whose normals intern apart and no longer group, so the
+        # line x1 = x2 = x3 (a top-rank flat of this rank-2 arrangement) is
+        # found twice, each time with one containing hyperplane outside its
+        # mask.
+        seen = []
+
+        def flipped(g, r, p):
+            half = _normal_step(g, r, p)
+            seen.append(half)
+            return half and (tuple(-c for c in half[0]), -half[1])
+
+        monkeypatch.setattr(poset_module, "_normal_step", flipped)
+        with pytest.raises(ArithmeticError, match="not in its containing set"):
+            build_poset(make_cox_a(3))
+        # The top-rank check caught it without eliminating to a zero normal.
+        assert seen and all(half is not None for half in seen)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cox_a_top_is_partition_lattice_top(self, n):
