@@ -17,7 +17,8 @@ def eighths_arrangement(dim: int, normals, extra: int, seed: int) -> Arrangement
     """Hyperplanes ``normal . x = c`` with offsets c in eighths in [-3, 3],
     drawn by ``random.Random(seed)``: two offsets on each of the first
     ``extra`` normals and one on every other, the shape of the benchmark's
-    documents.  Eighths keep most rows non-primitive in their normal part."""
+    documents.  With eighths, most rows are (k * nu, b) with k > 1 times the
+    primitive normal nu, so eliminations take the scaled branch."""
     rng = random.Random(seed)
     offsets = [Fraction(k, 8) for k in range(-24, 25)]
     return Arrangement(dim, [
