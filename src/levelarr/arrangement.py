@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import IntRow, _int_row, _normalize, as_scalar, as_vector
+from .exactmath import IntRow, _int_row, _normalize, _step, as_scalar, as_vector
 
 
 class Kind(str, Enum):
@@ -45,8 +44,8 @@ class Hyperplane:
     """Affine hyperplane ``normal . x = offset`` in canonical form.
 
     ``row`` is the equation as a primitive integer tuple ``(a_1..a_n, b)``
-    whose first nonzero entry is positive: the one-row canonical system of
-    ``exactmath``.  ``normal`` is its primitive integer normal and ``offset``
+    whose first nonzero entry is positive: ``exactmath._normalize``'s
+    canonical form.  ``normal`` is its primitive integer normal and ``offset``
     the matching rational offset.  Two parallel hyperplanes therefore share
     the exact same normal tuple.
     """
@@ -57,10 +56,10 @@ class Hyperplane:
         vec = as_vector(normal)
         if not any(vec):
             raise ValueError("hyperplane normal must be nonzero")
-        row = _normalize(_int_row(vec, as_scalar(offset)))
-        g = gcd(*row[:-1])
+        _, row = _normalize(_int_row(vec, as_scalar(offset)))
+        g, normal = _normalize(row[:-1])
         self.row: IntRow = row
-        self.normal: tuple[int, ...] = tuple(c // g for c in row[:-1])
+        self.normal: tuple[int, ...] = normal
         self.offset: Fraction = Fraction(row[-1], g)
 
     @property
@@ -384,18 +383,19 @@ def restrict(arr: Arrangement, h_index: int) -> tuple[Arrangement, tuple[int, ..
     h0 = arr.hyperplanes[h_index]
     drop = max(i for i, c in enumerate(h0.normal) if c)
     keep = tuple(i for i in range(arr.dim) if i != drop)
-    c0 = h0.normal[drop]
 
     images: list[Hyperplane] = []
     seen: set[Hyperplane] = set()
     for idx, h in enumerate(arr.hyperplanes):
         if idx == h_index:
             continue
-        ap = h.normal[drop]
-        normal = tuple(h.normal[i] * c0 - ap * h0.normal[i] for i in keep)
-        if not any(normal):
+        # H's row with column ``drop`` eliminated by H0's; distinct canonical
+        # rows are not proportional, so the step is never zero.
+        _, row = _step(h.row, h0.row, drop)
+        row = row[:drop] + row[drop + 1 :]
+        if not any(row[:-1]):
             continue  # parallel to H0 and distinct: empty intersection
-        image = Hyperplane(normal, h.offset * c0 - ap * h0.offset)
+        image = Hyperplane(row[:-1], row[-1])
         if image not in seen:
             seen.add(image)
             images.append(image)

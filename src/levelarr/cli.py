@@ -42,7 +42,7 @@ from .expansion import (
     zaslavsky_check,
 )
 from .ffcount import ff_oracle_check
-from .poset import char_poly
+from .poset import _signed_sum, char_poly
 from .regions import enumerate_regions
 from .render import RenderUnsupportedError, render_svg
 
@@ -78,18 +78,10 @@ def _write_output(text: str, output: Optional[str]) -> None:
 def format_expansion(coeffs: Sequence[int], basis: BasisKind) -> str:
     """Human form like ``6*C(t,3) - 4*C(t,2) + 2*C(t,1)``."""
     arg = "t" if basis == BasisKind.STANDARD else "(t-1)/2"
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = f"C({arg},{k})" if mag == 1 else f"{mag}*C({arg},{k})"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(terms) if terms else "0"
+    return _signed_sum(
+        (c, f"C({arg},{k})" if abs(c) == 1 else f"{abs(c)}*C({arg},{k})")
+        for k, c in reversed(tuple(enumerate(coeffs)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +186,13 @@ def cmd_verify(args) -> int:
         chi = char_poly(arr)
         lines.append("deletion-restriction check")
         rows_payload = []
-        width = arr.dim + 1
         for idx, label in enumerate(parsed.labels):
             deleted = char_poly(delete(arr, idx))
             restricted = char_poly(restrict(arr, idx)[0])
             lhs = tuple(chi.coeffs)
-            rhs = tuple(
-                d - r
-                for d, r in zip(
-                    deleted.coeffs + (0,) * (width - len(deleted.coeffs)),
-                    restricted.coeffs + (0,) * (width - len(restricted.coeffs)),
-                )
-            )
+            # The deletion keeps the ambient dimension; the restriction has
+            # one fewer, so its coefficients stop one degree short.
+            rhs = tuple(d - r for d, r in zip(deleted.coeffs, restricted.coeffs + (0,)))
             row_ok = lhs == rhs
             ok = ok and row_ok
             status = "ok" if row_ok else "MISMATCH"

@@ -7,13 +7,14 @@ predicate here is decided exactly.  Rationals (`fractions.Fraction`) appear
 only at the edge: ``as_scalar``/``as_vector``/``_int_row`` turn a rational
 hyperplane into its integer row once, when the hyperplane is built.
 
-Equation systems live here in one form, the canonical integer row system
-built by ``_reduce``.  ``Hyperplane.row`` is its one-row case, and the rank
-step of ``cone_span_dimension`` folds its implicit rows through the same
-routine.  ``_reduce`` eliminates the system's pivot columns from the new row
-and inserts the result, clearing its pivot column from the other rows.  The
-intersection poset folds its normals through ``_reduce`` once per build for
-their rank; it keys flats by their containing hyperplanes, not by rows.
+Equations need one canonical form and one elimination step.  ``_normalize``
+writes an integer row as its signed content times a primitive row whose first
+nonzero entry is positive, and ``Hyperplane.row`` is that row.  ``_step``
+eliminates one column of a row with another and normalizes the result; the
+intersection poset's residual normals and ``restrict``'s images come from it.
+``_rank`` reduces integer vectors by ``_step`` for their rank, which is all
+the package asks of an equation system: the top codimension of the poset, and
+the rank of a recession cone's implicit equalities in ``cone_span_dimension``.
 
 Every inequality question goes to one engine, ``_IntTableau``: a
 fraction-free simplex dictionary with free variables and Bland's rule, always
@@ -64,13 +65,11 @@ def as_vector(values) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# Canonical integer equation systems
+# One elimination step
 #
-# An equation a . x = b is the integer row (a_1, ..., a_n, b).  A canonical
-# system is the reduced row-echelon form of its rows, each row rescaled to a
-# primitive integer vector with a positive pivot, ordered by pivot column.
-# Rational row spaces and canonical systems are in bijection, so two systems
-# describe the same affine subspace exactly when they are equal tuples.
+# An equation a . x = b is the integer row (a_1, ..., a_n, b); a normal is
+# the row without its offset.  ``_normalize`` is the one canonical form of a
+# row, and ``_step`` the one elimination step.
 # ---------------------------------------------------------------------------
 
 IntRow = tuple[int, ...]  # (a_1, ..., a_n, b) meaning a . x = b
@@ -82,52 +81,44 @@ def _int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
     return tuple(int(c * scale) for c in coeffs) + (int(rhs * scale),)
 
 
-def _normalize(row: Sequence[int]) -> Optional[IntRow]:
-    """Primitive form with positive leading variable entry; None for the zero row."""
-    g = gcd(*row)
-    if g == 0:
+def _normalize(row: Sequence[int]) -> Optional[tuple[int, IntRow]]:
+    """``(c, nu)`` with ``row == c * nu``, nu primitive with a positive first
+    nonzero entry; None for the zero row."""
+    d = gcd(*row)
+    if not d:
         return None
-    row = tuple(c // g for c in row) if g > 1 else tuple(row)
-    for c in row[:-1]:
+    for c in row:
         if c:
-            return row if c > 0 else tuple(-c for c in row)
-    return row
+            break
+    if c < 0:
+        d = -d
+    return d, tuple([c // d for c in row]) if d != 1 else tuple(row)
 
 
-def _pivot(row: IntRow) -> int:
-    return next(i for i, c in enumerate(row[:-1]) if c)
+def _step(g: Sequence[int], r: Sequence[int], p: int) -> Optional[tuple[int, IntRow]]:
+    """Eliminate column ``p`` of ``g`` with ``r``: ``_normalize`` of
+    ``g * r[p] - r * g[p]``, whose entry p is 0."""
+    rp, f = r[p], g[p]
+    return _normalize([a * rp - c * f for a, c in zip(g, r)])
 
 
-class _EmptyIntersection(Exception):
-    pass
-
-
-def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntRow, ...]]:
-    """Add one equation to a canonical system.
-
-    Returns the new canonical system, or None when the equation already holds
-    on the flat.  Raises _EmptyIntersection when it contradicts the system.
-
-    Only the tests' affine reference folds can contradict (the package folds
-    homogeneous rows); the raise keeps such a row, whose normal reduces to
-    zero, from reaching ``_pivot`` and escaping as a bare ``StopIteration``.
-    """
-    for r in rows:
-        p = _pivot(r)
-        f = row[p]
-        if f:
-            rp = r[p]
-            row = [w * rp - rv * f for w, rv in zip(row, r)]
-    new = _normalize(row)
-    if new is None:
-        return None
-    if not any(new[:-1]):
-        raise _EmptyIntersection
-    # Clear the new pivot column from the other rows (their pivots stay put)
-    # and insert the new row in pivot order.
-    p = _pivot(new)
-    cleared = [_normalize([a * new[p] - b * r[p] for a, b in zip(r, new)]) if r[p] else r for r in rows]
-    return tuple(sorted(cleared + [new], key=_pivot))
+def _rank(vectors) -> int:
+    """Rank of integer vectors, each reduced by ``_step`` against the rows kept
+    so far and kept when it is not zero.  A kept row is 0 in every earlier
+    row's pivot column, so a step never undoes an earlier one."""
+    kept: list[tuple[IntRow, int]] = []  # (row, its pivot column)
+    for v in vectors:
+        for r, p in kept:
+            if v[p]:
+                reduced = _step(v, r, p)
+                if reduced is None:
+                    break
+                v = reduced[1]
+        else:
+            p = next((i for i, c in enumerate(v) if c), None)
+            if p is not None:
+                kept.append((v, p))
+    return len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +304,15 @@ def cone_span_dimension(constraints, *, dim: int) -> int:
             seen.add(lhs)
             rows.append(lhs)
 
-    implicit: tuple[IntRow, ...] = ()  # canonical system of the implicit rows
+    implicit: list[tuple[int, ...]] = []  # the rows that hold with equality
     t_col: dict[int, int] = {}  # row index -> label (and column) of its t_i
     for i, lhs in enumerate(rows):
         if tuple(-c for c in lhs) in seen:
-            implicit = _reduce(implicit, lhs + (0,)) or implicit
+            implicit.append(lhs)
         else:
             t_col[i] = dim + len(t_col)
     if not t_col:
-        return dim - len(implicit)
+        return dim - _rank(implicit)
 
     # Dictionary over the nonbasic d (free) and t: s_i = r_i.d - t_i (no t_i
     # for a paired row), q_i = 1 - t_i, and the objective -sum t_i.  The
@@ -345,7 +336,7 @@ def cone_span_dimension(constraints, *, dim: int) -> int:
     for i, c in t_col.items():
         t = value.get(c, 0)
         if t == 0:
-            implicit = _reduce(implicit, rows[i] + (0,)) or implicit
+            implicit.append(rows[i])
         elif t != tab.den:
             raise ArithmeticError("cone-span LP optimum is not 0/1 in t")
-    return dim - len(implicit)
+    return dim - _rank(implicit)

@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Union
 
 from .arrangement import Arrangement
-from .exactmath import IntRow, _reduce
+from .exactmath import IntRow, _rank, _step
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,13 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     per build; the key is canonical, as the row is.  The step
     g * r[p] - r * g[p] splits in two.  Its normal half, with g = kg * nu_g
     and r = kr * nu_r, is kg * kr * (nu_g * nu_r[p] - nu_r * nu_g[p]): the
-    bracket is sd * nu for one pair of normal ids, so ``_normal_step`` runs
-    once per pair and build.  Its offset half b is two products, and the
+    bracket is sd * nu, ``_step`` of the two normals, so it runs once per
+    pair of normal ids and build.  Its offset half b is two products, and the
     content of the row is gcd(kg * kr * sd, b).
 
-    A top-rank flat, whose codim is the rank of the normals (folded once per
-    build with ``_reduce``), has no children: every residual there has a zero
-    normal.  Its groups are not eliminated, only checked with two products
+    A top-rank flat, whose codim is the rank of the normals (one ``_rank``
+    per build), has no children: every residual there has a zero normal.
+    Its groups are not eliminated, only checked with two products
     each: the step must clear a nonzero pivot entry g[p] and leave a nonzero
     offset, g[-1] * r[p] != r[-1] * g[p].  Anything else raises
     ``ArithmeticError``.
@@ -115,14 +115,11 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
         i = intern(h.normal)
         p = pivot_of[i]
         roots[i, h.row[p] // h.normal[p], h.row[-1]] = 1 << idx
-    normals: tuple[IntRow, ...] = ()
-    for h in arr.hyperplanes:
-        normals = _reduce(normals, h.normal + (0,)) or normals
-    top = len(normals)  # the rank of the normals: the largest codim of a flat
+    top = _rank(h.normal for h in arr.hyperplanes)  # the largest codim of a flat
 
     # The memoized normal halves: id of r's normal -> {id of g's normal ->
-    # (id of nu, sd)}, from ``_normal_step`` on the two normals; sd == 0
-    # marks a zero normal.
+    # (id of nu, sd)}, from ``_step`` on the two normals; sd == 0 marks a
+    # zero normal.
     halves: dict[int, dict[int, tuple]] = {}
     flats: list[Flat] = []
     by_mobius: dict[int, int] = {}  # Möbius value -> bitset of the flats that have it
@@ -172,8 +169,8 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                         if f:
                             half = memo.get(ig)
                             if half is None:
-                                nu = _normal_step(normal_of[ig], rn, p)
-                                half = memo[ig] = (intern(nu[0]), nu[1]) if nu else (None, 0)
+                                step = _step(normal_of[ig], rn, p)
+                                half = memo[ig] = (intern(step[1]), step[0]) if step else (None, 0)
                             iv, sd = half
                             b = bg * rp - br * kg * f  # the offset half
                             if not sd:
@@ -198,25 +195,6 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                     child[0] |= below
         level = sorted(children.items(), reverse=True)
     return tuple(flats)
-
-
-def _normal_step(g: IntRow, r: IntRow, p: int) -> Optional[tuple[IntRow, int]]:
-    """The normal half of one elimination step in column ``p``.
-
-    Returns (nu, sd) with g * r[p] - r * g[p] = sd * nu, nu primitive with a
-    positive first nonzero entry, or None when the result is zero.
-    """
-    rp, f = r[p], g[p]
-    v = [a * rp - c * f for a, c in zip(g, r)]
-    d = gcd(*v)
-    if not d:
-        return None
-    for c in v:
-        if c:
-            break
-    if c < 0:
-        d = -d
-    return tuple([c // d for c in v]) if d != 1 else tuple(v), d
 
 
 def _bits(x: int):
@@ -253,22 +231,27 @@ class CharPoly:
         return acc
 
     def __str__(self) -> str:
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
+        def body(k: int, mag: int) -> str:
             if k == 0:
-                body = str(mag)
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms) if terms else "0"
+                return str(mag)
+            var = "t" if k == 1 else f"t^{k}"
+            return var if mag == 1 else f"{mag}{var}"
+
+        return _signed_sum((c, body(k, abs(c))) for k, c in reversed(tuple(enumerate(self.coeffs))))
+
+
+def _signed_sum(terms) -> str:
+    """Join ``(coefficient, unsigned body)`` pairs into ``a - b + c``.
+
+    Zero coefficients are skipped, the first term carries a bare ``-`` when
+    negative, and an empty sum is ``"0"``.
+    """
+    out = []
+    for c, body in terms:
+        if c:
+            sign = ("+ " if c > 0 else "- ") if out else ("" if c > 0 else "-")
+            out.append(sign + body)
+    return " ".join(out) or "0"
 
 
 def char_poly(arr: Arrangement) -> CharPoly:

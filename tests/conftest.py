@@ -1,12 +1,102 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd
+from typing import Optional, Sequence
 
 import pytest
 
 from levelarr.arrangement import Arrangement, Hyperplane
-from levelarr.exactmath import _EmptyIntersection, _feasible_system, _int_row, _pivot, _reduce, as_scalar, as_vector
+from levelarr.exactmath import IntRow, _feasible_system, _int_row, as_scalar, as_vector
+
+
+# ---------------------------------------------------------------------------
+# Canonical affine equation systems: the tests' reference fold
+#
+# An equation a . x = b is the integer row (a_1, ..., a_n, b).  A canonical
+# system is the reduced row-echelon form of its rows, each row rescaled to a
+# primitive integer vector with a positive pivot, ordered by pivot column.
+# Rational row spaces and canonical systems are in bijection, so two systems
+# describe the same affine subspace exactly when they are equal tuples.  The
+# package only asks for ranks (``exactmath._rank``); the references below key
+# flats by these systems and share no elimination code with it.
+# ---------------------------------------------------------------------------
+
+
+def _normalize(row: Sequence[int]) -> Optional[IntRow]:
+    """Primitive form with positive leading variable entry; None for the zero row."""
+    g = gcd(*row)
+    if g == 0:
+        return None
+    row = tuple(c // g for c in row) if g > 1 else tuple(row)
+    for c in row[:-1]:
+        if c:
+            return row if c > 0 else tuple(-c for c in row)
+    return row
+
+
+def _pivot(row: IntRow) -> int:
+    return next(i for i, c in enumerate(row[:-1]) if c)
+
+
+class _EmptyIntersection(Exception):
+    pass
+
+
+def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntRow, ...]]:
+    """Add one equation to a canonical system.
+
+    Returns the new canonical system, or None when the equation already holds
+    on the flat.  Raises _EmptyIntersection when it contradicts the system:
+    a row whose normal reduces to zero but whose offset does not, which
+    would otherwise reach ``_pivot`` and escape as a bare ``StopIteration``.
+    """
+    for r in rows:
+        p = _pivot(r)
+        f = row[p]
+        if f:
+            rp = r[p]
+            row = [w * rp - rv * f for w, rv in zip(row, r)]
+    new = _normalize(row)
+    if new is None:
+        return None
+    if not any(new[:-1]):
+        raise _EmptyIntersection
+    # Clear the new pivot column from the other rows (their pivots stay put)
+    # and insert the new row in pivot order.
+    p = _pivot(new)
+    cleared = [_normalize([a * new[p] - b * r[p] for a, b in zip(r, new)]) if r[p] else r for r in rows]
+    return tuple(sorted(cleared + [new], key=_pivot))
+
+
+def fraction_restrict(arr: Arrangement, h_index: int) -> tuple[Arrangement, tuple[int, ...]]:
+    """``arrangement.restrict`` as a ``Fraction`` formula on the normals and
+    offsets, the reference its integer elimination step is pinned against.
+
+    H0 is identified with R^(n-1) by dropping the coordinate of the largest
+    index with a nonzero normal entry; each other hyperplane H maps to
+    ``(H.normal * c0 - a_p * H0.normal, H.offset * c0 - a_p * H0.offset)``
+    without that coordinate, c0 and a_p the dropped entries of H0 and H.
+    """
+    h0 = arr.hyperplanes[h_index]
+    drop = max(i for i, c in enumerate(h0.normal) if c)
+    keep = tuple(i for i in range(arr.dim) if i != drop)
+    c0 = h0.normal[drop]
+
+    images: list[Hyperplane] = []
+    seen: set[Hyperplane] = set()
+    for idx, h in enumerate(arr.hyperplanes):
+        if idx == h_index:
+            continue
+        ap = h.normal[drop]
+        normal = tuple(h.normal[i] * c0 - ap * h0.normal[i] for i in keep)
+        if not any(normal):
+            continue  # parallel to H0 and distinct: empty intersection
+        image = Hyperplane(normal, h.offset * c0 - ap * h0.offset)
+        if image not in seen:
+            seen.add(image)
+            images.append(image)
+    return Arrangement(arr.dim - 1, images), keep
 
 
 def hp(normal, offset=0) -> Hyperplane:
@@ -117,8 +207,8 @@ def grid_example() -> Arrangement:
 def affine_solution():
     """Solve ``a . x = b`` equations exactly: a point and a direction basis, or None.
 
-    Test-local back-substitution over the canonical rows that
-    ``exactmath._reduce`` folds the equations into.
+    Test-local back-substitution over the canonical rows that ``_reduce``
+    folds the equations into.
     """
 
     def solve(equations, dim):

@@ -22,6 +22,8 @@ from levelarr.arrangement import (
     restrict,
 )
 
+from conftest import eighths_b4, fraction_restrict, skew_r3
+
 
 def dot(a, b):
     """Test-local exact dot product of two rational vectors."""
@@ -35,6 +37,19 @@ def hp(normal, offset=0):
 def same_set(a, b):
     """Set equality of two arrangements, ignoring hyperplane order."""
     return a.dim == b.dim and set(a.hyperplanes) == set(b.hyperplanes)
+
+
+def _random_normals(dim: int, m: int, rng: random.Random) -> Arrangement:
+    """m distinct hyperplanes with normals in [-3, 3]^dim and offsets
+    in halves in [-3, 3], mostly of no Coxeter form."""
+    planes = []
+    while len(planes) < m:
+        normal = [rng.randint(-3, 3) for _ in range(dim)]
+        if any(normal):
+            h = hp(normal, Fraction(rng.randint(-6, 6), 2))
+            if h not in planes:
+                planes.append(h)
+    return Arrangement(dim, planes)
 
 
 class TestHyperplane:
@@ -299,6 +314,28 @@ class TestRestrict:
             for h_index in range(len(arr)):
                 res, _ = restrict(arr, h_index)
                 assert is_nondegenerate(res, Kind.TYPE_B).ok
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(lambda s=s: random_deformation_a(4, random.Random(s), 2) for s in range(3)),
+            *(lambda s=s: random_deformation_b(3, random.Random(s), 2) for s in range(3)),
+            *(lambda d=d: _random_normals(d, 7, random.Random(d)) for d in range(1, 6)),
+            skew_r3,
+            eighths_b4,
+        ],
+        ids=[*(f"random_a4_seed{s}" for s in range(3)), *(f"random_b3_seed{s}" for s in range(3)),
+             *(f"random_normals_r{d}" for d in range(1, 6)), "skew_r3", "eighths_b4"],
+    )
+    def test_matches_fraction_formula(self, make):
+        # The integer elimination step gives the same images, in the same
+        # order, as the Fraction formula on normals and offsets.
+        arr = make()
+        for h_index in range(len(arr)):
+            res, kept = restrict(arr, h_index)
+            ref, ref_kept = fraction_restrict(arr, h_index)
+            assert kept == ref_kept
+            assert res.hyperplanes == ref.hyperplanes
 
     def test_restriction_from_r1_gives_r0(self):
         arr = make_deformation_b(1, {1: [0, 1]}, {}, {})

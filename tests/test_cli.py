@@ -13,8 +13,9 @@ import pytest
 
 import levelarr
 from levelarr.arrangement import Arrangement, delete, make_cox_b, make_m_catalan, random_deformation_a
-from levelarr.cli import main
+from levelarr.cli import format_expansion, main
 from levelarr.document import document_of, dumps_document, loads_document
+from levelarr.expansion import BasisKind
 
 from conftest import eighths_a5, eighths_b4, skew_r3
 
@@ -69,6 +70,11 @@ class TestChi:
             "t^2 - 4t + 5",
             "8*C((t-1)/2,2) + 2*C((t-1)/2,0)",
         ]
+
+    def test_format_expansion_signs(self):
+        # A negative leading term, a coefficient -1 and an empty sum.
+        assert format_expansion((2, -1, 0, -3), BasisKind.STANDARD) == "-3*C(t,3) - C(t,1) + 2*C(t,0)"
+        assert format_expansion((0, 0), BasisKind.SHIFTED_HALF) == "0"
 
     def test_empty_arrangement(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

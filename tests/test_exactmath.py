@@ -15,13 +15,15 @@ from levelarr.exactmath import (
     cone_span_dimension,
 )
 from levelarr.exactmath import (
-    _EmptyIntersection,
     _IntTableau,
     _feasible_system,
     _int_row,
-    _pivot,
-    _reduce,
+    _normalize,
+    _rank,
+    _step,
 )
+
+from conftest import _EmptyIntersection, _pivot, _reduce
 
 
 def dot(a, b):
@@ -30,7 +32,8 @@ def dot(a, b):
 
 
 def fold(equations):
-    """Canonical system of ``a . x = b`` equations, folded in the given order."""
+    """Canonical system of ``a . x = b`` equations, folded in the given order
+    by the tests' reference ``_reduce``."""
     system = ()
     for a, b in equations:
         system = _reduce(system, _int_row(as_vector(a), as_scalar(b))) or system
@@ -38,7 +41,8 @@ def fold(equations):
 
 
 def rank(rows):
-    return len(fold([(row, 0) for row in rows]))
+    """The package's ``_rank`` of rational rows, each scaled to integers first."""
+    return _rank(_int_row(as_vector(row), Fraction(0))[:-1] for row in rows)
 
 
 _equations = st.lists(
@@ -52,8 +56,10 @@ _equations = st.lists(
 
 
 class TestRref:
-    """The canonical integer system is the reduced row-echelon form, rows scaled
-    to primitive integers with positive pivots."""
+    """``rank`` is the package's ``_rank``.  ``fold`` is the tests' reference:
+    the canonical integer system is the reduced row-echelon form, rows scaled
+    to primitive integers with positive pivots, and ``reference_flats`` keys
+    flats by it."""
 
     def test_identity(self):
         assert rank([[1, 0], [0, 1]]) == 2
@@ -112,6 +118,53 @@ class TestRref:
             except _EmptyIntersection:
                 outcomes.add("empty")
         assert len(outcomes) == 1
+
+
+def _vectors(n: int):
+    return st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+
+
+class TestElimination:
+    """``_step`` is ``_normalize`` of ``g * r[p] - r * g[p]``, and ``_rank``
+    folds vectors through it."""
+
+    def test_normalize(self):
+        assert _normalize((0, -2, 4, -6)) == (-2, (0, 1, -2, 3))
+        assert _normalize((0, 0, 3, 0)) == (3, (0, 0, 1, 0))
+        assert _normalize((1, -1)) == (1, (1, -1))
+        assert _normalize((0, 0)) is None
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_step(self, data):
+        n = data.draw(st.integers(1, 5))
+        g = data.draw(_vectors(n))
+        # A rescaled copy of g steps to zero in every column.
+        r = data.draw(st.one_of(_vectors(n), st.integers(-3, 3).map(lambda k: [k * x for x in g])))
+        p = data.draw(st.integers(0, n - 1))
+        v = [a * r[p] - c * g[p] for a, c in zip(g, r)]
+        out = _step(g, r, p)
+        if not any(v):
+            assert out is None
+            return
+        c, nu = out
+        assert isinstance(nu, tuple)
+        assert [c * x for x in nu] == v
+        assert gcd(*nu) == 1
+        assert next(x for x in nu if x) > 0
+        assert nu[p] == 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_matches_reference_fold(self, data):
+        n = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(_vectors(n), max_size=7))
+        if rows:
+            # Rescaled duplicates, zero rows among them (k == 0).
+            picks = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(-3, 3)), max_size=3))
+            rows += [[k * x for x in rows[i]] for i, k in picks]
+        rows = data.draw(st.permutations(rows))
+        assert _rank(tuple(r) for r in rows) == len(fold([(r, 0) for r in rows]))
 
 
 class TestSolveAffine:

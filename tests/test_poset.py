@@ -18,10 +18,10 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import _EmptyIntersection, _reduce
-from levelarr.poset import CharPoly, _bits, _normal_step, build_poset, char_poly
+from levelarr.exactmath import _rank, _step
+from levelarr.poset import CharPoly, _bits, build_poset, char_poly
 
-from conftest import eighths_a5, eighths_b4, skew_r3
+from conftest import _EmptyIntersection, _reduce, eighths_a5, eighths_b4, skew_r3
 
 
 def dot(a, b):
@@ -47,8 +47,8 @@ def containing(flat) -> frozenset[int]:
 
 
 def canonical_rows(arr: Arrangement, indices) -> tuple:
-    """A flat's canonical row system: a test-local ``_reduce`` fold of the
-    rows of the hyperplanes (``indices``) that contain it."""
+    """A flat's canonical row system: the tests' reference ``_reduce`` fold of
+    the rows of the hyperplanes (``indices``) that contain it."""
     rows = ()
     for idx in sorted(indices):
         rows = _reduce(rows, arr.hyperplanes[idx].row) or rows
@@ -118,7 +118,7 @@ class TestBuildPoset:
 
 
 def reference_flats(arr: Arrangement) -> list:
-    """The poset as a plain BFS builds it: one ``_reduce`` per (flat, hyperplane)
+    """The poset as a plain BFS builds it: one reference ``_reduce`` per (flat, hyperplane)
     pair, containing sets from the hyperplanes that reduce to nothing, and
     Möbius values from a scan of every earlier flat.  Sorted (rows, dim,
     containing, mobius), flats keyed by their canonical rows."""
@@ -233,17 +233,18 @@ class TestGroupedResiduals:
         ids=["cox_a4", "cox_b3", "m_catalan_3_1", "random_a4_seed7"],
     )
     def test_work_bound(self, arr, monkeypatch):
-        # One ``_reduce`` per hyperplane (the rank fold), and at most one
+        # One ``_rank`` call over the len(arr) normals, and at most one
         # elimination step per (flat, hyperplane outside it) pair.  A step's
         # offset half is the build's only two-argument ``gcd`` (every case
         # here has n > 2), and its normal half is computed once per pair of
         # normals: the memo misses.
         assert arr.dim > 2
-        reduces, gcds, misses = [], [], []
+        ranks, gcds, misses = [], [], []
 
-        def counting_reduce(rows, row):
-            reduces.append(row)
-            return _reduce(rows, row)
+        def counting_rank(vectors):
+            vectors = list(vectors)
+            ranks.append(vectors)
+            return _rank(vectors)
 
         def counting_gcd(*args):
             gcds.append(args)
@@ -251,14 +252,14 @@ class TestGroupedResiduals:
 
         def counting_step(g, r, p):
             misses.append((g, r))
-            return _normal_step(g, r, p)
+            return _step(g, r, p)
 
-        monkeypatch.setattr(poset_module, "_reduce", counting_reduce)
+        monkeypatch.setattr(poset_module, "_rank", counting_rank)
         monkeypatch.setattr(poset_module, "gcd", counting_gcd)
-        monkeypatch.setattr(poset_module, "_normal_step", counting_step)
+        monkeypatch.setattr(poset_module, "_step", counting_step)
         poset = build_poset(arr)
         steps = [args for args in gcds if len(args) == 2]
-        assert len(reduces) == len(arr)
+        assert ranks == [[h.normal for h in arr.hyperplanes]]
         assert 0 < len(steps) <= sum(len(arr) - len(containing(f)) for f in poset)
         # No pair of normals misses twice, so misses <= distinct pairs.
         assert len(misses) == len(set(misses))
@@ -272,15 +273,15 @@ class TestGroupedResiduals:
 
         def zero_normal(g, r, p):
             calls.append((g, r))
-            return None  # what ``_normal_step`` returns for a zero normal
+            return None  # what ``_step`` returns for a zero normal
 
-        monkeypatch.setattr(poset_module, "_normal_step", zero_normal)
+        monkeypatch.setattr(poset_module, "_step", zero_normal)
         with pytest.raises(ArithmeticError, match="not in its containing set"):
             build_poset(make_cox_a(3))
         assert calls
 
     def test_containing_hyperplane_left_out_of_top_rank_flat_raises(self, monkeypatch):
-        # With every normal half's sign flipped (-nu, -sd: the same vector,
+        # With every normal half's sign flipped (-sd, -nu: the same vector,
         # but not the canonical nu), x1 = x3 and x2 = x3 reduce at x1 = x2 to
         # residuals whose normals intern apart and no longer group, so the
         # line x1 = x2 = x3 (a top-rank flat of this rank-2 arrangement) is
@@ -289,11 +290,11 @@ class TestGroupedResiduals:
         seen = []
 
         def flipped(g, r, p):
-            half = _normal_step(g, r, p)
+            half = _step(g, r, p)
             seen.append(half)
-            return half and (tuple(-c for c in half[0]), -half[1])
+            return half and (-half[0], tuple(-c for c in half[1]))
 
-        monkeypatch.setattr(poset_module, "_normal_step", flipped)
+        monkeypatch.setattr(poset_module, "_step", flipped)
         with pytest.raises(ArithmeticError, match="not in its containing set"):
             build_poset(make_cox_a(3))
         # The top-rank check caught it without eliminating to a zero normal.
@@ -355,6 +356,10 @@ class TestCharPoly:
         assert str(CharPoly((0, 0, 1))) == "t^2"
         assert str(CharPoly((1,))) == "1"
         assert str(CharPoly((5, -4, 1))) == "t^2 - 4t + 5"
+        # Not a characteristic polynomial, but the formatter's other branches:
+        # a negative leading term, a coefficient -1 and an empty sum.
+        assert str(CharPoly((3, -1, -2))) == "-2t^2 - t + 3"
+        assert str(CharPoly((0, 0))) == "0"
 
     def test_evaluate_exact(self):
         cp = CharPoly((0, 6, -5, 1))
