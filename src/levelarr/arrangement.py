@@ -84,14 +84,11 @@ class Hyperplane:
         return None
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hyperplane)
-            and self.normal == other.normal
-            and self.offset == other.offset
-        )
+        # ``row`` is canonical, so it fixes both ``normal`` and ``offset``.
+        return isinstance(other, Hyperplane) and self.row == other.row
 
     def __hash__(self) -> int:
-        return hash((self.normal, self.offset))
+        return hash(self.row)
 
     def __repr__(self) -> str:
         terms = []

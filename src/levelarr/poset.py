@@ -18,9 +18,12 @@ A flat is the intersection of the hyperplanes that contain it, so it is
 keyed by its containing set alone, an int mask over hyperplane indices, and
 each codimension level is ordered by ascending mask.  No flat carries
 equations of its own.  Möbius values are read off the cover relations the
-search finds: (-1)^codim on a Boolean lower interval, and otherwise minus the
-sum over the ancestor set that the covers accumulate, taken as one popcount
-per Möbius value seen so far.
+search finds, by Weisner's theorem (Stanley, *Enumerative Combinatorics* I,
+§3.9): the lower interval of a flat Z is the geometric lattice of its
+localization, the central arrangement of the hyperplanes that contain Z
+(Orlik & Terao 1992, ch. 2), so for any hyperplane H that contains Z,
+mu(Z) = -sum mu(Y) over the flats Y that Z covers and that H does not
+contain.  Each pending child keeps that sum as one int.
 """
 
 from __future__ import annotations
@@ -87,12 +90,15 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     offset, g[-1] * r[p] != r[-1] * g[p].  Anything else raises
     ``ArithmeticError``.
 
-    Möbius values come from the cover relations the BFS finds.  When exactly
-    codim(Z) hyperplanes contain Z, its lower interval is Boolean and
-    mu(Z) = (-1)^codim.  Otherwise mu(Z) is minus the sum over its ancestors,
-    a bitset over flat indices that is the union, over Z's cover parents, of
-    each parent's ancestors and the parent itself; with one bitset B_v of the
-    flats of each Möbius value v, that sum is sum_v v * popcount(ancestors & B_v).
+    Möbius values come from the cover relations the BFS finds, by Weisner's
+    theorem.  The interval between the ambient space and Z is the lattice of
+    Z's localization, which is geometric, so for an atom H of it, a
+    hyperplane that contains Z, mu(Z) = -sum mu(Y) over the coatoms Y with
+    H not containing Y: the cover parents whose mask lacks H's bit.  H is Z's
+    lowest hyperplane, so a parent with mask m adds mu(Y) to the child's sum
+    unless ``m & z & -z``.  Every cover parent reaches Z exactly once,
+    through one of its groups, and the codimension-major BFS settles mu(Y)
+    before it pops Z; the ambient space has mu = 1.
     """
     n = arr.dim
     ids: dict[IntRow, int] = {}  # primitive normal -> its id in this build
@@ -122,22 +128,16 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     # zero normal.
     halves: dict[int, dict[int, tuple]] = {}
     flats: list[Flat] = []
-    by_mobius: dict[int, int] = {}  # Möbius value -> bitset of the flats that have it
     # One entry per flat of the current codimension: (containing mask,
-    # [ancestor bitset over flat indices, parent's groups, residual]), sorted
-    # by mask in descending order and popped, so that a bitset and the
-    # parent's groups are freed once the children have taken them.
-    level: list[tuple] = [(0, [0, roots, None])]
+    # [Weisner sum, parent's groups, residual]), sorted by mask in descending
+    # order and popped, so that the parent's groups are freed once the
+    # children have taken them.  The ambient space's sum is -1, so its mu is 1.
+    level: list[tuple] = [(0, [-1, roots, None])]
     for codim in range(n + 1):
-        children: dict[int, list] = {}  # containing mask -> [ancestors, groups, residual]
+        children: dict[int, list] = {}  # containing mask -> [Weisner sum, groups, residual]
         while level:
-            mask, (ancestors, groups, r) = level.pop()
-            index = len(flats)
-            if mask.bit_count() == codim:
-                mu = -1 if codim % 2 else 1
-            else:
-                mu = -sum(v * (ancestors & b).bit_count() for v, b in by_mobius.items())
-            by_mobius[mu] = by_mobius.get(mu, 0) | 1 << index
+            mask, (total, groups, r) = level.pop()
+            mu = -total
             flats.append(Flat(dim=n - codim, codim=codim, mask=mask, mobius=mu))
 
             if r is not None:
@@ -186,13 +186,13 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                             g = (iv, s // e, b // e)
                         groups[g] = groups.get(g, 0) | gmask
 
-            below = ancestors | 1 << index
             for residual, group in groups.items():
-                child = children.get(mask | group)
+                z = mask | group
+                child = children.get(z)
                 if child is None:
-                    children[mask | group] = [below, groups, residual]
-                else:
-                    child[0] |= below
+                    child = children[z] = [0, groups, residual]
+                if not mask & z & -z:  # this flat lacks the child's lowest hyperplane
+                    child[0] += mu
         level = sorted(children.items(), reverse=True)
     return tuple(flats)
 
