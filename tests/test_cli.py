@@ -383,6 +383,10 @@ class TestOutputPins:
             pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=B"), "5c6bbb5314cce6168bdc93834d61282e0f4fd50196a0cb85880371ff32438978", id="cox_b3-B"),
             pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=zaslavsky"), "38a6bdcaee27939a6c6e9f0a41d120a5815625f2cdc20da7db586d9189c2d887", id="random_a4_seed7-zaslavsky"),
             pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=zaslavsky"), "25adabda9b77027ecfa9d80c3569224d16f645546aca7d9ec8fc42c9fe6a1a51", id="cox_b3-zaslavsky"),
+            pytest.param(eighths_b4, ("levels",), "bf015fc1b0dff618b6530b449f6887965e69a33319bbdf2e11e4f01c5f90c406", id="eighths_b4-levels"),
+            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels",), "57a9f6df98ee1c778395579cee1b15c7775e068abdfdbe9861d510cc9d61f6ee", id="random_a4_seed7-levels"),
+            pytest.param(eighths_b4, ("verify", "--theorem=B"), "8a53c2ec82d92b3bb95bcd67984d59f836d340c83fa2aaa98267f8c2c3a73f06", id="eighths_b4-B"),
+            pytest.param(lambda: delete(make_cox_b(3), 0), ("verify", "--theorem=zaslavsky"), "4f40ec56ae6dc5f94ec12d18859d343fe0468d385a5a9ea53d12ebe9f404e5ca", id="delete_cox_b3_0-zaslavsky"),
         ],
     )
     def test_json_digest(self, capsys, doc_path, make, argv, digest):
