@@ -43,7 +43,7 @@ from .expansion import (
 )
 from .ffcount import ff_oracle_check
 from .poset import _signed_sum, char_poly
-from .regions import enumerate_regions
+from .regions import enumerate_regions, level_profile
 from .render import RenderUnsupportedError, render_svg
 
 EXIT_OK = 0
@@ -113,12 +113,17 @@ def cmd_chi(args) -> int:
 def cmd_levels(args) -> int:
     parsed = _read_document(args.input)
     arr = parsed.arrangement
-    regions = enumerate_regions(arr)
-    counts = [0] * (arr.dim + 1)
-    for r in regions:
-        counts[r.level] += 1
+    # Only --regions needs witnesses; the counts alone take the cheaper path.
+    if args.regions:
+        regions = enumerate_regions(arr)
+        counts = [0] * (arr.dim + 1)
+        for r in regions:
+            counts[r.level] += 1
+    else:
+        counts = list(level_profile(arr).counts)
+    total = sum(counts)
     if args.json:
-        payload = {"counts": counts, "total": len(regions)}
+        payload = {"counts": counts, "total": total}
         if args.regions:
             payload["regions"] = [
                 {
@@ -134,7 +139,7 @@ def cmd_levels(args) -> int:
     for k, c in enumerate(counts):
         if c:
             lines.append(f"level {k}: {c}")
-    lines.append(f"total: {len(regions)}")
+    lines.append(f"total: {total}")
     if args.regions:
         for r in regions:
             witness = ", ".join(map(str, r.witness))

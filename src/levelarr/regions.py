@@ -1,4 +1,5 @@
-"""Region enumeration with exact witnesses, and levels via recession cones.
+"""Region enumeration with exact witnesses, levels via recession cones, and
+witness-free level profiles by shortest-path closures.
 
 Regions are produced by incremental insertion: hyperplanes are added one at a
 time and every region whose interior meets the new hyperplane is split in
@@ -13,20 +14,33 @@ dot product; it becomes a tuple of ``Fraction``s once, in the final
 
 The level of a region is the smallest dimension of a linear subspace the
 region stays within bounded distance of.  For an open convex polyhedron that
-equals the dimension of the linear span of its recession cone.  For a type B
-deformation that cone is cut out by relations d_u >= d_v on the nodes
-{0, +-1, ..., +-n} (d_0 = 0, d_{-i} = -d_i), and its span has one dimension
-per pair C != -C of strongly connected components of that signed digraph
-with 0 not in C (the type B analogue of braid cones as preposets; Postnikov,
-Reiner & Williams, Doc. Math. 2008).  Every other arrangement gets its level
-from one exact LP per region, ``cone_span_dimension`` of the homogenized sign
-constraints.
+equals the dimension of the linear span of its recession cone.  When every
+normal has a Coxeter form (x_i, x_i - x_j or x_i + x_j) that cone is cut out
+by relations d_u >= d_v on the nodes {0, +-1, ..., +-n} (d_0 = 0,
+d_{-i} = -d_i), and its span has one dimension per pair C != -C of strongly
+connected components of that signed digraph with 0 not in C (the type B
+analogue of braid cones as preposets; Postnikov, Reiner & Williams, Doc.
+Math. 2008).  ``enumerate_regions`` reads levels this way for type B
+deformations and from one exact LP per region, ``cone_span_dimension`` of
+the homogenized sign constraints, for every other arrangement.
+
+``level_profile`` needs no witness.  When every normal has a Coxeter form,
+a region is a system of strict constraints d_v - d_u < c on the same nodes,
+one edge and its mirror per side, and it is nonempty iff that weighted
+digraph has no cycle of total weight <= 0: difference constraints for type A
+(Cormen, Leiserson, Rivest & Stein, *Introduction to Algorithms*, §24.4) and
+the doubled graph of UTVPI constraints for type B (Miné, "The octagon
+abstract domain", HOSC 19, 2006).  ``_closure_walk`` is the insertion walk
+with each region carrying the integer shortest-path closure of that digraph
+in place of a witness: split tests are table lookups, and the level is read
+off the same closure.  Any other arrangement takes ``enumerate_regions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .arrangement import Arrangement, Kind
@@ -60,10 +74,11 @@ def _signed_edges(arr: Arrangement) -> list[tuple[tuple[tuple[int, int], ...], .
     """Edges of the signed digraph, per hyperplane: ``(plus side, minus side)``.
 
     Node 0 stands for d_0 = 0, node i for d_i and node n + i for d_{-i} = -d_i
-    (1-based i).  An edge ``(u, 1 << v)`` reads d_u >= d_v; the + side of
+    (1-based i).  An edge ``(u, v)`` reads d_u >= d_v; the + side of
     ``coord i`` is d_i >= d_0, of ``diff i j`` d_i >= d_j and of ``sum i j``
-    d_i >= d_{-j}, and the - side reverses it.  Each side also holds the
-    mirror edge -v -> -u.  Every hyperplane must have one of these forms.
+    d_i >= d_{-j}, and the - side reverses it.  Each side's first edge is
+    ``(u, v)`` or ``(v, u)``, and its second the mirror edge -v -> -u.
+    Every hyperplane must have one of these forms.
     """
     n = arr.dim
     mirror = [0] + [n + i for i in range(1, n + 1)] + list(range(1, n + 1))
@@ -72,35 +87,119 @@ def _signed_edges(arr: Arrangement) -> list[tuple[tuple[tuple[int, int], ...], .
         form = h.form()
         u = form[1] + 1
         v = 0 if form[0] == "coord" else form[2] + 1 + (n if form[0] == "sum" else 0)
-        plus = ((u, 1 << v), (mirror[v], 1 << mirror[u]))
-        minus = ((v, 1 << u), (mirror[u], 1 << mirror[v]))
+        plus = ((u, v), (mirror[v], mirror[u]))
+        minus = ((v, u), (mirror[u], mirror[v]))
         out.append((plus, minus))
     return out
 
 
-def _digraph_level(edges, signs: Sequence[int], n: int) -> int:
-    """Level of a region from its signed digraph (see ``_signed_edges``).
+def _reach_level(reach: Sequence[int], n: int) -> int:
+    """Level from the reachability bitmasks of the 2n + 1 nodes of a signed digraph.
 
-    Closes reachability as bitmasks over the 2n + 1 nodes and counts the
-    strongly connected components C with 0 not in C and C != -C.  They come
-    in mirror pairs, and each pair is one dimension of the cone's span.
+    Counts the strongly connected components C with 0 not in C and C != -C.
+    They come in mirror pairs, and each pair is one dimension of the span of
+    the recession cone.
     """
     size = 2 * n + 1
-    reach = [1 << u for u in range(size)]
-    for sides, s in zip(edges, signs):
-        for tail, head in sides[s < 0]:
-            reach[tail] |= head
-    for k in range(size):
-        bit, row = 1 << k, reach[k]
-        for u in range(size):
-            if reach[u] & bit:
-                reach[u] |= row
     comps = {
         reach[u] & sum(1 << v for v in range(size) if reach[v] >> u & 1)
         for u in range(1, size)
     }
     pos = ((1 << n) - 1) << 1
     return sum(1 for c in comps if not c & 1 and c != (c & pos) << n | (c >> n) & pos) // 2
+
+
+def _digraph_level(edges, signs: Sequence[int], n: int) -> int:
+    """Level of a region from its signed digraph (see ``_signed_edges``).
+
+    Closes reachability as bitmasks over the 2n + 1 nodes, then counts
+    components by ``_reach_level``.
+    """
+    size = 2 * n + 1
+    reach = [1 << u for u in range(size)]
+    for sides, s in zip(edges, signs):
+        for tail, head in sides[s < 0]:
+            reach[tail] |= 1 << head
+    for k in range(size):
+        bit, row = 1 << k, reach[k]
+        for u in range(size):
+            if reach[u] & bit:
+                reach[u] |= row
+    return _reach_level(reach, n)
+
+
+def _tighten(dist: list, u: int, v: int, w: int, big: int) -> list:
+    """The closure ``dist`` with the edge u -> v of weight w added: O(N^2).
+
+    Row a changes only where the path a -> u -> v beats a -> v; a row that
+    does not is shared, not copied, so a closure's rows are never written.
+    ``big`` stands in for a missing path from v, so that no sum with it
+    drops below the ``inf`` marking a missing path.
+    """
+    inf = big >> 1
+    via = [big if d >= inf else d for d in dist[v]]
+    out = []
+    for row in dist:
+        du = row[u]
+        if du < inf and du + w < row[v]:
+            t = du + w
+            row = [x if x <= t + y else t + y for x, y in zip(row, via)]
+        out.append(row)
+    return out
+
+
+def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
+    """Sign vectors and levels of all regions, in ``enumerate_regions``' order.
+
+    Every hyperplane must have a Coxeter form.  Offsets are scaled by L, the
+    lcm of the rows' leading entries, to integers C, and a strict bound C
+    becomes the weight C*K - 1 with K = 4n + 4, more than the length of any
+    simple cycle, so a cycle is negative iff its bounds sum to <= 0.  Each
+    region carries the all-pairs shortest-path closure of its edges, a list
+    of integer rows where ``inf`` marks a missing path.  A side u -> v of
+    weight w is implied when dist[u][v] <= w, and the region keeps its
+    closure; it is empty when dist[v][u] + w < 0 or when it and its mirror
+    close a negative cycle together; otherwise ``_tighten`` adds both edges.
+    A node reaches exactly the nodes at a finite distance, and
+    ``_reach_level`` counts the components from that.
+    """
+    n = arr.dim
+    size = 2 * n + 1
+    # row[:-1] is g times the form's normal, whose leading entry is 1
+    leads = [next(c for c in h.row if c) for h in arr.hyperplanes]
+    scale = lcm(1, *leads)
+    k = 2 * size + 2
+    offsets = [h.row[-1] * (scale // g) for h, g in zip(arr.hyperplanes, leads)]
+    inf = (size + 2) * (k * max(map(abs, offsets), default=0) + 2)
+    big = 2 * inf
+
+    def side(dist, edges, w):
+        (u, v), (mv, mu) = edges
+        if dist[u][v] <= w:
+            return dist
+        if dist[v][u] + w < 0 or dist[mu][u] + 2 * w + dist[v][mv] < 0:
+            return None
+        return _tighten(_tighten(dist, u, v, w, big), mv, mu, w, big)
+
+    root = [[0 if a == b else inf for b in range(size)] for a in range(size)]
+    live: list[tuple[list[int], list]] = [([], root)]
+    for (plus, minus), c in zip(_signed_edges(arr), offsets):
+        updated = []
+        for signs, dist in live:
+            # the + side's edge u -> v reads d_v - d_u < -c, the - side's d_u - d_v < c
+            for s, edges, w in ((1, plus, -k * c - 1), (-1, minus, k * c - 1)):
+                child = side(dist, edges, w)
+                if child is not None:
+                    updated.append((signs + [s], child))
+                if child is dist:
+                    break  # the + side holds throughout, so the - side is empty
+        live = updated
+
+    out = []
+    for signs, dist in live:
+        reach = [sum(1 << b for b, d in enumerate(row) if d < inf) for row in dist]
+        out.append((tuple(signs), _reach_level(reach, n)))
+    return out
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
@@ -145,8 +244,17 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
 
 
 def level_profile(arr: Arrangement) -> LevelProfile:
-    """Counts (r_0, ..., r_n) of regions by level."""
+    """Counts (r_0, ..., r_n) of regions by level.
+
+    When every hyperplane has a Coxeter form the counts come from
+    ``_closure_walk``, with no LP and no witness; otherwise from
+    ``enumerate_regions``.
+    """
+    if all(h.form() is not None for h in arr.hyperplanes):
+        levels = [level for _, level in _closure_walk(arr)]
+    else:
+        levels = [region.level for region in enumerate_regions(arr)]
     counts = [0] * (arr.dim + 1)
-    for region in enumerate_regions(arr):
-        counts[region.level] += 1
+    for level in levels:
+        counts[level] += 1
     return LevelProfile(tuple(counts))

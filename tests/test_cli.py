@@ -182,21 +182,22 @@ class TestVerify:
 
     def test_theorem_b_catches_a_wrong_level(self, capsys, doc_path, monkeypatch, example_b):
         # chi is an independent check of the digraph levels: one region off
-        # by one fails the verification.
+        # by one fails the verification.  The closure walk counts each
+        # region's components by ``_reach_level``.
         from levelarr import regions
         from levelarr.cli import EXIT_VERIFY_FAILED
 
-        exact = regions._digraph_level
+        exact = regions._reach_level
         calls = []
 
-        def off_by_one(edges, signs, n):
-            level = exact(edges, signs, n)
-            calls.append(signs)
+        def off_by_one(reach, n):
+            level = exact(reach, n)
+            calls.append(reach)
             if len(calls) == 1:
                 return level - 1 if level else 1
             return level
 
-        monkeypatch.setattr(regions, "_digraph_level", off_by_one)
+        monkeypatch.setattr(regions, "_reach_level", off_by_one)
         code, out, _ = run(capsys, "verify", doc_path(example_b), "--theorem=B")
         assert len(calls) == 10
         assert code == EXIT_VERIFY_FAILED

@@ -1,23 +1,32 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelarr.arrangement import (
     Arrangement,
     Hyperplane,
     Kind,
+    _coxeter_forms,
+    _form_normal,
     delete,
     make_cox_a,
     make_cox_b,
+    make_deformation_a,
+    make_deformation_b,
     make_m_catalan,
     random_deformation_a,
     random_deformation_b,
+    restrict,
 )
-from levelarr.exactmath import cone_span_dimension
+from levelarr.exactmath import _feasible_system, cone_span_dimension
 from levelarr.poset import char_poly
 from levelarr.regions import (
+    _closure_walk,
     _digraph_level,
     _signed_edges,
     enumerate_regions,
@@ -42,6 +51,15 @@ def general_r4() -> Arrangement:
             h = hp(normal, Fraction(rng.randint(-24, 24), 8))
             planes.setdefault(h.row, h)
     return Arrangement(4, list(planes.values()))
+
+
+def self_mirror_bands() -> Arrangement:
+    """x1 +- x2 = 0, 1 and x3 +- x4 = 0, 1: components that are their own mirror."""
+    return Arrangement(4, [
+        hp(normal, offset)
+        for normal in ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
+        for offset in (0, 1)
+    ])
 
 
 class TestEnumerateRegions:
@@ -168,12 +186,7 @@ class TestTypeBLevelOracle:
         # Bands on x1 +- x2 and x3 +- x4 with no coordinate hyperplanes: a
         # region inside all four bands has the components {+-1, +-2} and
         # {+-3, +-4}, each its own mirror, and they add no dimension.
-        planes = [
-            hp(normal, offset)
-            for normal in ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
-            for offset in (0, 1)
-        ]
-        arr = Arrangement(4, planes)
+        arr = self_mirror_bands()
         edges = _signed_edges(arr)
         regions = enumerate_regions(arr)
         levels = [_digraph_level(edges, r.sign_vector, 4) for r in regions]
@@ -181,9 +194,11 @@ class TestTypeBLevelOracle:
         assert levels.count(0) == 1
 
     def test_level_routing(self, monkeypatch, example_a, example_b, grid_example):
-        # Type B takes the digraph; type A, general arrangements and
-        # degenerate ones with type B normals only take one LP per region.
-        calls = {"lp": 0, "digraph": 0}
+        # enumerate_regions: type B takes the digraph; type A, general
+        # arrangements and degenerate ones with type B normals only take one
+        # LP per region.  level_profile: the closure walk iff every
+        # hyperplane has a Coxeter form, with no split test and no LP.
+        calls = dict.fromkeys(("lp", "digraph", "split", "closure", "enumerate"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -194,15 +209,126 @@ class TestTypeBLevelOracle:
 
         monkeypatch.setattr("levelarr.regions.cone_span_dimension", counted("lp", cone_span_dimension))
         monkeypatch.setattr("levelarr.regions._digraph_level", counted("digraph", _digraph_level))
+        monkeypatch.setattr("levelarr.regions._feasible_system", counted("split", _feasible_system))
+        monkeypatch.setattr("levelarr.regions._closure_walk", counted("closure", _closure_walk))
+        monkeypatch.setattr("levelarr.regions.enumerate_regions", counted("enumerate", enumerate_regions))
         degenerate = delete(make_cox_b(3), 0)
         assert degenerate.kind is Kind.GENERAL
-        for arr in (example_a, make_cox_a(3), grid_example, degenerate, example_b, make_cox_b(3)):
-            calls.update(lp=0, digraph=0)
+        skew = Arrangement(2, [hp((1, 0)), hp((0, 1)), hp((1, 2), 1)])
+        for arr in (example_a, make_cox_a(3), grid_example, degenerate, example_b, make_cox_b(3), skew):
+            calls.update(dict.fromkeys(calls, 0))
             count = len(enumerate_regions(arr))
-            if arr.kind is Kind.TYPE_B:
-                assert calls == {"lp": 0, "digraph": count}
+            lp, digraph = (0, count) if arr.kind is Kind.TYPE_B else (count, 0)
+            assert (calls["lp"], calls["digraph"]) == (lp, digraph)
+
+            calls.update(dict.fromkeys(calls, 0))
+            assert sum(level_profile(arr).counts) == count
+            if all(h.form() is not None for h in arr.hyperplanes):
+                assert calls == {"lp": 0, "digraph": 0, "split": 0, "closure": 1, "enumerate": 0}
             else:
-                assert calls == {"lp": count, "digraph": 0}
+                assert arr is skew
+                assert calls["closure"] == 0 and calls["enumerate"] == 1
+                assert calls["lp"] == count and calls["split"] > 0
+
+
+def _walks(arr):
+    """The closure walk's regions beside ``enumerate_regions``' as ``(signs, level)``."""
+    return _closure_walk(arr), [(r.sign_vector, r.level) for r in enumerate_regions(arr)]
+
+
+_EIGHTHS = st.lists(st.integers(-24, 24), min_size=1, max_size=2, unique=True).map(
+    lambda ks: [Fraction(k, 8) for k in sorted(ks)]
+)
+
+
+@st.composite
+def _deformations(draw):
+    """Type A deformations in R^2..R^4 and type B in R^1..R^3, one or two eighths per direction."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        pairs = list(combinations(range(1, n + 1), 2))
+        return make_deformation_a(n, {p: draw(_EIGHTHS) for p in pairs})
+    n = draw(st.integers(1, 3))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return make_deformation_b(
+        n,
+        {i: draw(_EIGHTHS) for i in range(1, n + 1)},
+        {p: draw(_EIGHTHS) for p in pairs},
+        {p: draw(_EIGHTHS) for p in pairs},
+    )
+
+
+@st.composite
+def _coxeter_subsets(draw):
+    """Hyperplanes of Coxeter form in R^1..R^4 with offsets in {-1, 0, 1}.
+
+    Most draws miss some direction class (``Kind.GENERAL``), and the small
+    offsets make regions that touch along many hyperplanes at once.
+    """
+    n = draw(st.integers(1, 4))
+    normals = [_form_normal(n, f) for f in _coxeter_forms(Kind.TYPE_B, n)]
+    planes = st.builds(hp, st.sampled_from(normals), st.integers(-1, 1))
+    count = draw(st.integers(1, 8))
+    return Arrangement(n, draw(st.lists(planes, min_size=count, max_size=count, unique_by=lambda h: h.row)))
+
+
+class TestClosureWalk:
+    """The closure walk against ``enumerate_regions``: same sign vectors, same
+    order, same levels, on arrangements whose normals all have Coxeter forms."""
+
+    @given(_deformations())
+    @settings(max_examples=60, deadline=None)
+    def test_eighths_deformations(self, arr):
+        assert arr.kind in (Kind.TYPE_A, Kind.TYPE_B)
+        got, ref = _walks(arr)
+        assert got == ref
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_cox_a(2), lambda: make_cox_a(3), lambda: make_cox_a(4),
+         lambda: make_cox_b(1), lambda: make_cox_b(2), lambda: make_cox_b(3),
+         lambda: make_m_catalan(3, 1)],
+        ids=["cox_a2", "cox_a3", "cox_a4", "cox_b1", "cox_b2", "cox_b3", "m_catalan_3_1"],
+    )
+    def test_zero_offsets(self, make):
+        # Every hyperplane of a Coxeter arrangement passes through the
+        # origin, so every region is a cone and the walk meets cycles of
+        # total offset 0, which only the strictness term rules out.
+        got, ref = _walks(make())
+        assert got == ref
+
+    @given(_coxeter_subsets())
+    @settings(max_examples=100, deadline=None)
+    def test_degenerate_subsets(self, arr):
+        got, ref = _walks(arr)
+        assert got == ref
+
+    @given(st.integers(0, 10**6), st.integers(3, 4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_restrictions(self, seed, n, data):
+        arr = random_deformation_a(n, random.Random(seed), 2)
+        restricted, _ = restrict(arr, data.draw(st.integers(0, len(arr) - 1)))
+        got, ref = _walks(restricted)
+        assert got == ref
+
+    def test_mirror_cycle(self):
+        # x1 - x2 < -1 and x1 + x2 < -1 add up to x1 < -1: the side x1 > -1
+        # is empty, but only the new edge and its mirror together close the
+        # cycle 0 -> -1 -> 2 -> 1 -> 0 of total offset 0.
+        arr = Arrangement(2, [hp((1, -1), -1), hp((1, 1), -1), hp((1, 0), -1)])
+        got, ref = _walks(arr)
+        assert got == ref
+        assert ((-1, -1, 1), 2) not in got
+
+    def test_self_mirror_bands(self):
+        got, ref = _walks(self_mirror_bands())
+        assert got == ref
+        assert [level for _, level in got].count(0) == 1
+
+    def test_empty_and_zero_dimensional(self):
+        assert _closure_walk(Arrangement(3, [])) == [((), 3)]
+        assert _closure_walk(Arrangement(0, [])) == [((), 0)]
+        assert level_profile(Arrangement(0, [])).counts == (1,)
 
 
 class TestLevelProfile:
