@@ -9,6 +9,7 @@ Exit statuses: 0 all checks pass, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -291,7 +292,9 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="levelarr",
         description="Exact hyperplane-arrangement computations: characteristic "

@@ -1,14 +1,17 @@
 """JSON arrangement documents: exact rationals, lossless round trips.
 
 Rationals are serialized as plain integers when possible and as lowest-terms
-strings like ``"3/2"`` otherwise; floats are rejected on input.  Parsing
-canonicalizes hyperplanes, so parse -> serialize -> parse is the identity on
-parsed values.
+strings like ``"3/2"`` otherwise.  On input a scalar is a JSON integer or a
+string ``"p"`` or ``"p/q"`` of decimal digits with an optional sign; floats,
+exponents, decimal points and digit separators are refused, so no scalar
+costs more than its digits to read.  Parsing canonicalizes hyperplanes, so
+parse -> serialize -> parse is the identity on parsed values.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -18,6 +21,9 @@ from .arrangement import Arrangement, Hyperplane
 
 class DocumentError(ValueError):
     """Malformed arrangement document; the message names the offending field."""
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def scalar_to_json(value: Union[int, Fraction]) -> Union[int, str]:
@@ -33,6 +39,8 @@ def scalar_from_json(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value.strip()):
+            raise DocumentError(f"{where}: expected an integer or \"p/q\" string, got {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -120,6 +128,7 @@ def dumps_document(doc: dict) -> str:
 def loads_document(text: str) -> ParsedDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's digit limit
         raise DocumentError(f"invalid JSON: {exc}") from None
     return parse_document(raw)

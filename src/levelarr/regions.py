@@ -20,9 +20,13 @@ by relations d_u >= d_v on the nodes {0, +-1, ..., +-n} (d_0 = 0,
 d_{-i} = -d_i), and its span has one dimension per pair C != -C of strongly
 connected components of that signed digraph with 0 not in C (the type B
 analogue of braid cones as preposets; Postnikov, Reiner & Williams, Doc.
-Math. 2008).  ``enumerate_regions`` reads levels this way for type B
-deformations and from one exact LP per region, ``cone_span_dimension`` of
-the homogenized sign constraints, for every other arrangement.
+Math. 2008).  ``_reach_level`` counts those pairs from a mutual-reachability
+test alone: a node +i whose component C misses -i gives one pair {C, -C},
+since C meets its mirror only if C = -C (so C misses 0, whose component is
+its own mirror), and each pair is counted at its first such node.
+``enumerate_regions`` reads levels this way for type B deformations and from
+one exact LP per region, ``cone_span_dimension`` of the homogenized sign
+constraints, for every other arrangement.
 
 ``level_profile`` needs no witness.  When every normal has a Coxeter form,
 a region is a system of strict constraints d_v - d_u < c on the same nodes,
@@ -41,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arrangement import Arrangement, Kind
 from .exactmath import IntPoint, Vector, _feasible_system, _slack, cone_span_dimension
@@ -93,27 +97,35 @@ def _signed_edges(arr: Arrangement) -> list[tuple[tuple[tuple[int, int], ...], .
     return out
 
 
-def _reach_level(reach: Sequence[int], n: int) -> int:
-    """Level from the reachability bitmasks of the 2n + 1 nodes of a signed digraph.
+def _reach_level(linked: Callable[[int, int], bool], n: int) -> int:
+    """Level from a mutual-reachability test on the 2n + 1 nodes of a signed digraph.
 
-    Counts the strongly connected components C with 0 not in C and C != -C.
-    They come in mirror pairs, and each pair is one dimension of the span of
-    the recession cone.
+    ``linked(u, v)`` says u and v lie in one strongly connected component.
+    The level counts the mirror pairs C != -C of components with 0 not in C.
+    Every such pair holds a node +i, and i's component C is one of them
+    unless i is linked to -i: C meets its mirror only if C = -C.  The
+    component of 0 is its own mirror, so i linked to 0 is linked to -i too
+    and needs no test of its own.  Otherwise i counts one level, and every
+    later j linked to i (j in C) or to -j (j in -C) is the same pair,
+    counted already.  O(n^2) tests.
     """
-    size = 2 * n + 1
-    comps = {
-        reach[u] & sum(1 << v for v in range(size) if reach[v] >> u & 1)
-        for u in range(1, size)
-    }
-    pos = ((1 << n) - 1) << 1
-    return sum(1 for c in comps if not c & 1 and c != (c & pos) << n | (c >> n) & pos) // 2
+    counted = [False] * (n + 1)
+    level = 0
+    for i in range(1, n + 1):
+        if counted[i] or linked(i, n + i):
+            continue
+        level += 1
+        for j in range(i + 1, n + 1):
+            if linked(i, j) or linked(i, n + j):
+                counted[j] = True
+    return level
 
 
 def _digraph_level(edges, signs: Sequence[int], n: int) -> int:
     """Level of a region from its signed digraph (see ``_signed_edges``).
 
     Closes reachability as bitmasks over the 2n + 1 nodes, then counts
-    components by ``_reach_level``.
+    mirror pairs of components by ``_reach_level``.
     """
     size = 2 * n + 1
     reach = [1 << u for u in range(size)]
@@ -125,7 +137,7 @@ def _digraph_level(edges, signs: Sequence[int], n: int) -> int:
         for u in range(size):
             if reach[u] & bit:
                 reach[u] |= row
-    return _reach_level(reach, n)
+    return _reach_level(lambda u, v: reach[u] >> v & 1 and reach[v] >> u & 1, n)
 
 
 def _tighten(dist: list, u: int, v: int, w: int, big: int) -> list:
@@ -160,8 +172,9 @@ def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
     weight w is implied when dist[u][v] <= w, and the region keeps its
     closure; it is empty when dist[v][u] + w < 0 or when it and its mirror
     close a negative cycle together; otherwise ``_tighten`` adds both edges.
-    A node reaches exactly the nodes at a finite distance, and
-    ``_reach_level`` counts the components from that.
+    A node reaches exactly the nodes at a finite distance, so u and v are
+    in one component iff dist[u][v] and dist[v][u] are both finite, and
+    ``_reach_level`` counts levels from that test with no reach masks.
     """
     n = arr.dim
     size = 2 * n + 1
@@ -195,11 +208,10 @@ def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
                     break  # the + side holds throughout, so the - side is empty
         live = updated
 
-    out = []
-    for signs, dist in live:
-        reach = [sum(1 << b for b, d in enumerate(row) if d < inf) for row in dist]
-        out.append((tuple(signs), _reach_level(reach, n)))
-    return out
+    return [
+        (tuple(signs), _reach_level(lambda u, v: dist[u][v] < inf and dist[v][u] < inf, n))
+        for signs, dist in live
+    ]
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:

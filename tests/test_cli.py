@@ -13,7 +13,7 @@ import pytest
 
 import levelarr
 from levelarr.arrangement import Arrangement, delete, make_cox_b, make_m_catalan, random_deformation_a
-from levelarr.cli import format_expansion, main
+from levelarr.cli import build_parser, format_expansion, main
 from levelarr.document import document_of, dumps_document, loads_document
 from levelarr.expansion import BasisKind
 
@@ -39,14 +39,36 @@ def run(capsys, *argv):
 LEVEL_LABEL = re.compile(r'class="level"[^>]*>(\d+)</text>')
 
 
+def fresh_python(*args):
+    """Stdout of a new interpreter run with ``args``, importing this package."""
+    src = str(Path(levelarr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_import_leaves_numpy_unloaded():
     # Only the finite-field point count needs numpy; no command pays for
     # loading it at start-up.
-    src = str(Path(levelarr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, levelarr.cli; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    assert fresh_python("-c", "import sys, levelarr.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_one_parser_serves_every_call(capsys, doc_path, example_b):
+    # The parser is built once per process; a parse error in between leaves
+    # it as it was, so each command prints what a fresh process prints.
+    path = doc_path(example_b)
+
+    def fresh(*argv):
+        return fresh_python("-m", "levelarr.cli", *argv)
+
+    build_parser.cache_clear()
+    assert run(capsys, "chi", path) == (0, fresh("chi", path), "")
+    assert run(capsys, "levels", path, "--regions") == (0, fresh("levels", path, "--regions"), "")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--theorem=C"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, "chi", path) == (0, fresh("chi", path), "")
+    assert build_parser.cache_info().misses == 1
 
 
 class TestChi:
@@ -96,6 +118,18 @@ class TestChi:
         code, out, err = run(capsys, "chi", str(path))
         assert code == 2
         assert "hyperplanes[0].normal[0]" in err
+
+    @pytest.mark.parametrize(
+        "offset, named",
+        [('"1e20000000"', "hyperplanes[0].offset"), ('"1.5"', "hyperplanes[0].offset"), ("9" * 5000, "invalid JSON")],
+        ids=["exponent", "decimal_point", "digit_limit"],
+    )
+    def test_refused_scalars_exit_2(self, capsys, tmp_path, offset, named):
+        path = tmp_path / "bad.json"
+        path.write_text('{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": %s}]}' % offset)
+        code, out, err = run(capsys, "chi", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named}")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "chi", "/nonexistent/arr.json")
@@ -183,16 +217,16 @@ class TestVerify:
     def test_theorem_b_catches_a_wrong_level(self, capsys, doc_path, monkeypatch, example_b):
         # chi is an independent check of the digraph levels: one region off
         # by one fails the verification.  The closure walk counts each
-        # region's components by ``_reach_level``.
+        # region's level by ``_reach_level``.
         from levelarr import regions
         from levelarr.cli import EXIT_VERIFY_FAILED
 
         exact = regions._reach_level
         calls = []
 
-        def off_by_one(reach, n):
-            level = exact(reach, n)
-            calls.append(reach)
+        def off_by_one(linked, n):
+            level = exact(linked, n)
+            calls.append(linked)
             if len(calls) == 1:
                 return level - 1 if level else 1
             return level

@@ -40,6 +40,17 @@ class TestScalars:
         with pytest.raises(DocumentError):
             scalar_from_json(True, "x")
 
+    @pytest.mark.parametrize("text", ["1e20000000", "1.5", "1_000", "0x10", "inf", "1/ 2", "3/-2", "", "\u0661"])
+    def test_strings_are_integers_or_p_over_q(self, text):
+        # Only the documented grammar [+-]digits[/digits] is read: an
+        # exponent would keep Fraction busy for as long as it likes.
+        with pytest.raises(DocumentError, match=r'^hyperplanes\[0\]\.offset: expected an integer or "p/q" string'):
+            scalar_from_json(text, "hyperplanes[0].offset")
+
+    def test_string_grammar_accepts_signs_and_padding(self):
+        assert scalar_from_json(" +12/8 ", "x") == Fraction(3, 2)
+        assert scalar_from_json("-0", "x") == 0
+
 
 class TestParse:
     def test_worked_example(self, example_a):
@@ -101,6 +112,12 @@ class TestParse:
     def test_invalid_json_text(self):
         with pytest.raises(DocumentError, match="invalid JSON"):
             loads_document("{not json")
+
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError.
+        text = '{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": %s}]}' % ("9" * 5000)
+        with pytest.raises(DocumentError, match="invalid JSON: Exceeds the limit"):
+            loads_document(text)
 
 
 class TestRoundTrip:

@@ -248,6 +248,12 @@ def _deformations(draw):
         n = draw(st.integers(2, 4))
         pairs = list(combinations(range(1, n + 1), 2))
         return make_deformation_a(n, {p: draw(_EIGHTHS) for p in pairs})
+    return draw(_deformations_b())
+
+
+@st.composite
+def _deformations_b(draw):
+    """Type B deformations in R^1..R^3, one or two eighths per direction."""
     n = draw(st.integers(1, 3))
     pairs = list(combinations(range(1, n + 1), 2))
     return make_deformation_b(
@@ -329,6 +335,33 @@ class TestClosureWalk:
         assert _closure_walk(Arrangement(3, [])) == [((), 3)]
         assert _closure_walk(Arrangement(0, [])) == [((), 0)]
         assert level_profile(Arrangement(0, [])).counts == (1,)
+
+
+class TestClosureWalkLevels:
+    """The closure walk's levels against the cone-span LP.  Both type B
+    level paths count through ``_reach_level``, so comparing the walk with
+    ``enumerate_regions`` cannot catch a fault in that rule; the LP can."""
+
+    @given(_deformations_b())
+    @settings(max_examples=30, deadline=None)
+    def test_type_b_deformations(self, arr):
+        for signs, level in _closure_walk(arr):
+            assert level == _lp_level(arr, signs)
+
+    def test_self_mirror_bands(self):
+        # Inside all four bands +1 is linked to -1: its component is its own mirror.
+        arr = self_mirror_bands()
+        for signs, level in _closure_walk(arr):
+            assert level == _lp_level(arr, signs)
+
+    def test_pair_joined_through_a_mirror_node(self):
+        # The band 0 < x1 + x2 < 1 has the components {1, -2} and {-1, 2}:
+        # node 2 shares no component with node 1, only with its mirror -1,
+        # so 2 belongs to 1's pair through the test of 1 against -2.
+        arr = Arrangement(2, [hp((1, 1), 0), hp((1, 1), 1)])
+        walk = _closure_walk(arr)
+        assert walk == [((1, 1), 2), ((1, -1), 1), ((-1, -1), 2)]
+        assert [level for _, level in walk] == [_lp_level(arr, signs) for signs, _ in walk]
 
 
 class TestLevelProfile:
