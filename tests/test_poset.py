@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -116,6 +117,23 @@ class TestBuildPoset:
             for flat in build_poset(arr):
                 assert flat.mobius != 0
                 assert (flat.mobius > 0) == (flat.codim % 2 == 0)
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: make_cox_b(3), "8a30c897ee4371de3a35c6f884721760be238615237a13c79682ca0d5086d683"),
+            (lambda: make_m_catalan(3, 1), "51b1176b37dce6560965d90519e9d130ea45fbec44c474e2adf168e383c212c0"),
+            (
+                lambda: random_deformation_a(4, random.Random(7), 2),
+                "52093d106444884476d3d2c5bd5ed0226fb4968c7b82281856d8c50a527c45b6",
+            ),
+        ],
+        ids=["cox_b3", "m_catalan_3_1", "random_a4_seed7"],
+    )
+    def test_repr_digest(self, make, digest):
+        # sha256 of repr(build_poset(...)): pins flat order, masks, Möbius
+        # values and the Flat(dim=…, codim=…, mask=…, mobius=…) form at once.
+        assert hashlib.sha256(repr(build_poset(make())).encode()).hexdigest() == digest
 
 
 def reference_flats(arr: Arrangement) -> list:
