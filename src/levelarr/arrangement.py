@@ -13,11 +13,10 @@ tag and the non-degeneracy reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactmath import IntRow, _int_row, _normalize, _step, as_scalar, as_vector
 
@@ -180,8 +179,7 @@ def _form_normal(dim: int, form: tuple) -> tuple[int, ...]:
     return tuple(normal)
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(NamedTuple):
     """Outcome of a non-degeneracy check against an expected deformation kind.
 
     ``missing`` names each unpopulated direction class with 1-based indices:

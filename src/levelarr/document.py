@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .arrangement import Arrangement, Hyperplane
 
@@ -24,6 +23,12 @@ class DocumentError(ValueError):
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SHOWN = 40  # characters of an offending value that an error message echoes
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first ``_SHOWN`` characters and its length if longer."""
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}… ({len(text)} characters)"
 
 
 def scalar_to_json(value: Union[int, Fraction]) -> Union[int, str]:
@@ -35,21 +40,20 @@ def scalar_to_json(value: Union[int, Fraction]) -> Union[int, str]:
 
 def scalar_from_json(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"{where}: expected an integer or rational string, got {value!r}")
+        raise DocumentError(f"{where}: expected an integer or rational string, got {_clip(repr(value))}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value.strip()):
-            raise DocumentError(f"{where}: expected an integer or \"p/q\" string, got {value!r}")
+            raise DocumentError(f"{where}: expected an integer or \"p/q\" string, got {_clip(repr(value))}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{where}: not a rational: {value!r} ({exc})") from None
+            raise DocumentError(f"{where}: not a rational: {_clip(repr(value))} ({_clip(str(exc))})") from None
     raise DocumentError(f"{where}: expected an integer or rational string, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class ParsedDocument:
+class ParsedDocument(NamedTuple):
     arrangement: Arrangement
     labels: tuple[str, ...]
 
@@ -61,7 +65,7 @@ def parse_document(doc: dict) -> ParsedDocument:
         raise DocumentError("ambient_dim: missing")
     dim = doc["ambient_dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise DocumentError(f"ambient_dim: expected a positive integer, got {dim!r}")
+        raise DocumentError(f"ambient_dim: expected a positive integer, got {_clip(repr(dim))}")
     raw_planes = doc.get("hyperplanes", [])
     if not isinstance(raw_planes, list):
         raise DocumentError("hyperplanes: expected a list")
@@ -93,7 +97,7 @@ def parse_document(doc: dict) -> ParsedDocument:
 
     kind = doc.get("kind")
     if kind is not None and kind not in ("typeA", "typeB", "general"):
-        raise DocumentError(f"kind: expected typeA|typeB|general, got {kind!r}")
+        raise DocumentError(f"kind: expected typeA|typeB|general, got {_clip(repr(kind))}")
 
     try:
         arr = Arrangement(dim, planes)

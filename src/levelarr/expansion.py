@@ -16,8 +16,8 @@ other).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .arrangement import Arrangement, DegenerateDeformationError, Kind, is_nondegenerate
 from .poset import CharPoly, char_poly
@@ -29,8 +29,7 @@ class BasisKind(str, Enum):
     SHIFTED_HALF = "shifted_half"
 
 
-@dataclass(frozen=True)
-class BinomialExpansion:
+class BinomialExpansion(NamedTuple):
     """Coefficients c_0..c_n with p(t) = sum_k c_k * basis_k(t), exactly."""
 
     basis: BasisKind
@@ -53,8 +52,7 @@ def to_binomial_basis(p: CharPoly, kind: BasisKind) -> BinomialExpansion:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionRow:
+class ExpansionRow(NamedTuple):
     """One level's comparison: expansion coefficient vs signed region count."""
 
     level: int
@@ -67,8 +65,7 @@ class ExpansionRow:
         return self.coefficient == self.signed_count
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-level comparison of the two independently computed sides."""
 
     kind: Kind
@@ -117,8 +114,7 @@ def verify_type_b_expansion(arr: Arrangement) -> VerificationReport:
     return _verify_expansion(arr, Kind.TYPE_B, BasisKind.SHIFTED_HALF)
 
 
-@dataclass(frozen=True)
-class ZaslavskyResult:
+class ZaslavskyResult(NamedTuple):
     chi_at_minus_one_signed: int
     region_count: int
 

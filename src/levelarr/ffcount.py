@@ -13,8 +13,7 @@ primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arrangement import Arrangement
 from .poset import char_poly
@@ -108,8 +107,7 @@ def count_complement_points(arr: Arrangement, q: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class PrimePlan:
+class PrimePlan(NamedTuple):
     """Point counts across scanned primes compared against chi evaluations.
 
     ``primes`` lists every admissible prime that was counted, in increasing

@@ -28,17 +28,15 @@ contain.  Each pending child keeps that sum as one int.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .arrangement import Arrangement
 from .exactmath import IntRow, _rank, _step
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """An element of the intersection poset: an affine subspace.
 
     ``mask`` has bit i set when hyperplane i contains the subspace; that
@@ -210,8 +208,7 @@ def _bits(x: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Characteristic polynomial with integer coefficients, ascending order.
 
     ``coeffs[k]`` is the coefficient of t^k; the length is ambient dimension

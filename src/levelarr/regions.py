@@ -42,17 +42,15 @@ off the same closure.  Any other arrangement takes ``enumerate_regions``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .arrangement import Arrangement, Kind
 from .exactmath import IntPoint, Vector, _feasible_system, _slack, cone_span_dimension
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One connected component of the complement.
 
     ``sign_vector[i]`` is +1 or -1 according to the side of hyperplane i the
@@ -67,8 +65,7 @@ class Region:
         return "".join("+" if s > 0 else "-" for s in self.sign_vector)
 
 
-@dataclass(frozen=True)
-class LevelProfile:
+class LevelProfile(NamedTuple):
     """Region counts by level: ``counts[k]`` regions have level k."""
 
     counts: tuple[int, ...]

@@ -14,8 +14,7 @@ emitted coordinates.  Output is byte-stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arrangement import Arrangement
 from .regions import enumerate_regions
@@ -25,8 +24,7 @@ class RenderUnsupportedError(ValueError):
     """Arrangement cannot be drawn (only R^2, or difference forms in R^3)."""
 
 
-@dataclass(frozen=True)
-class _Line:
+class _Line(NamedTuple):
     nx: float
     ny: float
     c: float  # nx * x + ny * y = c

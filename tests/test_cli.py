@@ -48,8 +48,10 @@ def fresh_python(*args):
 
 def test_import_leaves_numpy_unloaded():
     # Only the finite-field point count needs numpy; no command pays for
-    # loading it at start-up.
-    assert fresh_python("-c", "import sys, levelarr.cli; print('numpy' in sys.modules)") == "False\n"
+    # loading it at start-up.  The value types are NamedTuples, so start-up
+    # loads neither dataclasses nor the inspect module it pulls in.
+    script = "import sys, levelarr.cli; print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
+    assert fresh_python("-c", script) == "[]\n"
 
 
 def test_one_parser_serves_every_call(capsys, doc_path, example_b):
@@ -130,6 +132,20 @@ class TestChi:
         code, out, err = run(capsys, "chi", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize(
+        "offset",
+        ['"%s"' % ("1" * 5000), '"%s"' % ("1" * 5000 + "x"), '"%s/0"' % ("1" * 4000), '"%s"' % ("1" * 5000 + ".5")],
+        ids=["digit_limit", "grammar", "zero_denominator", "decimal_point"],
+    )
+    def test_long_scalar_is_echoed_clipped(self, capsys, tmp_path, offset):
+        # A 5,000-character string is named and clipped, not printed whole.
+        path = tmp_path / "bad.json"
+        path.write_text('{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": %s}]}' % offset)
+        code, out, err = run(capsys, "chi", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: hyperplanes[0].offset")
+        assert len(err) < 200
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "chi", "/nonexistent/arr.json")
