@@ -76,6 +76,12 @@ class TestParse:
         with pytest.raises(DocumentError, match="ambient_dim"):
             parse_document({"hyperplanes": []})
 
+    @pytest.mark.parametrize("field", ["ambient_dim", "kind"])
+    def test_long_values_are_clipped(self, field):
+        doc = {"ambient_dim": 1, "hyperplanes": [], field: "1" * 5000}
+        with pytest.raises(DocumentError, match=rf"^{field}: .*'1{{39}}… \(5002 characters\)$"):
+            parse_document(doc)
+
     def test_wrong_normal_length(self):
         with pytest.raises(DocumentError, match=r"hyperplanes\[0\]\.normal"):
             parse_document({"ambient_dim": 3, "hyperplanes": [{"normal": [1, 0]}]})
