@@ -42,18 +42,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[Union[int, Fraction], ...]
 
 
-def as_scalar(value) -> Fraction:
+def as_scalar(value) -> Union[int, Fraction]:
     """Coerce an int, string like ``"3/2"``, or Fraction to an exact rational.
 
-    Floats are rejected outright; silently accepting them would smuggle
-    rounding error into computations whose whole point is exactness.
+    An int or Fraction comes back unchanged (a bool becomes a Fraction), so
+    integer rows skip the Fraction round trip.  Floats are rejected outright;
+    silently accepting them would smuggle rounding error into computations
+    whose whole point is exactness.
     """
-    if isinstance(value, Fraction):
+    if type(value) is int or isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} not allowed in exact arithmetic")
@@ -75,7 +77,7 @@ def as_vector(values) -> Vector:
 IntRow = tuple[int, ...]  # (a_1, ..., a_n, b) meaning a . x = b
 
 
-def _int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
+def _int_row(coeffs: Sequence[Union[int, Fraction]], rhs: Union[int, Fraction]) -> tuple[int, ...]:
     """Scale a rational row to integers (positive factor, so orientation keeps)."""
     scale = lcm(*(c.denominator for c in coeffs), rhs.denominator)
     return tuple(int(c * scale) for c in coeffs) + (int(rhs * scale),)

@@ -10,8 +10,8 @@ Both are C(s, k) with s = t or s = (t-1)/2, so by Newton's forward-difference
 formula c_k is the k-th forward difference at s = 0 of p(s) or p(2s + 1): an
 exact integer.  The validators compare those coefficients against region
 counts by level, computed by a completely separate code path (poset Möbius
-sums on one side, incremental region enumeration plus recession cones on the
-other).
+sums on one side; on the other, ``regions.level_profile``: the closure walk
+of signed digraphs for Coxeter forms, region enumeration otherwise).
 """
 
 from __future__ import annotations

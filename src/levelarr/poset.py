@@ -6,7 +6,8 @@ each flat, the hyperplanes that do not contain it are grouped by residual
 (the row reduced against the flat's equations); each group is one child, and
 its containing set is known without further elimination.  A child inherits
 its parent's groups and eliminates one pivot column from each; a flat of
-top rank has no children, so it only checks that no group vanishes.
+top rank has no children and inherits nothing, as its parent checks its
+groups once for all of them.
 
 A deformation has few normal directions and many offsets, so a residual
 (a, b) is held as (id of nu, k, b) with a = k * nu, nu primitive and
@@ -82,11 +83,12 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     content of the row is gcd(kg * kr * sd, b).
 
     A top-rank flat, whose codim is the rank of the normals (one ``_rank``
-    per build), has no children: every residual there has a zero normal.
-    Its groups are not eliminated, only checked with two products
-    each: the step must clear a nonzero pivot entry g[p] and leave a nonzero
-    offset, g[-1] * r[p] != r[-1] * g[p].  Anything else raises
-    ``ArithmeticError``.
+    per build), has no children, so it carries no groups.  Its parent Y, of
+    codim top - 1, checks its own groups once instead: their residuals lie
+    in a one-dimensional space, so every key must have the same normal id,
+    and a canonical key (k > 0, gcd(k, b) = 1) then names one point, so no
+    hyperplane through a child is left out of its mask.  Anything else
+    raises ``ArithmeticError``.
 
     Möbius values come from the cover relations the BFS finds, by Weisner's
     theorem.  The interval between the ambient space and Z is the lattice of
@@ -122,8 +124,9 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     top = _rank(h.normal for h in arr.hyperplanes)  # the largest codim of a flat
 
     # The memoized normal halves: id of r's normal -> {id of g's normal ->
-    # (id of nu, sd)}, from ``_step`` on the two normals; sd == 0 marks a
-    # zero normal.
+    # (f, id of nu, sd)}: f is g's normal in r's pivot column (0: g is
+    # carried unchanged), the rest comes from ``_step`` on the two normals,
+    # and sd == 0 marks a zero normal.
     halves: dict[int, dict[int, tuple]] = {}
     flats: list[Flat] = []
     # One entry per flat of the current codimension: (containing mask,
@@ -131,64 +134,62 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     # order and popped, so that the parent's groups are freed once the
     # children have taken them.  The ambient space's sum is -1, so its mu is 1.
     level: list[tuple] = [(0, [-1, roots, None])]
-    for codim in range(n + 1):
+    for codim in range(top + 1):
         children: dict[int, list] = {}  # containing mask -> [Weisner sum, groups, residual]
         while level:
             mask, (total, groups, r) = level.pop()
             mu = -total
-            flats.append(Flat(dim=n - codim, codim=codim, mask=mask, mobius=mu))
+            flats.append(Flat(n - codim, codim, mask, mu))
+            if codim == top:
+                continue  # no children, and its parent checked its mask
 
             if r is not None:
                 ir, kr, br = r
                 rn, p = normal_of[ir], pivot_of[ir]
                 rp = kr * rn[p]  # r's entry in its pivot column
+                memo = halves.get(ir)
+                if memo is None:
+                    memo = halves[ir] = {}
                 inherited, groups = groups, {}
-                if codim == top:
-                    # Every residual at a top-rank flat has a zero normal and
-                    # the flat has no children: the step only has to leave a
-                    # nonzero offset.
-                    for (ig, kg, bg), gmask in inherited.items():
-                        if gmask & mask:
-                            continue  # r's own group, which contains this flat
-                        f = kg * normal_of[ig][p]
-                        if not f:
-                            raise ArithmeticError(f"hyperplane {next(_bits(gmask))} keeps a nonzero normal at a top-rank flat")
-                        if bg * rp == br * f:
-                            raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
-                else:
-                    memo = halves.get(ir)
-                    if memo is None:
-                        memo = halves[ir] = {}
-                    for g, gmask in inherited.items():
-                        if gmask & mask:
-                            continue
-                        ig, kg, bg = g
+                for g, gmask in inherited.items():
+                    if gmask & mask:
+                        continue  # r's own group, which contains this flat
+                    ig, kg, bg = g
+                    half = memo.get(ig)
+                    if half is None:
                         f = normal_of[ig][p]
-                        if f:
-                            half = memo.get(ig)
-                            if half is None:
-                                step = _step(normal_of[ig], rn, p)
-                                half = memo[ig] = (intern(step[1]), step[0]) if step else (None, 0)
-                            iv, sd = half
-                            b = bg * rp - br * kg * f  # the offset half
-                            if not sd:
-                                if not b:
-                                    raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
-                                continue  # an empty intersection
-                            # The row is (kg * kr * sd * nu, b): divide it by
-                            # its content, signed to keep nu's leading sign.
-                            s = kg * kr * sd
-                            e = gcd(s, b)
-                            if s < 0:
-                                e = -e
-                            g = (iv, s // e, b // e)
-                        groups[g] = groups.get(g, 0) | gmask
+                        step = _step(normal_of[ig], rn, p) if f else None
+                        half = memo[ig] = (f, intern(step[1]), step[0]) if step else (f, None, 0)
+                    f, iv, sd = half
+                    if f:
+                        b = bg * rp - br * kg * f  # the offset half
+                        if not sd:
+                            if not b:
+                                raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
+                            continue  # an empty intersection
+                        # The row is (kg * kr * sd * nu, b): divide it by
+                        # its content, signed to keep nu's leading sign.
+                        s = kg * kr * sd
+                        e = gcd(s, b)
+                        if s < 0:
+                            e = -e
+                        g = (iv, s // e, b // e)
+                    groups[g] = groups.get(g, 0) | gmask
 
+            carried = groups
+            if codim == top - 1:
+                # The residuals span one line: one normal id, and canonical
+                # keys, so distinct groups are distinct top-rank children.
+                iv = next(iter(groups))[0]
+                for (ig, kg, bg), gmask in groups.items():
+                    if ig != iv or kg < 1 or gcd(kg, bg) != 1:
+                        raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
+                carried = None
             for residual, group in groups.items():
                 z = mask | group
                 child = children.get(z)
                 if child is None:
-                    child = children[z] = [0, groups, residual]
+                    child = children[z] = [0, carried, residual]
                 if not mask & z & -z:  # this flat lacks the child's lowest hyperplane
                     child[0] += mu
         level = sorted(children.items(), reverse=True)

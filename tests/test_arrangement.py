@@ -21,6 +21,7 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
+from levelarr.exactmath import as_scalar
 
 from conftest import eighths_b4, fraction_restrict, skew_r3
 
@@ -70,6 +71,15 @@ class TestHyperplane:
             assert next(c for c in h.row if c) > 0
             den = h.offset.denominator
             assert h.row == tuple(c * den for c in h.normal) + (h.offset.numerator,)
+
+    @pytest.mark.parametrize("normal, offset", [((2, -4, 6), 8), ((-3, 0, 1), -5), ((0, 0, 7), 0), ((1, 1), 3)])
+    def test_int_row_matches_fraction_row(self, normal, offset):
+        # Integer entries skip the Fraction round trip; nothing else moves.
+        ints = hp(normal, offset)
+        fracs = hp(tuple(Fraction(c) for c in normal), Fraction(offset))
+        assert (ints.row, ints.normal, ints.offset) == (fracs.row, fracs.normal, fracs.offset)
+        assert type(ints.offset) is Fraction
+        assert type(as_scalar(offset)) is int and type(as_scalar(True)) is Fraction
 
     def test_sign_normalization(self):
         # x2 - x1 = 3 and x1 - x2 = -3 are the same locus

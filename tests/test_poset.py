@@ -234,8 +234,16 @@ class TestGroupedResiduals:
             eighths_a5,
             eighths_b4,
             skew_r3,
+            # Rank 1 in R^3: every plane is parallel, so the root is the flat
+            # of codim top - 1 whose groups are checked.
+            lambda: Arrangement(3, [hp((1, 1, -1), c) for c in (0, 1, Fraction(-1, 2), Fraction(3, 2))]),
+            # Rank 3 in R^4 (x4 is free): Coxeter forms without a full class.
+            lambda: Arrangement(4, [hp(a, c) for a in ((1, -1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 1, -1, 0)) for c in (0, 1)]),
         ],
-        ids=["cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2", "eighths_a5", "eighths_b4", "skew_r3"],
+        ids=[
+            "cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2", "eighths_a5", "eighths_b4", "skew_r3",
+            "parallel_r3_top_1", "degenerate_r4_top_3",
+        ],
     )
     def test_matches_reference_on_fixed_cases(self, make):
         arr = make()
@@ -254,9 +262,10 @@ class TestGroupedResiduals:
     def test_work_bound(self, arr, monkeypatch):
         # One ``_rank`` call over the len(arr) normals, and at most one
         # elimination step per (flat, hyperplane outside it) pair.  A step's
-        # offset half is the build's only two-argument ``gcd`` (every case
-        # here has n > 2), and its normal half is computed once per pair of
-        # normals: the memo misses.
+        # offset half is a two-argument ``gcd`` (every case here has n > 2);
+        # the only other one checks a key one codimension below top rank,
+        # once per cover of a top-rank flat.  A step's normal half is
+        # computed once per pair of normals: the memo misses.
         assert arr.dim > 2
         ranks, gcds, misses = [], [], []
 
@@ -277,12 +286,14 @@ class TestGroupedResiduals:
         monkeypatch.setattr(poset_module, "gcd", counting_gcd)
         monkeypatch.setattr(poset_module, "_step", counting_step)
         poset = build_poset(arr)
-        steps = [args for args in gcds if len(args) == 2]
+        top = max(f.codim for f in poset)
+        covers = sum(y.mask & ~z.mask == 0 for y in poset if y.codim == top - 1 for z in poset if z.codim == top)
+        steps = sum(len(args) == 2 for args in gcds) - covers
         assert ranks == [[h.normal for h in arr.hyperplanes]]
-        assert 0 < len(steps) <= sum(len(arr) - len(containing(f)) for f in poset)
+        assert 0 < steps <= sum(len(arr) - len(containing(f)) for f in poset)
         # No pair of normals misses twice, so misses <= distinct pairs.
         assert len(misses) == len(set(misses))
-        assert len(misses) < len(steps)
+        assert len(misses) < steps
 
     def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
         # A hyperplane whose residual vanishes at a flat must already be in
@@ -318,6 +329,27 @@ class TestGroupedResiduals:
             build_poset(make_cox_a(3))
         # The top-rank check caught it without eliminating to a zero normal.
         assert seen and all(half is not None for half in seen)
+
+    @pytest.mark.parametrize("fault", [lambda e: -e, lambda e: 1], ids=["negated_scale", "content_left_in"])
+    def test_non_canonical_key_below_top_rank_raises(self, monkeypatch, fault):
+        # x1 = 0, x1 + 2x2 = 2 and x2 = 1 meet in one point, the top of this
+        # rank-2 arrangement.  At the line x1 = 0 (codim top - 1), the step
+        # of x1 + 2x2 = 2 gives the row (0, 2, 2), keyed (x2, 1, 1) like the
+        # carried x2 = 1.  A faulty first gcd leaves the key at (x2, -1, -1)
+        # or (x2, 2, 2): the two hyperplanes no longer group, and the point
+        # would be found twice, each time with a hyperplane missing.
+        calls = []
+
+        def faulty_once(a, b):
+            calls.append((a, b))
+            e = math.gcd(a, b)
+            return fault(e) if len(calls) == 1 else e
+
+        monkeypatch.setattr(poset_module, "gcd", faulty_once)
+        arr = Arrangement(2, [hp((1, 0), 0), hp((1, 2), 2), hp((0, 1), 1)])
+        with pytest.raises(ArithmeticError, match="not in its containing set"):
+            build_poset(arr)
+        assert calls[0] == (2, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cox_a_top_is_partition_lattice_top(self, n):
