@@ -18,13 +18,9 @@ and an offset half: two integer products and one two-argument gcd.
 A flat is the intersection of the hyperplanes that contain it, so it is
 keyed by its containing set alone, an int mask over hyperplane indices, and
 each codimension level is ordered by ascending mask.  No flat carries
-equations of its own.  Möbius values are read off the cover relations the
-search finds, by Weisner's theorem (Stanley, *Enumerative Combinatorics* I,
-§3.9): the lower interval of a flat Z is the geometric lattice of its
-localization, the central arrangement of the hyperplanes that contain Z
-(Orlik & Terao 1992, ch. 2), so for any hyperplane H that contains Z,
-mu(Z) = -sum mu(Y) over the flats Y that Z covers and that H does not
-contain.  Each pending child keeps that sum as one int.
+equations of its own.  Möbius values are read off the covers the search
+finds by Weisner's theorem, and a flat visits only the children whose
+Möbius sum it enters: one that contains hyperplane 0 visits none.
 """
 
 from __future__ import annotations
@@ -90,15 +86,17 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     hyperplane through a child is left out of its mask.  Anything else
     raises ``ArithmeticError``.
 
-    Möbius values come from the cover relations the BFS finds, by Weisner's
-    theorem.  The interval between the ambient space and Z is the lattice of
-    Z's localization, which is geometric, so for an atom H of it, a
-    hyperplane that contains Z, mu(Z) = -sum mu(Y) over the coatoms Y with
-    H not containing Y: the cover parents whose mask lacks H's bit.  H is Z's
-    lowest hyperplane, so a parent with mask m adds mu(Y) to the child's sum
-    unless ``m & z & -z``.  Every cover parent reaches Z exactly once,
-    through one of its groups, and the codimension-major BFS settles mu(Y)
-    before it pops Z; the ambient space has mu = 1.
+    Möbius values come from the covers the BFS finds, by Weisner's theorem
+    (Stanley, *Enumerative Combinatorics* I, §3.9).  The interval below Z is
+    the lattice of Z's localization (Orlik & Terao 1992, ch. 2), which is
+    geometric, so for its atom H, Z's lowest hyperplane, mu(Z) = -sum mu(Y)
+    over the coatoms Y that H does not contain, and only those visit Z: a
+    parent with mask m skips a child z if ``m & z & -z``.  A flat that holds
+    hyperplane 0 thus stops once listed.  No flat is lost: a basis of Z's
+    atoms through H, less H, joins to a coatom that misses H.  A visiting
+    parent reaches Z once, through one group, and checks Z if it is of top
+    rank; the codimension-major BFS settles mu(Y) before it pops Z, and the
+    ambient space has mu = 1.
     """
     n = arr.dim
     ids: dict[IntRow, int] = {}  # primitive normal -> its id in this build
@@ -140,8 +138,8 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
             mask, (total, groups, r) = level.pop()
             mu = -total
             flats.append(Flat(n - codim, codim, mask, mu))
-            if codim == top:
-                continue  # no children, and its parent checked its mask
+            if codim == top or mask & 1:
+                continue  # no children, or none whose Weisner sum it enters
 
             if r is not None:
                 ir, kr, br = r
@@ -187,10 +185,12 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                 carried = None
             for residual, group in groups.items():
                 z = mask | group
+                if mask & z & -z:
+                    continue  # this flat holds the child's lowest hyperplane
                 child = children.get(z)
                 if child is None:
-                    child = children[z] = [0, carried, residual]
-                if not mask & z & -z:  # this flat lacks the child's lowest hyperplane
+                    children[z] = [mu, carried, residual]
+                else:
                     child[0] += mu
         level = sorted(children.items(), reverse=True)
     return tuple(flats)

@@ -223,6 +223,26 @@ class TestGroupedResiduals:
         order = [(f.codim, f.mask) for f in flats]
         assert order == sorted(order) and flats[0].mask == 0
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_hyperplane_order(self, data):
+        # Which parents visit a child depends on the hyperplane order, the
+        # poset does not.
+        arr = data.draw(_arrangements())
+        shuffled = Arrangement(arr.dim, data.draw(st.permutations(arr.hyperplanes)))
+        assert char_poly(shuffled) == char_poly(arr)
+        assert keyed(shuffled, build_poset(shuffled)) == reference_flats(shuffled)
+
+    def test_hyperplane_zero_on_half_the_flats(self):
+        # x4 = 0 first, then the type B forms of R^3: each flat of the B3
+        # part is found once off x4 = 0 and once on it, so half the flats
+        # hold hyperplane 0 and expand no further once listed.
+        arr = Arrangement(4, [hp((0, 0, 0, 1))] + [hp(a + (0,)) for a in _coxeter_normals(3)])
+        flats = build_poset(arr)
+        assert 2 * sum(f.mask & 1 for f in flats) == len(flats)
+        assert keyed(arr, flats) == reference_flats(arr)
+        assert char_poly(arr).coeffs == poly_from_roots([1, 1, 3, 5])
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -261,11 +281,13 @@ class TestGroupedResiduals:
     )
     def test_work_bound(self, arr, monkeypatch):
         # One ``_rank`` call over the len(arr) normals, and at most one
-        # elimination step per (flat, hyperplane outside it) pair.  A step's
-        # offset half is a two-argument ``gcd`` (every case here has n > 2);
-        # the only other one checks a key one codimension below top rank,
-        # once per cover of a top-rank flat.  A step's normal half is
-        # computed once per pair of normals: the memo misses.
+        # elimination step per (flat, hyperplane outside it) pair, at the
+        # flats that expand: below top rank and without hyperplane 0.  A
+        # step's offset half is a two-argument ``gcd`` (every case here has
+        # n > 2); the only other one checks a key at an expanding flat one
+        # codimension below top rank, once per cover of a top-rank flat.  A
+        # step's normal half is computed once per pair of normals: the memo
+        # misses.
         assert arr.dim > 2
         ranks, gcds, misses = [], [], []
 
@@ -287,10 +309,11 @@ class TestGroupedResiduals:
         monkeypatch.setattr(poset_module, "_step", counting_step)
         poset = build_poset(arr)
         top = max(f.codim for f in poset)
-        covers = sum(y.mask & ~z.mask == 0 for y in poset if y.codim == top - 1 for z in poset if z.codim == top)
+        expanding = [f for f in poset if f.codim < top and not f.mask & 1]
+        covers = sum(y.mask & ~z.mask == 0 for y in expanding if y.codim == top - 1 for z in poset if z.codim == top)
         steps = sum(len(args) == 2 for args in gcds) - covers
         assert ranks == [[h.normal for h in arr.hyperplanes]]
-        assert 0 < steps <= sum(len(arr) - len(containing(f)) for f in poset)
+        assert 0 < steps <= sum(len(arr) - len(containing(f)) for f in expanding)
         # No pair of normals misses twice, so misses <= distinct pairs.
         assert len(misses) == len(set(misses))
         assert len(misses) < steps
@@ -332,12 +355,14 @@ class TestGroupedResiduals:
 
     @pytest.mark.parametrize("fault", [lambda e: -e, lambda e: 1], ids=["negated_scale", "content_left_in"])
     def test_non_canonical_key_below_top_rank_raises(self, monkeypatch, fault):
-        # x1 = 0, x1 + 2x2 = 2 and x2 = 1 meet in one point, the top of this
-        # rank-2 arrangement.  At the line x1 = 0 (codim top - 1), the step
-        # of x1 + 2x2 = 2 gives the row (0, 2, 2), keyed (x2, 1, 1) like the
-        # carried x2 = 1.  A faulty first gcd leaves the key at (x2, -1, -1)
-        # or (x2, 2, 2): the two hyperplanes no longer group, and the point
-        # would be found twice, each time with a hyperplane missing.
+        # x2 = 1, x1 = 0 and x1 + 2x2 = 2 meet in one point, the top of this
+        # rank-2 arrangement.  The line x2 = 1 holds hyperplane 0, so it
+        # steps nothing, and the first step is at the line x1 = 0 (codim
+        # top - 1): that of x1 + 2x2 = 2 gives the row (0, 2, 2), keyed
+        # (x2, 1, 1) like the carried x2 = 1.  A faulty first gcd leaves the
+        # key at (x2, -1, -1) or (x2, 2, 2): the two hyperplanes no longer
+        # group, and the point would be found twice, each time with a
+        # hyperplane missing.
         calls = []
 
         def faulty_once(a, b):
@@ -346,7 +371,7 @@ class TestGroupedResiduals:
             return fault(e) if len(calls) == 1 else e
 
         monkeypatch.setattr(poset_module, "gcd", faulty_once)
-        arr = Arrangement(2, [hp((1, 0), 0), hp((1, 2), 2), hp((0, 1), 1)])
+        arr = Arrangement(2, [hp((0, 1), 1), hp((1, 0), 0), hp((1, 2), 2)])
         with pytest.raises(ArithmeticError, match="not in its containing set"):
             build_poset(arr)
         assert calls[0] == (2, 2)
