@@ -233,16 +233,6 @@ class TestGroupedResiduals:
         assert char_poly(shuffled) == char_poly(arr)
         assert keyed(shuffled, build_poset(shuffled)) == reference_flats(shuffled)
 
-    def test_hyperplane_zero_on_half_the_flats(self):
-        # x4 = 0 first, then the type B forms of R^3: each flat of the B3
-        # part is found once off x4 = 0 and once on it, so half the flats
-        # hold hyperplane 0 and expand no further once listed.
-        arr = Arrangement(4, [hp((0, 0, 0, 1))] + [hp(a + (0,)) for a in _coxeter_normals(3)])
-        flats = build_poset(arr)
-        assert 2 * sum(f.mask & 1 for f in flats) == len(flats)
-        assert keyed(arr, flats) == reference_flats(arr)
-        assert char_poly(arr).coeffs == poly_from_roots([1, 1, 3, 5])
-
     @pytest.mark.parametrize(
         "make",
         [
@@ -259,10 +249,14 @@ class TestGroupedResiduals:
             lambda: Arrangement(3, [hp((1, 1, -1), c) for c in (0, 1, Fraction(-1, 2), Fraction(3, 2))]),
             # Rank 3 in R^4 (x4 is free): Coxeter forms without a full class.
             lambda: Arrangement(4, [hp(a, c) for a in ((1, -1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 1, -1, 0)) for c in (0, 1)]),
+            # x4 = 0 first, then the type B forms of R^3: each flat of the B3
+            # part is found once off x4 = 0 and once on it, so half the flats
+            # hold hyperplane 0 and expand no further once listed.
+            lambda: Arrangement(4, [hp((0, 0, 0, 1))] + [hp(a + (0,)) for a in _coxeter_normals(3)]),
         ],
         ids=[
             "cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2", "eighths_a5", "eighths_b4", "skew_r3",
-            "parallel_r3_top_1", "degenerate_r4_top_3",
+            "parallel_r3_top_1", "degenerate_r4_top_3", "b3_times_r_hyperplane_0_on_half",
         ],
     )
     def test_matches_reference_on_fixed_cases(self, make):
