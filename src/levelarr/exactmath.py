@@ -16,12 +16,17 @@ intersection poset's residual normals and ``restrict``'s images come from it.
 the package asks of an equation system: the top codimension of the poset, and
 the rank of a recession cone's implicit equalities in ``cone_span_dimension``.
 
-Every inequality question goes to one engine, ``_IntTableau``: a
-fraction-free simplex dictionary with free variables and Bland's rule, always
-started from a feasible slack basis, so there is no phase 1 and no
-artificial variable.  A strict system is decided incrementally, one row at a
-time (Rada & Černý 2018): the witness of the rows so far is strictly inside
-them, so translating it to the origin makes the slack basis feasible, and
+The LP engine is ``_IntTableau``: a fraction-free simplex dictionary with
+free variables and Bland's rule, always started from a feasible slack basis,
+so there is no phase 1 and no artificial variable.  It decides every split
+test of ``regions.enumerate_regions`` and gives the level of every region
+that function lists, except on type B deformations.  For Coxeter-form
+normals ``regions`` has a second engine, a shortest-path closure walk: it
+decides the split tests of level profiles and gives the type B levels.
+
+A strict system is decided incrementally, one row at a time (Rada & Černý
+2018): the witness of the rows so far is strictly inside them, so
+translating it to the origin makes the slack basis feasible, and
 ``_feasible_system`` maximizes the new row's form from there until it
 crosses the offset.  The new witness is an exact point between the old
 witness and the simplex vertex (or ray point) reached, so witnesses are

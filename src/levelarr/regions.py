@@ -14,37 +14,38 @@ dot product; it becomes a tuple of ``Fraction``s once, in the final
 
 The level of a region is the smallest dimension of a linear subspace the
 region stays within bounded distance of.  For an open convex polyhedron that
-equals the dimension of the linear span of its recession cone.  When every
-normal has a Coxeter form (x_i, x_i - x_j or x_i + x_j) that cone is cut out
-by relations d_u >= d_v on the nodes {0, +-1, ..., +-n} (d_0 = 0,
-d_{-i} = -d_i), and its span has one dimension per pair C != -C of strongly
-connected components of that signed digraph with 0 not in C (the type B
-analogue of braid cones as preposets; Postnikov, Reiner & Williams, Doc.
-Math. 2008).  ``_reach_level`` counts those pairs from a mutual-reachability
-test alone: a node +i whose component C misses -i gives one pair {C, -C},
-since C meets its mirror only if C = -C (so C misses 0, whose component is
-its own mirror), and each pair is counted at its first such node.
-``enumerate_regions`` reads levels this way for type B deformations and from
-one exact LP per region, ``cone_span_dimension`` of the homogenized sign
-constraints, for every other arrangement.
+equals the dimension of the linear span of its recession cone, which
+``enumerate_regions`` finds with one exact LP per region,
+``cone_span_dimension`` of the homogenized sign constraints.
 
-``level_profile`` needs no witness.  When every normal has a Coxeter form,
-a region is a system of strict constraints d_v - d_u < c on the same nodes,
-one edge and its mirror per side, and it is nonempty iff that weighted
-digraph has no cycle of total weight <= 0: difference constraints for type A
-(Cormen, Leiserson, Rivest & Stein, *Introduction to Algorithms*, §24.4) and
-the doubled graph of UTVPI constraints for type B (Miné, "The octagon
-abstract domain", HOSC 19, 2006).  ``_closure_walk`` is the insertion walk
-with each region carrying the integer shortest-path closure of that digraph
-in place of a witness: split tests are table lookups, and the level is read
-off the same closure.  Any other arrangement takes ``enumerate_regions``.
+When every normal has a Coxeter form (x_i, x_i - x_j or x_i + x_j), a region
+is a system of strict constraints d_v - d_u < c on the nodes
+{0, +-1, ..., +-n} (d_0 = 0, d_{-i} = -d_i), one edge and its mirror per
+side, and it is nonempty iff that weighted digraph has no cycle of total
+weight <= 0: difference constraints for type A (Cormen, Leiserson, Rivest &
+Stein, *Introduction to Algorithms*, §24.4) and the doubled graph of UTVPI
+constraints for type B (Miné, "The octagon abstract domain", HOSC 19, 2006).
+``_closure_walk`` is the insertion walk with each region carrying the
+integer shortest-path closure of that digraph in place of a witness, so
+split tests are table lookups.  The region's recession cone is cut out by
+d_u >= d_v along the same edges, and its span has one dimension per pair
+C != -C of strongly connected components with 0 not in C (the type B
+analogue of braid cones as preposets; Postnikov, Reiner & Williams, Doc.
+Math. 2008).  ``_reach_level`` counts those pairs off the closure, the one
+level rule for signed digraphs.
+
+``level_profile`` takes the closure walk when every normal has a Coxeter
+form and ``enumerate_regions`` otherwise.  ``enumerate_regions`` runs the
+closure walk once on a type B deformation: every level comes from it, and
+its sign vectors must equal the LP walk's, in order, so two independent
+split engines check each other's regions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .arrangement import Arrangement, Kind
 from .exactmath import IntPoint, Vector, _feasible_system, _slack, cone_span_dimension
@@ -94,47 +95,32 @@ def _signed_edges(arr: Arrangement) -> list[tuple[tuple[tuple[int, int], ...], .
     return out
 
 
-def _reach_level(linked: Callable[[int, int], bool], n: int) -> int:
-    """Level from a mutual-reachability test on the 2n + 1 nodes of a signed digraph.
+def _reach_level(dist: list, inf: int, n: int) -> int:
+    """Level of a region from the shortest-path closure of its signed digraph.
 
-    ``linked(u, v)`` says u and v lie in one strongly connected component.
-    The level counts the mirror pairs C != -C of components with 0 not in C.
-    Every such pair holds a node +i, and i's component C is one of them
-    unless i is linked to -i: C meets its mirror only if C = -C.  The
-    component of 0 is its own mirror, so i linked to 0 is linked to -i too
-    and needs no test of its own.  Otherwise i counts one level, and every
-    later j linked to i (j in C) or to -j (j in -C) is the same pair,
-    counted already.  O(n^2) tests.
+    ``dist`` is the closure on the 2n + 1 nodes (see ``_signed_edges``),
+    where ``inf`` or more marks a missing path.  A node reaches exactly the
+    nodes at a finite distance, so u and v lie in one strongly connected
+    component iff dist[u][v] and dist[v][u] are both finite.  The level
+    counts the mirror pairs C != -C of components with 0 not in C.  Every
+    such pair holds a node +i, and i's component C is one of them unless i
+    is linked to -i: C meets its mirror only if C = -C.  The component of 0
+    is its own mirror, so i linked to 0 is linked to -i too and needs no
+    test of its own.  Otherwise i counts one level, and every later j
+    linked to i (j in C) or to -j (j in -C) is the same pair, counted
+    already.  O(n^2) tests.
     """
     counted = [False] * (n + 1)
     level = 0
     for i in range(1, n + 1):
-        if counted[i] or linked(i, n + i):
+        row = dist[i]
+        if counted[i] or row[n + i] < inf and dist[n + i][i] < inf:
             continue
         level += 1
         for j in range(i + 1, n + 1):
-            if linked(i, j) or linked(i, n + j):
+            if row[j] < inf and dist[j][i] < inf or row[n + j] < inf and dist[n + j][i] < inf:
                 counted[j] = True
     return level
-
-
-def _digraph_level(edges, signs: Sequence[int], n: int) -> int:
-    """Level of a region from its signed digraph (see ``_signed_edges``).
-
-    Closes reachability as bitmasks over the 2n + 1 nodes, then counts
-    mirror pairs of components by ``_reach_level``.
-    """
-    size = 2 * n + 1
-    reach = [1 << u for u in range(size)]
-    for sides, s in zip(edges, signs):
-        for tail, head in sides[s < 0]:
-            reach[tail] |= 1 << head
-    for k in range(size):
-        bit, row = 1 << k, reach[k]
-        for u in range(size):
-            if reach[u] & bit:
-                reach[u] |= row
-    return _reach_level(lambda u, v: reach[u] >> v & 1 and reach[v] >> u & 1, n)
 
 
 def _tighten(dist: list, u: int, v: int, w: int, big: int) -> list:
@@ -169,9 +155,7 @@ def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
     weight w is implied when dist[u][v] <= w, and the region keeps its
     closure; it is empty when dist[v][u] + w < 0 or when it and its mirror
     close a negative cycle together; otherwise ``_tighten`` adds both edges.
-    A node reaches exactly the nodes at a finite distance, so u and v are
-    in one component iff dist[u][v] and dist[v][u] are both finite, and
-    ``_reach_level`` counts levels from that test with no reach masks.
+    ``_reach_level`` reads each region's level off its closure.
     """
     n = arr.dim
     size = 2 * n + 1
@@ -205,10 +189,7 @@ def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
                     break  # the + side holds throughout, so the - side is empty
         live = updated
 
-    return [
-        (tuple(signs), _reach_level(lambda u, v: dist[u][v] < inf and dist[v][u] < inf, n))
-        for signs, dist in live
-    ]
+    return [(tuple(signs), _reach_level(dist, inf, n)) for signs, dist in live]
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
@@ -221,6 +202,11 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     simplex at the witness, strictly inside every old row, so it needs no
     phase 1; a new side gets a witness between the old one and the point the
     simplex reached.  The root region is the whole space, witness the origin.
+
+    Each region's level comes from one cone-span LP, except on a type B
+    deformation: there ``_closure_walk`` runs once and gives every level,
+    and it must have found the same sign vectors in the same order, or
+    ``ArithmeticError`` is raised.
     """
     n = arr.dim
     signed = [(h.row, tuple(-c for c in h.row)) for h in arr.hyperplanes]
@@ -238,17 +224,19 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
         live = updated
 
     if arr.kind is Kind.TYPE_B:
-        edges = _signed_edges(arr)
-
-        def level(signs):
-            return _digraph_level(edges, signs, n)
+        walk = _closure_walk(arr)
+        if [signs for signs, _ in walk] != [tuple(signs) for signs, _ in live]:
+            raise ArithmeticError("the closure walk and the LP walk found different regions")
+        levels = [level for _, level in walk]
     else:
-        def level(signs):
-            return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n)
+        levels = [
+            cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n)
+            for signs, _ in live
+        ]
 
     return tuple(
-        Region(tuple(signs), tuple(Fraction(v, scale) for v in x), level(signs))
-        for signs, (*x, scale) in live
+        Region(tuple(signs), tuple(Fraction(v, scale) for v in x), level)
+        for (signs, (*x, scale)), level in zip(live, levels)
     )
 
 

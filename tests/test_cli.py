@@ -12,7 +12,14 @@ from xml.dom import minidom
 import pytest
 
 import levelarr
-from levelarr.arrangement import Arrangement, delete, make_cox_b, make_m_catalan, random_deformation_a
+from levelarr.arrangement import (
+    Arrangement,
+    delete,
+    make_cox_b,
+    make_m_catalan,
+    random_deformation_a,
+    random_deformation_b,
+)
 from levelarr.cli import build_parser, format_expansion, main
 from levelarr.document import document_of, dumps_document, loads_document
 from levelarr.expansion import BasisKind
@@ -188,30 +195,31 @@ class TestLevels:
         assert all(re.match(r"region [+-]{4} level \d witness \(", l) for l in region_lines)
 
     def test_type_b_json_matches_lp_levels(self, capsys, doc_path, monkeypatch):
-        # Type B levels come from the signed digraph; the same document with
+        # Type B levels come from the closure walk; the same document with
         # every level taken from the cone-span LP prints the same bytes.
-        import random
-
         from levelarr import regions
-        from levelarr.arrangement import random_deformation_b
         from levelarr.exactmath import cone_span_dimension
 
         arr = random_deformation_b(3, random.Random(11))
         path = doc_path(arr)
-        code, digraph_out, _ = run(capsys, "levels", path, "--regions", "--json")
+        code, walk_out, _ = run(capsys, "levels", path, "--regions", "--json")
         assert code == 0
 
+        walk = regions._closure_walk
         lp_calls = []
 
-        def lp_level(edges, signs, n):
-            lp_calls.append(signs)
-            return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=n)
+        def lp_levels(arr):
+            out = []
+            for signs, _ in walk(arr):
+                lp_calls.append(signs)
+                out.append((signs, cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)))
+            return out
 
-        monkeypatch.setattr(regions, "_digraph_level", lp_level)
+        monkeypatch.setattr(regions, "_closure_walk", lp_levels)
         code, lp_out, _ = run(capsys, "levels", path, "--regions", "--json")
         assert code == 0
         assert len(lp_calls) == json.loads(lp_out)["total"] > 100
-        assert digraph_out == lp_out
+        assert walk_out == lp_out
 
 
 class TestVerify:
@@ -225,8 +233,8 @@ class TestVerify:
         assert code == 0
 
     def test_theorem_b_catches_a_wrong_level(self, capsys, doc_path, monkeypatch, example_b):
-        # chi is an independent check of the digraph levels: one region off
-        # by one fails the verification.  The closure walk counts each
+        # chi is an independent check of the closure walk's levels: one
+        # region off by one fails the verification.  The walk counts each
         # region's level by ``_reach_level``.
         from levelarr import regions
         from levelarr.cli import EXIT_VERIFY_FAILED
@@ -234,9 +242,9 @@ class TestVerify:
         exact = regions._reach_level
         calls = []
 
-        def off_by_one(linked, n):
-            level = exact(linked, n)
-            calls.append(linked)
+        def off_by_one(dist, inf, n):
+            level = exact(dist, inf, n)
+            calls.append(dist)
             if len(calls) == 1:
                 return level - 1 if level else 1
             return level
@@ -422,6 +430,7 @@ class TestOutputPins:
             pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", id="cox_b3-ff"),
             pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels", "--regions"), "d714fcff671cd74ace59c2aa4810b24bbde415942977e8fd61d6843d091b3b25", id="random_a4_seed7-levels_regions"),
             pytest.param(lambda: make_cox_b(3), ("levels", "--regions"), "39f25b9a923f81d8f9cca91a1949ba6d9d133ab017ae50c9f49a13cef128243d", id="cox_b3-levels_regions"),
+            pytest.param(lambda: random_deformation_b(3, random.Random(11)), ("levels", "--regions"), "42c782e2fb97571b2794e5c1eec40db1f7af5e6420051a0aa1a9c59bf2fe050a", id="random_b3_seed11-levels_regions"),
             pytest.param(lambda: make_m_catalan(3, 1), ("levels", "--regions"), "9a10b7f7e265a60b11afd87f6fc06a526b917b91a58459052783a4492739e9b3", id="m_catalan_3_1-levels_regions"),
             pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=A"), "2cf82c6a61b2d58c2bcb912005a30e63f6a9a25c40601ed3ed9f2a3844d88931", id="random_a4_seed7-A"),
             pytest.param(lambda: make_m_catalan(3, 1), ("verify", "--theorem=A"), "1858e2092bc0351dbc686b9ba9fc07efe4c9629166c24221c575891bced4eeff", id="m_catalan_3_1-A"),
@@ -442,12 +451,13 @@ class TestOutputPins:
     @pytest.mark.parametrize(
         "make, digest",
         [
-            pytest.param(lambda example_a: example_a, "18adfb437876aa1b047883a35115366340baeeeb5586532bed4fd57390f48adc", id="example_a"),
-            pytest.param(lambda _: make_m_catalan(3, 1), "4fb1388ef44147e4c1819a6ca8569caed4be39037131ce9f592e8d02cfef765a", id="m_catalan_3_1"),
+            pytest.param(lambda example_a, _: example_a, "18adfb437876aa1b047883a35115366340baeeeb5586532bed4fd57390f48adc", id="example_a"),
+            pytest.param(lambda *_: make_m_catalan(3, 1), "4fb1388ef44147e4c1819a6ca8569caed4be39037131ce9f592e8d02cfef765a", id="m_catalan_3_1"),
+            pytest.param(lambda _, example_b: example_b, "f22d6bd86f6b3fbb99a5cfac6129463ae13575c035303a8d6087289d15d6f472", id="example_b"),
         ],
     )
-    def test_render_digest(self, capsys, doc_path, example_a, make, digest):
-        code, out, _ = run(capsys, "render", doc_path(make(example_a)), "--output", "-")
+    def test_render_digest(self, capsys, doc_path, example_a, example_b, make, digest):
+        code, out, _ = run(capsys, "render", doc_path(make(example_a, example_b)), "--output", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,0 +1,43 @@
+"""Layout checks on the package source.
+
+Code with no caller outside its own tests is dead: every module-level
+function and class in ``src/levelarr`` must be used somewhere in the package
+other than its own definition.  A use is a name, an attribute, or a string
+naming it (``__all__``); an import alone does not count.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import levelarr
+
+SRC = Path(levelarr.__file__).resolve().parent
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often each identifier is used within ``node``."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            out[sub.value] += 1
+    return out
+
+
+def _definitions(tree: ast.Module):
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in tree.body if isinstance(node, definitions)]
+
+
+def test_every_module_level_definition_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = [(module, node) for module, tree in trees.items() for node in _definitions(tree)]
+    assert {"enumerate_regions", "_reach_level", "Region"} <= {node.name for _, node in defined}
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    # uses inside the definition itself (recursion, a class naming itself) do not count
+    unused = [f"{module}: {node.name}" for module, node in defined if uses[node.name] == _uses(node)[node.name]]
+    assert unused == []

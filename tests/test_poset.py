@@ -312,6 +312,26 @@ class TestGroupedResiduals:
         assert len(misses) == len(set(misses))
         assert len(misses) < steps
 
+    @pytest.mark.parametrize(
+        "make, count",
+        [(lambda: make_cox_b(4), 367), (lambda: make_m_catalan(4, 1), 640), (eighths_b4, 9367)],
+        ids=["cox_b4", "m_catalan_4_1", "eighths_b4"],
+    )
+    def test_exact_step_counts(self, make, count, monkeypatch):
+        # The walk's work, pinned: one two-argument ``gcd`` per offset half
+        # of an elimination step and per top-rank key check.  A flat through
+        # hyperplane 0 that stepped its groups before stopping would add
+        # 81, 68 and 1,504 calls.
+        gcds = []
+
+        def counting_gcd(*args):
+            gcds.append(args)
+            return math.gcd(*args)
+
+        monkeypatch.setattr(poset_module, "gcd", counting_gcd)
+        build_poset(make())
+        assert sum(len(args) == 2 for args in gcds) == count
+
     def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
         # A hyperplane whose residual vanishes at a flat must already be in
         # the flat's containing set; anything else is an elimination fault.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelarr import regions as regions_module
 from levelarr.arrangement import (
     Arrangement,
     Hyperplane,
@@ -25,13 +26,7 @@ from levelarr.arrangement import (
 )
 from levelarr.exactmath import _feasible_system, cone_span_dimension
 from levelarr.poset import char_poly
-from levelarr.regions import (
-    _closure_walk,
-    _digraph_level,
-    _signed_edges,
-    enumerate_regions,
-    level_profile,
-)
+from levelarr.regions import _closure_walk, enumerate_regions, level_profile
 
 
 def hp(normal, offset=0):
@@ -151,10 +146,10 @@ def _lp_level(arr, signs):
 class TestTypeALevelOracle:
     """In a type A deformation the recession cone is cut out by d_i >= d_j
     relations; its span has one dimension per strongly connected component of
-    that digraph (the braid cone of a preposet).  The signed digraph level
+    that digraph (the braid cone of a preposet).  The closure walk's level
     reads it off: type A normals are ``diff`` forms only, so node 0 is its own
     excluded component and every component C of the nodes +i has its own
-    mirror -C."""
+    mirror -C.  ``enumerate_regions`` takes type A levels from the LP."""
 
     def test_levels_match_strong_components(self):
         rng = random.Random(2024)
@@ -162,13 +157,13 @@ class TestTypeALevelOracle:
         arrangements += [random_deformation_a(4, rng) for _ in range(4)]
         arrangements.append(make_cox_a(4))
         for arr in arrangements:
-            edges = _signed_edges(arr)
-            for region in enumerate_regions(arr):
-                assert region.level == _digraph_level(edges, region.sign_vector, arr.dim)
+            assert arr.kind is Kind.TYPE_A
+            got, ref = _walks(arr)
+            assert got == ref
 
 
 class TestTypeBLevelOracle:
-    """Type B levels come from the signed digraph; the LP is the cross-check."""
+    """Type B levels come from the closure walk; the LP is the cross-check."""
 
     def test_digraph_level_matches_lp(self, example_b):
         rng = random.Random(2025)
@@ -185,20 +180,20 @@ class TestTypeBLevelOracle:
     def test_self_mirror_components(self):
         # Bands on x1 +- x2 and x3 +- x4 with no coordinate hyperplanes: a
         # region inside all four bands has the components {+-1, +-2} and
-        # {+-3, +-4}, each its own mirror, and they add no dimension.
+        # {+-3, +-4}, each its own mirror, and they add no dimension.  The
+        # arrangement is not type B, so ``enumerate_regions`` takes LP levels.
         arr = self_mirror_bands()
-        edges = _signed_edges(arr)
         regions = enumerate_regions(arr)
-        levels = [_digraph_level(edges, r.sign_vector, 4) for r in regions]
+        levels = [level for _, level in _closure_walk(arr)]
         assert levels == [r.level for r in regions]
         assert levels.count(0) == 1
 
     def test_level_routing(self, monkeypatch, example_a, example_b, grid_example):
-        # enumerate_regions: type B takes the digraph; type A, general
-        # arrangements and degenerate ones with type B normals only take one
-        # LP per region.  level_profile: the closure walk iff every
+        # enumerate_regions: type B takes one closure walk and no LP; type A,
+        # general arrangements and degenerate ones with type B normals only
+        # take one LP per region.  level_profile: the closure walk iff every
         # hyperplane has a Coxeter form, with no split test and no LP.
-        calls = dict.fromkeys(("lp", "digraph", "split", "closure", "enumerate"), 0)
+        calls = dict.fromkeys(("lp", "split", "closure", "enumerate"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -208,7 +203,6 @@ class TestTypeBLevelOracle:
             return wrapper
 
         monkeypatch.setattr("levelarr.regions.cone_span_dimension", counted("lp", cone_span_dimension))
-        monkeypatch.setattr("levelarr.regions._digraph_level", counted("digraph", _digraph_level))
         monkeypatch.setattr("levelarr.regions._feasible_system", counted("split", _feasible_system))
         monkeypatch.setattr("levelarr.regions._closure_walk", counted("closure", _closure_walk))
         monkeypatch.setattr("levelarr.regions.enumerate_regions", counted("enumerate", enumerate_regions))
@@ -218,17 +212,46 @@ class TestTypeBLevelOracle:
         for arr in (example_a, make_cox_a(3), grid_example, degenerate, example_b, make_cox_b(3), skew):
             calls.update(dict.fromkeys(calls, 0))
             count = len(enumerate_regions(arr))
-            lp, digraph = (0, count) if arr.kind is Kind.TYPE_B else (count, 0)
-            assert (calls["lp"], calls["digraph"]) == (lp, digraph)
+            lp, closure = (0, 1) if arr.kind is Kind.TYPE_B else (count, 0)
+            assert (calls["lp"], calls["closure"]) == (lp, closure)
 
             calls.update(dict.fromkeys(calls, 0))
             assert sum(level_profile(arr).counts) == count
             if all(h.form() is not None for h in arr.hyperplanes):
-                assert calls == {"lp": 0, "digraph": 0, "split": 0, "closure": 1, "enumerate": 0}
+                assert calls == {"lp": 0, "split": 0, "closure": 1, "enumerate": 0}
             else:
                 assert arr is skew
                 assert calls["closure"] == 0 and calls["enumerate"] == 1
                 assert calls["lp"] == count and calls["split"] > 0
+
+
+class TestEngineCrossCheck:
+    """On type B input the LP walk and the closure walk must find the same
+    regions: a region either engine drops is an error, not a smaller answer."""
+
+    def test_lp_walk_dropping_a_region_raises(self, monkeypatch):
+        arr = random_deformation_b(3, random.Random(11))
+        found = []
+
+        def drops_first_split(rows, witness, row):
+            point = _feasible_system(rows, witness, row)
+            if point is not None and not found:
+                found.append(point)
+                return None
+            return point
+
+        monkeypatch.setattr(regions_module, "_feasible_system", drops_first_split)
+        with pytest.raises(ArithmeticError, match="different regions"):
+            enumerate_regions(arr)
+        assert found
+
+    def test_closure_walk_dropping_a_region_raises(self, monkeypatch):
+        arr = random_deformation_b(3, random.Random(11))
+        walk = _closure_walk(arr)
+        assert len(walk) == 331
+        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: walk[:100] + walk[101:])
+        with pytest.raises(ArithmeticError, match="different regions"):
+            enumerate_regions(arr)
 
 
 def _walks(arr):
@@ -280,7 +303,9 @@ def _coxeter_subsets(draw):
 
 class TestClosureWalk:
     """The closure walk against ``enumerate_regions``: same sign vectors, same
-    order, same levels, on arrangements whose normals all have Coxeter forms."""
+    order, same levels, on arrangements whose normals all have Coxeter forms.
+    On type B input ``enumerate_regions`` takes its levels from the walk, so
+    ``TestClosureWalkLevels`` checks those against the LP."""
 
     @given(_deformations())
     @settings(max_examples=60, deadline=None)
@@ -338,9 +363,9 @@ class TestClosureWalk:
 
 
 class TestClosureWalkLevels:
-    """The closure walk's levels against the cone-span LP.  Both type B
-    level paths count through ``_reach_level``, so comparing the walk with
-    ``enumerate_regions`` cannot catch a fault in that rule; the LP can."""
+    """The closure walk's levels against the cone-span LP.  Type B levels
+    in ``enumerate_regions`` come from the walk too, so comparing the two
+    cannot catch a fault in ``_reach_level``; the LP can."""
 
     @given(_deformations_b())
     @settings(max_examples=30, deadline=None)
