@@ -2,6 +2,14 @@
 
 Subcommands: ``chi``, ``levels``, ``verify``, ``generate``, ``render``.
 
+``chi``, ``levels`` and ``verify`` state each answer once, as the JSON payload
+that ``--json`` prints.  Their text form is derived from that payload, and
+only when ``--json`` is absent; ``_emit`` writes either form and returns the
+exit status.  ``verify`` takes its rows from the library's result tuples,
+whose field names are the JSON keys, so a theorem adds only a text header, a
+row format and notes.  ``generate --values`` reads its comma-separated
+offsets with the document scalar grammar.
+
 Exit statuses: 0 all checks pass, 1 verification failure, 2 input error,
 3 theorem hypothesis violation (degenerate deformation).
 """
@@ -13,8 +21,7 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .arrangement import (
     DegenerateDeformationError,
@@ -33,6 +40,7 @@ from .document import (
     document_of,
     dumps_document,
     loads_document,
+    scalar_from_json,
     scalar_to_json,
 )
 from .expansion import (
@@ -76,6 +84,15 @@ def _write_output(text: str, output: Optional[str]) -> None:
             raise DocumentError(f"cannot write {output}: {exc}") from None
 
 
+def _emit(args, payload: dict, text_lines: Callable[[dict], Iterable[str]], code: int = EXIT_OK) -> int:
+    """Write ``payload`` as JSON under ``--json``, else as ``text_lines(payload)``; return ``code``."""
+    if args.json:
+        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+    else:
+        _write_output("\n".join(text_lines(payload)) + "\n", args.output)
+    return code
+
+
 def format_expansion(coeffs: Sequence[int], basis: BasisKind) -> str:
     """Human form like ``6*C(t,3) - 4*C(t,2) + 2*C(t,1)``."""
     arg = "t" if basis == BasisKind.STANDARD else "(t-1)/2"
@@ -91,29 +108,26 @@ def format_expansion(coeffs: Sequence[int], basis: BasisKind) -> str:
 
 
 def cmd_chi(args) -> int:
-    parsed = _read_document(args.input)
-    arr = parsed.arrangement
-    chi = char_poly(arr)
+    chi = char_poly(_read_document(args.input).arrangement)
     payload = {"coefficients": list(chi.coeffs), "text": str(chi)}
-    lines = [str(chi)]
     if args.basis != "standard":
         kind = BasisKind.STANDARD if args.basis == "binomial" else BasisKind.SHIFTED_HALF
-        expansion = to_binomial_basis(chi, kind)
-        text = format_expansion(expansion.coeffs, kind)
+        coeffs = to_binomial_basis(chi, kind).coeffs
         payload["basis"] = kind.value
-        payload["basis_coefficients"] = [scalar_to_json(c) for c in expansion.coeffs]
-        payload["basis_text"] = text
-        lines.append(text)
-    if args.json:
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+        payload["basis_coefficients"] = list(coeffs)
+        payload["basis_text"] = format_expansion(coeffs, kind)
+    return _emit(args, payload, lambda p: [p[key] for key in ("text", "basis_text") if key in p])
+
+
+def _levels_lines(payload: dict) -> Iterable[str]:
+    yield from (f"level {k}: {c}" for k, c in enumerate(payload["counts"]) if c)
+    yield f"total: {payload['total']}"
+    for r in payload.get("regions", ()):
+        yield f"region {r['signs']} level {r['level']} witness ({', '.join(map(str, r['witness']))})"
 
 
 def cmd_levels(args) -> int:
-    parsed = _read_document(args.input)
-    arr = parsed.arrangement
+    arr = _read_document(args.input).arrangement
     # Only --regions needs witnesses; the counts alone take the cheaper path.
     if args.regions:
         regions = enumerate_regions(arr)
@@ -122,132 +136,79 @@ def cmd_levels(args) -> int:
             counts[r.level] += 1
     else:
         counts = list(level_profile(arr).counts)
-    total = sum(counts)
-    if args.json:
-        payload = {"counts": counts, "total": total}
-        if args.regions:
-            payload["regions"] = [
-                {
-                    "signs": r.sign_string(),
-                    "level": r.level,
-                    "witness": [scalar_to_json(x) for x in r.witness],
-                }
-                for r in regions
-            ]
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
-    lines = []
-    for k, c in enumerate(counts):
-        if c:
-            lines.append(f"level {k}: {c}")
-    lines.append(f"total: {total}")
+    payload = {"counts": counts, "total": sum(counts)}
     if args.regions:
-        for r in regions:
-            witness = ", ".join(map(str, r.witness))
-            lines.append(f"region {r.sign_string()} level {r.level} witness ({witness})")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+        payload["regions"] = [
+            {"signs": r.sign_string(), "level": r.level, "witness": [scalar_to_json(x) for x in r.witness]}
+            for r in regions
+        ]
+    return _emit(args, payload, _levels_lines)
 
 
 def cmd_verify(args) -> int:
+    """Each theorem gives its payload fields plus the text header, row format and notes."""
     parsed = _read_document(args.input)
     arr = parsed.arrangement
     theorem = args.theorem
-    lines: list[str] = []
     payload: dict = {"theorem": theorem}
-    ok = True
+    row_format, notes = "", []
 
     if theorem in ("A", "B"):
         report = (verify_type_a_expansion if theorem == "A" else verify_type_b_expansion)(arr)
-        lines.append(f"type {theorem} level expansion check")
-        lines.append(f"chi = {report.chi}")
-        rows_payload = []
-        for row in report.rows:
-            status = "ok" if row.ok else "MISMATCH"
-            lines.append(
-                f"  level {row.level}: coefficient {row.coefficient}, "
-                f"signed count {row.signed_count}, regions {row.region_count}  [{status}]"
-            )
-            rows_payload.append(
-                {
-                    "level": row.level,
-                    "coefficient": scalar_to_json(row.coefficient),
-                    "signed_count": row.signed_count,
-                    "region_count": row.region_count,
-                    "ok": row.ok,
-                }
-            )
+        header = [f"type {theorem} level expansion check", f"chi = {report.chi}"]
+        row_format = "  level {level}: coefficient {coefficient}, signed count {signed_count}, regions {region_count}"
         payload["chi"] = list(report.chi.coeffs)
-        payload["rows"] = rows_payload
+        payload["rows"] = [{**row._asdict(), "ok": row.ok} for row in report.rows]
         ok = report.passed
     elif theorem == "zaslavsky":
         result = zaslavsky_check(arr)
-        lines.append("zaslavsky check")
-        lines.append(f"  (-1)^n * chi(-1) = {result.chi_at_minus_one_signed}")
-        lines.append(f"  regions          = {result.region_count}")
-        payload["chi_at_minus_one_signed"] = result.chi_at_minus_one_signed
-        payload["region_count"] = result.region_count
+        header = [
+            "zaslavsky check",
+            f"  (-1)^n * chi(-1) = {result.chi_at_minus_one_signed}",
+            f"  regions          = {result.region_count}",
+        ]
+        payload.update(result._asdict())
         ok = result.ok
     elif theorem == "deletion-restriction":
-        chi = char_poly(arr)
-        lines.append("deletion-restriction check")
-        rows_payload = []
+        header = ["deletion-restriction check"]
+        row_format = "  {hyperplane}: chi(delete) - chi(restrict) == chi"
+        chi = char_poly(arr).coeffs
+        payload["rows"] = []
         for idx, label in enumerate(parsed.labels):
-            deleted = char_poly(delete(arr, idx))
-            restricted = char_poly(restrict(arr, idx)[0])
-            lhs = tuple(chi.coeffs)
+            deleted = char_poly(delete(arr, idx)).coeffs
+            restricted = char_poly(restrict(arr, idx)[0]).coeffs
             # The deletion keeps the ambient dimension; the restriction has
             # one fewer, so its coefficients stop one degree short.
-            rhs = tuple(d - r for d, r in zip(deleted.coeffs, restricted.coeffs + (0,)))
-            row_ok = lhs == rhs
-            ok = ok and row_ok
-            status = "ok" if row_ok else "MISMATCH"
-            lines.append(f"  {label}: chi(delete) - chi(restrict) == chi  [{status}]")
-            rows_payload.append({"hyperplane": label, "ok": row_ok})
-        payload["rows"] = rows_payload
-    elif theorem == "ff":
+            rhs = tuple(d - r for d, r in zip(deleted, restricted + (0,)))
+            payload["rows"].append({"hyperplane": label, "ok": chi == rhs})
+        ok = all(row["ok"] for row in payload["rows"])
+    else:  # ff
         if args.primes < 1:
             raise DocumentError(f"--primes must be at least 1, got {args.primes}")
         plan = ff_oracle_check(arr, args.primes)
-        lines.append("finite-field count check")
-        rows_payload = []
-        mismatches = 0
-        for q, count, value in plan.rows():
-            row_ok = count == value
-            mismatches += not row_ok
-            status = "ok" if row_ok else "MISMATCH"
-            lines.append(f"  q={q}: count {count}, chi({q}) = {value}  [{status}]")
-            rows_payload.append({"q": q, "count": count, "chi": value, "ok": row_ok})
+        header = ["finite-field count check"]
+        row_format = "  q={q}: count {count}, chi({q}) = {chi}"
+        payload["rows"] = [{"q": q, "count": count, "chi": value, "ok": count == value} for q, count, value in plan.rows()]
+        payload["complete"] = plan.complete
         ok = plan.agree
+        mismatches = sum(not row["ok"] for row in payload["rows"])
         if ok and mismatches:
-            lines.append(
+            notes.append(
                 f"  note: {mismatches} small prime(s) merged nearly concurrent "
                 f"flats; chi confirmed on the {plan.requested} largest primes shown"
             )
         if not plan.complete:
-            lines.append(
+            notes.append(
                 f"  note: only {len(plan.primes)} admissible prime(s) under the "
                 f"enumeration guard (requested {plan.requested})"
             )
-        payload["rows"] = rows_payload
-        payload["complete"] = plan.complete
-    else:  # pragma: no cover - argparse restricts choices
-        raise DocumentError(f"unknown theorem {theorem!r}")
-
-    lines.append("PASS" if ok else "FAIL")
     payload["pass"] = ok
-    if args.json:
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
+    def text_lines(p: dict) -> list[str]:
+        rows = [row_format.format(**row) + ("  [ok]" if row["ok"] else "  [MISMATCH]") for row in p.get("rows", ())]
+        return [*header, *rows, *notes, "PASS" if p["pass"] else "FAIL"]
 
-def _parse_values(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"--values: {exc}") from None
+    return _emit(args, payload, text_lines, EXIT_OK if ok else EXIT_VERIFY_FAILED)
 
 
 def cmd_generate(args) -> int:
@@ -257,12 +218,10 @@ def cmd_generate(args) -> int:
             arr = make_cox_a(args.n)
         elif family == "cox_b":
             arr = make_cox_b(args.n)
-        elif family == "catalan":
-            values = _parse_values(args.values) if args.values else [Fraction(1)]
-            arr = make_catalan_type(args.n, values, with_zero=True)
-        elif family == "semiorder":
-            values = _parse_values(args.values) if args.values else [Fraction(1)]
-            arr = make_catalan_type(args.n, values, with_zero=False)
+        elif family in ("catalan", "semiorder"):
+            parts = (args.values or "1").split(",")
+            values = [scalar_from_json(part, "--values") for part in parts if part.strip()]
+            arr = make_catalan_type(args.n, values, with_zero=family == "catalan")
         elif family == "m_catalan":
             arr = make_m_catalan(args.n, args.m)
         elif family == "random_a":
@@ -303,35 +262,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chi = sub.add_parser("chi", help="characteristic polynomial")
-    p_chi.add_argument("input", help="arrangement document (path or - for stdin)")
     p_chi.add_argument(
         "--basis",
         choices=["standard", "binomial", "half"],
         default="standard",
         help="also print the expansion in a binomial basis",
     )
-    p_chi.add_argument("--json", action="store_true")
-    p_chi.add_argument("--output", default=None)
-    p_chi.set_defaults(func=cmd_chi)
-
     p_levels = sub.add_parser("levels", help="region counts by level")
-    p_levels.add_argument("input")
     p_levels.add_argument("--regions", action="store_true", help="list every region")
-    p_levels.add_argument("--json", action="store_true")
-    p_levels.add_argument("--output", default=None)
-    p_levels.set_defaults(func=cmd_levels)
-
     p_verify = sub.add_parser("verify", help="run a theorem validator")
-    p_verify.add_argument("input")
     p_verify.add_argument(
         "--theorem",
         required=True,
         choices=["A", "B", "zaslavsky", "deletion-restriction", "ff"],
     )
     p_verify.add_argument("--primes", type=int, default=2)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(func=cmd_verify)
+    # Each reads one document and writes one payload, as text or as JSON.
+    for cmd, func in ((p_chi, cmd_chi), (p_levels, cmd_levels), (p_verify, cmd_verify)):
+        cmd.add_argument("input", help="arrangement document (path or - for stdin)")
+        cmd.add_argument("--json", action="store_true")
+        cmd.add_argument("--output", default=None)
+        cmd.set_defaults(func=func)
 
     p_gen = sub.add_parser("generate", help="emit an arrangement document")
     p_gen.add_argument(

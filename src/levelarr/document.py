@@ -11,18 +11,17 @@ parse -> serialize -> parse is the identity on parsed values.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .arrangement import Arrangement, Hyperplane
+from .exactmath import _RATIONAL
 
 
 class DocumentError(ValueError):
     """Malformed arrangement document; the message names the offending field."""
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _SHOWN = 40  # characters of an offending value that an error message echoes
 
 

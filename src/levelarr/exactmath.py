@@ -45,11 +45,18 @@ present is implicit without an LP variable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 Vector = tuple[Union[int, Fraction], ...]
+
+
+# The one string form of an exact scalar: an optionally signed integer or
+# ``p/q`` in decimal digits.  No exponent, decimal point or digit separator,
+# so reading a string costs no more than its digits.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_scalar(value) -> Union[int, Fraction]:
@@ -58,12 +65,15 @@ def as_scalar(value) -> Union[int, Fraction]:
     An int or Fraction comes back unchanged (a bool becomes a Fraction), so
     integer rows skip the Fraction round trip.  Floats are rejected outright;
     silently accepting them would smuggle rounding error into computations
-    whose whole point is exactness.
+    whose whole point is exactness.  A string must match ``_RATIONAL`` after
+    surrounding whitespace is stripped.
     """
     if type(value) is int or isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} not allowed in exact arithmetic")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value.strip()):
+        raise ValueError(f"expected an integer or \"p/q\" string, got {value[:40]!r}")
     return Fraction(value)
 
 

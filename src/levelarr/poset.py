@@ -218,10 +218,6 @@ class CharPoly(NamedTuple):
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def evaluate(self, t: Union[int, Fraction]):
         acc: Union[int, Fraction] = 0
         for c in reversed(self.coeffs):

@@ -15,6 +15,7 @@ import levelarr
 from levelarr.arrangement import (
     Arrangement,
     delete,
+    make_cox_a,
     make_cox_b,
     make_m_catalan,
     random_deformation_a,
@@ -342,6 +343,14 @@ class TestGenerate:
         assert code == 2
         assert "n >= 2" in err
 
+    @pytest.mark.parametrize("values", ["1e5000", "1.5", "1_000"])
+    def test_values_follow_the_document_grammar(self, capsys, values):
+        # --values takes the scalars a document takes: no exponent, decimal
+        # point or digit separator, so an input error is exit 2, not a crash.
+        code, out, err = run(capsys, "generate", "catalan", "-n", "2", "--values", values)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --values")
+
 
 class TestRender:
     def test_grid_svg(self, doc_path, tmp_path, capsys, grid_example):
@@ -413,40 +422,74 @@ class TestOutputPins:
     levels and region order.
     """
 
-    @pytest.mark.parametrize(
-        "make, argv, digest",
-        [
-            pytest.param(lambda: make_m_catalan(4, 1), ("chi",), "e7eddf377739c9a334b79819d7e7803c7fe0e9a10bf90b6663c2eb1eff1f5d0e", id="m_catalan_4_1-chi"),
-            pytest.param(lambda: make_m_catalan(4, 1), ("verify", "--theorem=deletion-restriction"), "eb63d66dc96c8876f6302a9770e9bf9c428f3cea6d90d90fc7f8128a8f5f7964", id="m_catalan_4_1-deletion_restriction"),
-            pytest.param(lambda: make_m_catalan(4, 1), ("verify", "--theorem=ff"), "84e35457a4daad843ed3b3ef7fc3e04c63f47f944435c662c4c386e694482186", id="m_catalan_4_1-ff"),
-            pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("chi",), "6c72bf88b36b1b5c858eaedc679a0c31304091dfe1751e3c681521eaeeb601d7", id="random_a5_seed7-chi"),
-            pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=deletion-restriction"), "195b3f78087fb85dd65ab7e3739c932792e2e1b933063dfba988775fdc52071e", id="random_a5_seed7-deletion_restriction"),
-            pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=ff"), "76cc425ff1463e420862f25857be668568a71ac839dbc1a2ee68f6a383c65379", id="random_a5_seed7-ff"),
-            pytest.param(lambda: make_cox_b(3), ("chi",), "3684271ec4036a796181d190cd2827fe4d1b685dc6fb587c26615f72188b09af", id="cox_b3-chi"),
-            pytest.param(eighths_a5, ("chi",), "60ff324630d4b8acfc511b5f3b45d18405fa586a388cd27daa88d3815d9f0d1a", id="eighths_a5-chi"),
-            pytest.param(eighths_b4, ("chi",), "aeb48c6c53bf9705a676256579c6b7c77be4b56e40f8aa03792a6eab421bc2b0", id="eighths_b4-chi"),
-            pytest.param(skew_r3, ("chi",), "b139627e5b47220a6660846c83250e4b8c90a2f750f21c2fb6cb022a36922812", id="skew_r3-chi"),
-            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=deletion-restriction"), "82b58436140413c8c71e38b3527ced4dad05c871f9ccd80d83428befd1f9febe", id="cox_b3-deletion_restriction"),
-            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", id="cox_b3-ff"),
-            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels", "--regions"), "d714fcff671cd74ace59c2aa4810b24bbde415942977e8fd61d6843d091b3b25", id="random_a4_seed7-levels_regions"),
-            pytest.param(lambda: make_cox_b(3), ("levels", "--regions"), "39f25b9a923f81d8f9cca91a1949ba6d9d133ab017ae50c9f49a13cef128243d", id="cox_b3-levels_regions"),
-            pytest.param(lambda: random_deformation_b(3, random.Random(11)), ("levels", "--regions"), "42c782e2fb97571b2794e5c1eec40db1f7af5e6420051a0aa1a9c59bf2fe050a", id="random_b3_seed11-levels_regions"),
-            pytest.param(lambda: make_m_catalan(3, 1), ("levels", "--regions"), "9a10b7f7e265a60b11afd87f6fc06a526b917b91a58459052783a4492739e9b3", id="m_catalan_3_1-levels_regions"),
-            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=A"), "2cf82c6a61b2d58c2bcb912005a30e63f6a9a25c40601ed3ed9f2a3844d88931", id="random_a4_seed7-A"),
-            pytest.param(lambda: make_m_catalan(3, 1), ("verify", "--theorem=A"), "1858e2092bc0351dbc686b9ba9fc07efe4c9629166c24221c575891bced4eeff", id="m_catalan_3_1-A"),
-            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=B"), "5c6bbb5314cce6168bdc93834d61282e0f4fd50196a0cb85880371ff32438978", id="cox_b3-B"),
-            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=zaslavsky"), "38a6bdcaee27939a6c6e9f0a41d120a5815625f2cdc20da7db586d9189c2d887", id="random_a4_seed7-zaslavsky"),
-            pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=zaslavsky"), "25adabda9b77027ecfa9d80c3569224d16f645546aca7d9ec8fc42c9fe6a1a51", id="cox_b3-zaslavsky"),
-            pytest.param(eighths_b4, ("levels",), "bf015fc1b0dff618b6530b449f6887965e69a33319bbdf2e11e4f01c5f90c406", id="eighths_b4-levels"),
-            pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels",), "57a9f6df98ee1c778395579cee1b15c7775e068abdfdbe9861d510cc9d61f6ee", id="random_a4_seed7-levels"),
-            pytest.param(eighths_b4, ("verify", "--theorem=B"), "8a53c2ec82d92b3bb95bcd67984d59f836d340c83fa2aaa98267f8c2c3a73f06", id="eighths_b4-B"),
-            pytest.param(lambda: delete(make_cox_b(3), 0), ("verify", "--theorem=zaslavsky"), "4f40ec56ae6dc5f94ec12d18859d343fe0468d385a5a9ea53d12ebe9f404e5ca", id="delete_cox_b3_0-zaslavsky"),
-        ],
-    )
-    def test_json_digest(self, capsys, doc_path, make, argv, digest):
+    # Each pinned command, with the digests of its --json output and its text output.
+    PINNED = [
+        pytest.param(lambda: make_m_catalan(4, 1), ("chi",), "e7eddf377739c9a334b79819d7e7803c7fe0e9a10bf90b6663c2eb1eff1f5d0e", "a9e6e1486cba3f187503687a50664357449d3e0475e777d599d5048e6723981e", id="m_catalan_4_1-chi"),
+        pytest.param(lambda: make_m_catalan(4, 1), ("verify", "--theorem=deletion-restriction"), "eb63d66dc96c8876f6302a9770e9bf9c428f3cea6d90d90fc7f8128a8f5f7964", "86ef8e368a15f44e8eefbc8734ea2ec45a1afb4f6809fd6afb25450f40038acc", id="m_catalan_4_1-deletion_restriction"),
+        pytest.param(lambda: make_m_catalan(4, 1), ("verify", "--theorem=ff"), "84e35457a4daad843ed3b3ef7fc3e04c63f47f944435c662c4c386e694482186", "13de71367eea19b44bbaae6edaaaccc542cc40c65bede4a4b95b51ad106beae9", id="m_catalan_4_1-ff"),
+        pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("chi",), "6c72bf88b36b1b5c858eaedc679a0c31304091dfe1751e3c681521eaeeb601d7", "0576b3b49df62b9bcb2990b9930c86e8c47df46530b49c4c9bd7d231a2d5d7b0", id="random_a5_seed7-chi"),
+        pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=deletion-restriction"), "195b3f78087fb85dd65ab7e3739c932792e2e1b933063dfba988775fdc52071e", "6cf3686b12775ee0d277619fe0065054032f75f239b4d64800a3eb37d4103e92", id="random_a5_seed7-deletion_restriction"),
+        pytest.param(lambda: random_deformation_a(5, random.Random(7), 2), ("verify", "--theorem=ff"), "76cc425ff1463e420862f25857be668568a71ac839dbc1a2ee68f6a383c65379", "21c8bea87280173de87baf42b6526e77e34f7a3a088b778a0cdb18dd6f461433", id="random_a5_seed7-ff"),
+        pytest.param(lambda: make_cox_b(3), ("chi",), "3684271ec4036a796181d190cd2827fe4d1b685dc6fb587c26615f72188b09af", "30ca2cc266fd7591bc73f3ad860eb5d1b5259cec3caaf8f50168c8bf758350da", id="cox_b3-chi"),
+        pytest.param(eighths_a5, ("chi",), "60ff324630d4b8acfc511b5f3b45d18405fa586a388cd27daa88d3815d9f0d1a", "7f0ad581aed1eec2967ecb8ff164bab60ffdd8d0b76a61c1532166c4a0d9ae71", id="eighths_a5-chi"),
+        pytest.param(eighths_b4, ("chi",), "aeb48c6c53bf9705a676256579c6b7c77be4b56e40f8aa03792a6eab421bc2b0", "e1e9ecc0c7f7e3a1bd3c548cd385fe5577fc610d1618849920026f648c429ea9", id="eighths_b4-chi"),
+        pytest.param(skew_r3, ("chi",), "b139627e5b47220a6660846c83250e4b8c90a2f750f21c2fb6cb022a36922812", "a40df84454f072303158e0650a9b673f8250a60fbf86be47534a160816340e5d", id="skew_r3-chi"),
+        pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=deletion-restriction"), "82b58436140413c8c71e38b3527ced4dad05c871f9ccd80d83428befd1f9febe", "544c4366d515ec460cc9520ef53266c005097e1dcb797f65d73c50339fdd2123", id="cox_b3-deletion_restriction"),
+        pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", "c0f821bd2d5eec6a7487412e6167dee76d69c97ccd572b38ab4331b49e42f4e0", id="cox_b3-ff"),
+        pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels", "--regions"), "d714fcff671cd74ace59c2aa4810b24bbde415942977e8fd61d6843d091b3b25", "839652c325bf9b8875b223eab4f6ef028f5902a72d059e4cc759ec93c6f313a7", id="random_a4_seed7-levels_regions"),
+        pytest.param(lambda: make_cox_b(3), ("levels", "--regions"), "39f25b9a923f81d8f9cca91a1949ba6d9d133ab017ae50c9f49a13cef128243d", "3f4624e3d72af29aff28a0de3841e59e91814ba5db2b437f5bfd31ec025e43c7", id="cox_b3-levels_regions"),
+        pytest.param(lambda: random_deformation_b(3, random.Random(11)), ("levels", "--regions"), "42c782e2fb97571b2794e5c1eec40db1f7af5e6420051a0aa1a9c59bf2fe050a", "962e9e5af46e748e5848850db7280fb8a56c5bb52037b58642075ef0cd153a58", id="random_b3_seed11-levels_regions"),
+        pytest.param(lambda: make_m_catalan(3, 1), ("levels", "--regions"), "9a10b7f7e265a60b11afd87f6fc06a526b917b91a58459052783a4492739e9b3", "336c1e68b495cb069af2711eb1d851861a74eb3254dc6aa6216e95e2259d1090", id="m_catalan_3_1-levels_regions"),
+        pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=A"), "2cf82c6a61b2d58c2bcb912005a30e63f6a9a25c40601ed3ed9f2a3844d88931", "c518c171ec36dad05aa3e9a09ea99780a634e6b15dbe338ec8ecc44b5d53d266", id="random_a4_seed7-A"),
+        pytest.param(lambda: make_m_catalan(3, 1), ("verify", "--theorem=A"), "1858e2092bc0351dbc686b9ba9fc07efe4c9629166c24221c575891bced4eeff", "b270a7244ef39aae74669ac518051e7f0e484100201e87c511c0ba1c775030ff", id="m_catalan_3_1-A"),
+        pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=B"), "5c6bbb5314cce6168bdc93834d61282e0f4fd50196a0cb85880371ff32438978", "dba531a79b59e1e836c9adef75005ebcc8764a3792cd823c7d861e5b61dc6dfb", id="cox_b3-B"),
+        pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=zaslavsky"), "38a6bdcaee27939a6c6e9f0a41d120a5815625f2cdc20da7db586d9189c2d887", "a7e24bbd484c00a9448074e9fc6c66d6f3393d6670a94f7bc2a98972530979cd", id="random_a4_seed7-zaslavsky"),
+        pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=zaslavsky"), "25adabda9b77027ecfa9d80c3569224d16f645546aca7d9ec8fc42c9fe6a1a51", "16e4d2f9a52dca0d02325f0c22ffebc512ad3cc218402f93e16e7eea39f76441", id="cox_b3-zaslavsky"),
+        pytest.param(eighths_b4, ("levels",), "bf015fc1b0dff618b6530b449f6887965e69a33319bbdf2e11e4f01c5f90c406", "3c604a5150106e2ec391b462f121f04587c87ead315f6b7650d462940e5b8833", id="eighths_b4-levels"),
+        pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels",), "57a9f6df98ee1c778395579cee1b15c7775e068abdfdbe9861d510cc9d61f6ee", "f913ab213fc656753f9423da6671b13ed0560d26d42519380d28805a480ac142", id="random_a4_seed7-levels"),
+        pytest.param(eighths_b4, ("verify", "--theorem=B"), "8a53c2ec82d92b3bb95bcd67984d59f836d340c83fa2aaa98267f8c2c3a73f06", "f0f44965f55d1efa3c6abc67bc91bf3c032acd78d761f729e36782697c3d5b24", id="eighths_b4-B"),
+        pytest.param(lambda: delete(make_cox_b(3), 0), ("verify", "--theorem=zaslavsky"), "4f40ec56ae6dc5f94ec12d18859d343fe0468d385a5a9ea53d12ebe9f404e5ca", "16fbf82e1d15c732926f6e1bd70f0df26ae68911e939825b2330fc8b05068970", id="delete_cox_b3_0-zaslavsky"),
+    ]
+
+    @pytest.mark.parametrize("make, argv, json_digest, text_digest", PINNED)
+    def test_json_digest(self, capsys, doc_path, make, argv, json_digest, text_digest):
         code, out, _ = run(capsys, argv[0], doc_path(make()), *argv[1:], "--json")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+
+    # The text form is derived from the JSON payload; it is pinned on its own.
+    @pytest.mark.parametrize("make, argv, json_digest, text_digest", PINNED)
+    def test_text_digest(self, capsys, doc_path, make, argv, json_digest, text_digest):
+        code, out, _ = run(capsys, argv[0], doc_path(make()), *argv[1:])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == text_digest
+
+    def test_incomplete_prime_plan_fails(self, capsys, doc_path):
+        # q^7 within the point guard leaves only 3, 5 and 7: the plan is
+        # incomplete, so the check fails with exit 1 and says why.
+        path = doc_path(make_cox_a(7))
+        code, out, err = run(capsys, "verify", path, "--theorem=ff", "--primes", "4")
+        assert (code, err) == (1, "")
+        assert out == (
+            "finite-field count check\n"
+            "  q=3: count 0, chi(3) = 0  [ok]\n"
+            "  q=5: count 0, chi(5) = 0  [ok]\n"
+            "  q=7: count 5040, chi(7) = 5040  [ok]\n"
+            "  note: only 3 admissible prime(s) under the enumeration guard (requested 4)\n"
+            "FAIL\n"
+        )
+        code, out, _ = run(capsys, "verify", path, "--theorem=ff", "--primes", "4", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "theorem": "ff",
+            "rows": [
+                {"q": 3, "count": 0, "chi": 0, "ok": True},
+                {"q": 5, "count": 0, "chi": 0, "ok": True},
+                {"q": 7, "count": 5040, "chi": 5040, "ok": True},
+            ],
+            "complete": False,
+            "pass": False,
+        }
 
     @pytest.mark.parametrize(
         "make, digest",

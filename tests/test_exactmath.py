@@ -605,3 +605,18 @@ class TestConeSpanDimension:
             cone = [(h.normal, s) for h, s in zip(arr.hyperplanes, region.sign_vector)]
             assert cone_span_dimension(cone, dim=arr.dim) == region.level
             assert len(calls) <= 1
+
+
+class TestAsScalar:
+    """Strings take the document scalar grammar: a sign, digits and an optional ``/q``."""
+
+    @pytest.mark.parametrize("text, value", [("-3/2", Fraction(-3, 2)), (" 3 ", Fraction(3))])
+    def test_string_scalars(self, text, value):
+        assert as_scalar(text) == value
+
+    def test_refuses_strings_outside_the_document_grammar(self):
+        # Strings follow the document scalar grammar: an exponent would make
+        # Fraction expand "1e4000000" digit by digit.
+        for text in ("1e5", "1.5", "1_000", "1e4000000"):
+            with pytest.raises(ValueError, match="p/q"):
+                as_scalar(text)
