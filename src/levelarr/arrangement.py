@@ -5,9 +5,10 @@ nonzero entry positive) so that equality and parallelism are plain tuple
 comparisons.  Arrangements carry a derived kind tag that records whether they
 are non-degenerate deformations of the type A or type B Coxeter arrangement;
 the tag is always recomputed from the hyperplane list, so deleting the last
-hyperplane of a direction class downgrades the tag automatically.  One table
-of Coxeter direction classes, ``_coxeter_forms``, backs the generators, the
-tag and the non-degeneracy reports.
+hyperplane of a direction class downgrades the tag automatically.  A Coxeter
+direction has one encoding, the signed root of ``Hyperplane.form()``, and
+one table of them, ``_coxeter_forms``, backs the generators, the tag and the
+non-degeneracy reports.
 """
 
 from __future__ import annotations
@@ -65,21 +66,20 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.normal)
 
-    def form(self) -> Optional[tuple]:
-        """Coxeter form of the normal, if any.
+    def form(self) -> Optional[tuple[int, int]]:
+        """Coxeter form of the normal, if any: the 1-based signed root ``(i, v)``.
 
-        Returns ``("coord", i)``, ``("diff", i, j)`` or ``("sum", i, j)`` with
-        0-based ``i < j``, or None for any other direction.
+        ``(i, 0)`` is x_i, ``(i, j)`` is x_i - x_j and ``(i, -j)`` is
+        x_i + x_j, with i < j; any other direction gives None.  Read as the
+        signed-digraph edge i -> v, it is the + side of the hyperplane in
+        ``regions._closure_walk``.
         """
-        support = [(i, c) for i, c in enumerate(self.normal) if c]
-        if len(support) == 1 and support[0][1] == 1:
-            return ("coord", support[0][0])
-        if len(support) == 2:
-            (i, ci), (j, cj) = support
-            if ci == 1 and cj == -1:
-                return ("diff", i, j)
-            if ci == 1 and cj == 1:
-                return ("sum", i, j)
+        support = [(i, c) for i, c in enumerate(self.normal, 1) if c]
+        if len(support) == 1:
+            return (support[0][0], 0)  # a primitive normal: the entry is 1
+        if len(support) == 2 and support[0][1] == 1 and abs(support[1][1]) == 1:
+            (i, _), (j, c) = support
+            return (i, -c * j)
         return None
 
     def __eq__(self, other) -> bool:
@@ -160,36 +160,35 @@ def _coxeter_forms(kind: Kind, dim: int) -> tuple:
     """Direction classes of the Coxeter arrangement of ``kind`` in R^dim.
 
     Each class is a ``Hyperplane.form()`` value, listed in report order:
-    type A has ("diff", i, j) for each pair i < j; type B has every
-    ("coord", i), then ("diff", i, j) and ("sum", i, j) for each pair.
+    type A has (i, j) for each pair i < j; type B has every (i, 0), then
+    (i, j) and (i, -j) for each pair.
     """
-    pairs = combinations(range(dim), 2)
+    pairs = combinations(range(1, dim + 1), 2)
     if kind == Kind.TYPE_A:
-        return tuple(("diff", i, j) for i, j in pairs)
-    coords = tuple(("coord", i) for i in range(dim))
-    return coords + tuple(f for i, j in pairs for f in (("diff", i, j), ("sum", i, j)))
+        return tuple(pairs)
+    return tuple((i, 0) for i in range(1, dim + 1)) + tuple(f for i, j in pairs for f in ((i, j), (i, -j)))
 
 
-def _form_normal(dim: int, form: tuple) -> tuple[int, ...]:
+def _form_normal(dim: int, form: tuple[int, int]) -> tuple[int, ...]:
     """The primitive normal of a Coxeter form: the inverse of ``Hyperplane.form()``."""
+    i, v = form
     normal = [0] * dim
-    normal[form[1]] = 1
-    if form[0] != "coord":
-        normal[form[2]] = -1 if form[0] == "diff" else 1
+    normal[i - 1] = 1
+    if v:
+        normal[abs(v) - 1] = -1 if v > 0 else 1
     return tuple(normal)
 
 
 class NondegeneracyReport(NamedTuple):
     """Outcome of a non-degeneracy check against an expected deformation kind.
 
-    ``missing`` names each unpopulated direction class with 1-based indices:
-    ("x", i) for x_i, ("diff", i, j) for x_i - x_j, ("sum", i, j) for
-    x_i + x_j.  ``foreign`` holds the indices of hyperplanes of any other
-    direction.
+    ``missing`` holds the ``Hyperplane.form()`` of each unpopulated direction
+    class, in ``_coxeter_forms`` order.  ``foreign`` holds the indices of
+    hyperplanes of any other direction.
     """
 
     ok: bool
-    missing: tuple
+    missing: tuple[tuple[int, int], ...]
     foreign: tuple[int, ...]
 
     def explanation(self) -> str:
@@ -198,8 +197,7 @@ class NondegeneracyReport(NamedTuple):
         parts = []
         if self.missing:
             rendered = ", ".join(
-                ("-" if tag == "diff" else "+").join(f"x{i}" for i in idx)
-                for tag, *idx in self.missing
+                f"x{i}" + (f"{'-' if v > 0 else '+'}x{abs(v)}" if v else "") for i, v in self.missing
             )
             parts.append(f"missing direction {rendered}")
         if self.foreign:
@@ -213,11 +211,7 @@ def _nondegeneracy(kind: Kind, dim: int, planes: Sequence[Hyperplane]) -> Nondeg
     forms = [h.form() for h in planes]
     known, present = set(table), set(forms)
     foreign = tuple(idx for idx, f in enumerate(forms) if f not in known)
-    missing = tuple(
-        ("x" if f[0] == "coord" else f[0], *(i + 1 for i in f[1:]))
-        for f in table
-        if f not in present
-    )
+    missing = tuple(f for f in table if f not in present)
     return NondegeneracyReport(not missing and not foreign, missing, foreign)
 
 
@@ -260,17 +254,20 @@ def make_cox_b(n: int) -> Arrangement:
 
 
 def _deformation(n: int, families) -> Arrangement:
-    """Deformation from offset families ``(name, tag, offsets)``.
+    """Deformation from offset families ``(name, sign, offsets)``.
 
-    ``offsets`` maps every 1-based key of the forms tagged ``tag`` (i for
-    ("coord", i - 1), (i, j) for a pair form) to the nonempty list of
-    distinct offsets of that direction.  Planes come family by family, each
-    family in table order.
+    The family of sign 0 holds the forms (i, 0) and is keyed by i; the family
+    of sign s = +-1 holds the forms (i, s*j) and is keyed by the pair (i, j).
+    ``offsets`` maps every key to the nonempty list of distinct offsets of
+    that direction.  Planes come family by family, each in table order.
     """
-    forms = _coxeter_forms(Kind.TYPE_B, n)
+    coords = range(1, n + 1)
     keyed = []
-    for name, tag, mapping in families:
-        keys = {(f[1] + 1 if tag == "coord" else (f[1] + 1, f[2] + 1)): f for f in forms if f[0] == tag}
+    for name, sign, mapping in families:
+        if sign:
+            keys = {(i, j): (i, sign * j) for i, j in combinations(coords, 2)}
+        else:
+            keys = {i: (i, 0) for i in coords}
         extra = set(mapping) - set(keys)
         if extra:
             raise ValueError(f"{name} keys out of range: {sorted(extra)}")
@@ -300,7 +297,7 @@ def make_deformation_a(n: int, offsets: dict) -> Arrangement:
     """
     if n < 2:
         raise ValueError("type A deformation needs n >= 2")
-    return _deformation(n, [("offsets", "diff", offsets)])
+    return _deformation(n, [("offsets", 1, offsets)])
 
 
 def make_deformation_b(
@@ -316,9 +313,9 @@ def make_deformation_b(
     if n < 1:
         raise ValueError("type B deformation needs n >= 1")
     return _deformation(n, [
-        ("x_offsets", "coord", x_offsets),
-        ("diff_offsets", "diff", diff_offsets),
-        ("sum_offsets", "sum", sum_offsets),
+        ("x_offsets", 0, x_offsets),
+        ("diff_offsets", 1, diff_offsets),
+        ("sum_offsets", -1, sum_offsets),
     ])
 
 

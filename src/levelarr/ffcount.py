@@ -13,7 +13,7 @@ primes.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .poset import char_poly
@@ -40,24 +40,18 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _primes_from(start: int) -> Iterator[int]:
-    q = max(2, start)
-    while True:
-        if is_prime(q):
-            yield q
-        q += 1
-
-
 def admissible_primes(arr: Arrangement, count: int) -> list[int]:
-    """Smallest primes q with q > 2 * coefficient bound and q^n within the guard."""
-    bound = 2 * coefficient_bound(arr)
+    """Smallest primes q with q > 2 * coefficient bound and q^n within the guard.
+
+    Each candidate meets the guard before its primality test, so a bound
+    whose successors all lie past the guard costs no trial division.
+    """
     out = []
-    for q in _primes_from(bound + 1):
-        if q**arr.dim > POINT_LIMIT:
-            break
-        out.append(q)
-        if len(out) == count:
-            break
+    q = max(2, 2 * coefficient_bound(arr) + 1)
+    while len(out) < count and q**arr.dim <= POINT_LIMIT:
+        if is_prime(q):
+            out.append(q)
+        q += 1
     return out
 
 

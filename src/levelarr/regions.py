@@ -19,20 +19,25 @@ equals the dimension of the linear span of its recession cone, which
 ``cone_span_dimension`` of the homogenized sign constraints.
 
 When every normal has a Coxeter form (x_i, x_i - x_j or x_i + x_j), a region
-is a system of strict constraints d_v - d_u < c on the nodes
+is a system of strict constraints d_v - d_u < c on the signed nodes
 {0, +-1, ..., +-n} (d_0 = 0, d_{-i} = -d_i), one edge and its mirror per
 side, and it is nonempty iff that weighted digraph has no cycle of total
 weight <= 0: difference constraints for type A (Cormen, Leiserson, Rivest &
 Stein, *Introduction to Algorithms*, §24.4) and the doubled graph of UTVPI
 constraints for type B (Miné, "The octagon abstract domain", HOSC 19, 2006).
-``_closure_walk`` is the insertion walk with each region carrying the
-integer shortest-path closure of that digraph in place of a witness, so
-split tests are table lookups.  The region's recession cone is cut out by
-d_u >= d_v along the same edges, and its span has one dimension per pair
-C != -C of strongly connected components with 0 not in C (the type B
-analogue of braid cones as preposets; Postnikov, Reiner & Williams, Doc.
-Math. 2008).  ``_reach_level`` counts those pairs off the closure, the one
-level rule for signed digraphs.
+A node is its signed label throughout: the mirror of node u is -u, so the
+mirror of the edge u -> v is -v -> -u, and a row of 2n + 1 entries holds
+node -i at index 2n + 1 - i, which is where Python's negative index -i
+lands.  An edge u -> v reads d_u >= d_v, and the + side of a hyperplane is
+the edge ``Hyperplane.form()`` names: (i, 0) for x_i, (i, j) for x_i - x_j,
+(i, -j) for x_i + x_j.  ``_closure_walk`` is the insertion walk with each
+region carrying the integer shortest-path closure of that digraph in place
+of a witness, so split tests are table lookups.  The region's recession
+cone is cut out by d_u >= d_v along the same edges, and its span has one
+dimension per pair C != -C of strongly connected components with 0 not in
+C (the type B analogue of braid cones as preposets; Postnikov, Reiner &
+Williams, Doc. Math. 2008).  ``_reach_level`` counts those pairs off the
+closure, the one level rule for signed digraphs.
 
 ``level_profile`` takes the closure walk when every normal has a Coxeter
 form and ``enumerate_regions`` otherwise.  ``enumerate_regions`` runs the
@@ -72,37 +77,14 @@ class LevelProfile(NamedTuple):
     counts: tuple[int, ...]
 
 
-def _signed_edges(arr: Arrangement) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-    """Edges of the signed digraph, per hyperplane: ``(plus side, minus side)``.
-
-    Node 0 stands for d_0 = 0, node i for d_i and node n + i for d_{-i} = -d_i
-    (1-based i).  An edge ``(u, v)`` reads d_u >= d_v; the + side of
-    ``coord i`` is d_i >= d_0, of ``diff i j`` d_i >= d_j and of ``sum i j``
-    d_i >= d_{-j}, and the - side reverses it.  Each side's first edge is
-    ``(u, v)`` or ``(v, u)``, and its second the mirror edge -v -> -u.
-    Every hyperplane must have one of these forms.
-    """
-    n = arr.dim
-    mirror = [0] + [n + i for i in range(1, n + 1)] + list(range(1, n + 1))
-    out = []
-    for h in arr.hyperplanes:
-        form = h.form()
-        u = form[1] + 1
-        v = 0 if form[0] == "coord" else form[2] + 1 + (n if form[0] == "sum" else 0)
-        plus = ((u, v), (mirror[v], mirror[u]))
-        minus = ((v, u), (mirror[u], mirror[v]))
-        out.append((plus, minus))
-    return out
-
-
 def _reach_level(dist: list, inf: int, n: int) -> int:
     """Level of a region from the shortest-path closure of its signed digraph.
 
-    ``dist`` is the closure on the 2n + 1 nodes (see ``_signed_edges``),
-    where ``inf`` or more marks a missing path.  A node reaches exactly the
-    nodes at a finite distance, so u and v lie in one strongly connected
-    component iff dist[u][v] and dist[v][u] are both finite.  The level
-    counts the mirror pairs C != -C of components with 0 not in C.  Every
+    ``dist`` is the closure on the 2n + 1 signed nodes, where ``inf`` or
+    more marks a missing path.  A node reaches exactly the nodes at a finite
+    distance, so u and v lie in one strongly connected component iff
+    dist[u][v] and dist[v][u] are both finite.  The level counts the mirror
+    pairs C != -C of components with 0 not in C.  Every
     such pair holds a node +i, and i's component C is one of them unless i
     is linked to -i: C meets its mirror only if C = -C.  The component of 0
     is its own mirror, so i linked to 0 is linked to -i too and needs no
@@ -114,11 +96,11 @@ def _reach_level(dist: list, inf: int, n: int) -> int:
     level = 0
     for i in range(1, n + 1):
         row = dist[i]
-        if counted[i] or row[n + i] < inf and dist[n + i][i] < inf:
+        if counted[i] or row[-i] < inf and dist[-i][i] < inf:
             continue
         level += 1
         for j in range(i + 1, n + 1):
-            if row[j] < inf and dist[j][i] < inf or row[n + j] < inf and dist[n + j][i] < inf:
+            if row[j] < inf and dist[j][i] < inf or row[-j] < inf and dist[-j][i] < inf:
                 counted[j] = True
     return level
 
@@ -167,22 +149,23 @@ def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
     inf = (size + 2) * (k * max(map(abs, offsets), default=0) + 2)
     big = 2 * inf
 
-    def side(dist, edges, w):
-        (u, v), (mv, mu) = edges
+    def side(dist, u, v, w):
         if dist[u][v] <= w:
             return dist
-        if dist[v][u] + w < 0 or dist[mu][u] + 2 * w + dist[v][mv] < 0:
+        if dist[v][u] + w < 0 or dist[-u][u] + 2 * w + dist[v][-v] < 0:
             return None
-        return _tighten(_tighten(dist, u, v, w, big), mv, mu, w, big)
+        return _tighten(_tighten(dist, u, v, w, big), -v, -u, w, big)
 
     root = [[0 if a == b else inf for b in range(size)] for a in range(size)]
     live: list[tuple[list[int], list]] = [([], root)]
-    for (plus, minus), c in zip(_signed_edges(arr), offsets):
+    for h, c in zip(arr.hyperplanes, offsets):
+        u, v = h.form()
+        # the + side's edge u -> v reads d_v - d_u < -c, the - side's v -> u reads d_u - d_v < c
+        sides = ((1, u, v, -k * c - 1), (-1, v, u, k * c - 1))
         updated = []
         for signs, dist in live:
-            # the + side's edge u -> v reads d_v - d_u < -c, the - side's d_u - d_v < c
-            for s, edges, w in ((1, plus, -k * c - 1), (-1, minus, k * c - 1)):
-                child = side(dist, edges, w)
+            for s, a, b, w in sides:
+                child = side(dist, a, b, w)
                 if child is not None:
                     updated.append((signs + [s], child))
                 if child is dist:

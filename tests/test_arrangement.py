@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -9,6 +9,8 @@ from levelarr.arrangement import (
     DegenerateDeformationError,
     Hyperplane,
     Kind,
+    _coxeter_forms,
+    _form_normal,
     delete,
     is_nondegenerate,
     make_catalan_type,
@@ -93,10 +95,27 @@ class TestHyperplane:
         assert hp((3, -3), 0).normal == hp((1, -1), 5).normal
 
     def test_forms(self):
-        assert hp((0, 1, 0), 2).form() == ("coord", 1)
-        assert hp((1, 0, -1), 0).form() == ("diff", 0, 2)
-        assert hp((0, 1, 1), 0).form() == ("sum", 1, 2)
+        assert hp((0, 1, 0), 2).form() == (2, 0)
+        assert hp((1, 0, -1), 0).form() == (1, 3)
+        assert hp((0, 1, 1), 0).form() == (2, -3)
         assert hp((1, 2), 0).form() is None
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("kind", [Kind.TYPE_A, Kind.TYPE_B])
+    def test_form_round_trip(self, kind, n):
+        # Every multiple of a root's normal, negated or not, names the same root.
+        forms = _coxeter_forms(kind, n)
+        assert len(set(forms)) == (comb(n, 2) if kind is Kind.TYPE_A else n * n)
+        for f in forms:
+            normal = _form_normal(n, f)
+            for scale in (1, 2, -1, -3):
+                assert hp(tuple(scale * c for c in normal), 1).form() == f
+
+    def test_non_roots_have_no_form(self):
+        assert hp((-2, 2), 0).form() == (1, 2)
+        assert hp((0, -1, -1), 0).form() == (2, -3)
+        for normal in ((1, 1, 1), (1, 2), (1, -1, 1), (2, 1), (0, 1, -3)):
+            assert hp(normal, 0).form() is None
 
 
 class TestGenerators:
@@ -194,7 +213,7 @@ class TestNondegeneracy:
         arr = Arrangement(3, [hp((0, 1, -1), 0), hp((1, 0, -1), 0)])
         report = is_nondegenerate(arr, Kind.TYPE_A)
         assert not report.ok
-        assert report.missing == (("diff", 1, 2),)
+        assert report.missing == ((1, 2),)
         assert "missing direction" in report.explanation()
 
     def test_semiorder_is_nondegenerate(self):
@@ -213,14 +232,14 @@ class TestNondegeneracy:
         arr = delete(make_cox_b(2), 0)  # drop x1 = 0
         report = is_nondegenerate(arr, Kind.TYPE_B)
         assert not report.ok
-        assert ("x", 1) in report.missing
+        assert (1, 0) in report.missing
 
     def test_type_b_report_names_directions_in_table_order(self):
         # cox_b(3) lists x1, x2, x3, x1-x2, x1+x2, x1-x3, x1+x3, x2-x3, x2+x3.
         b3 = make_cox_b(3)
         arr = Arrangement(3, [h for i, h in enumerate(b3) if i not in (1, 4, 5)])
         report = is_nondegenerate(arr, Kind.TYPE_B)
-        assert report.missing == (("x", 2), ("sum", 1, 2), ("diff", 1, 3))
+        assert report.missing == ((2, 0), (1, -2), (1, 3))
         assert is_nondegenerate(arr, Kind.TYPE_A).foreign == (0, 1, 3, 5)
 
     def test_general_kind_is_refused(self, example_a):

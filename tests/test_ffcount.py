@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from levelarr import ffcount
 from levelarr.arrangement import Arrangement, Hyperplane, make_cox_a, make_cox_b
 from levelarr.ffcount import (
     POINT_LIMIT,
@@ -13,6 +14,8 @@ from levelarr.ffcount import (
     ff_oracle_check,
     is_prime,
 )
+from levelarr.cli import main
+from levelarr.document import document_of, dumps_document
 from levelarr.poset import char_poly
 
 
@@ -68,6 +71,28 @@ class TestPrimes:
         assert admissible_primes(example_a, 3) == [3, 5, 7]
         wide = Arrangement(1, [hp((1,), 10)])
         assert admissible_primes(wide, 2) == [23, 29]
+
+    def test_guard_comes_before_primality(self, monkeypatch, tmp_path, capsys, example_a):
+        # x1 - x2 = 10^20 puts every candidate's q^2 past the guard, so the
+        # check fails at once with the note and tests no candidate for primality.
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return is_prime(q)
+
+        monkeypatch.setattr(ffcount, "is_prime", counted)
+        path = tmp_path / "far.json"
+        path.write_text(dumps_document(document_of(Arrangement(2, [hp((1, -1), 10**20), hp((1, 0), 0)]))))
+        assert main(["verify", str(path), "--theorem=ff"]) == 1
+        assert capsys.readouterr().out == (
+            "finite-field count check\n"
+            "  note: only 0 admissible prime(s) under the enumeration guard (requested 2)\n"
+            "FAIL\n"
+        )
+        assert calls == []
+        assert admissible_primes(example_a, 3) == [3, 5, 7]
+        assert calls == [3, 4, 5, 6, 7]
 
 
 class TestCountComplementPoints:

@@ -69,3 +69,16 @@ def test_every_method_and_property_is_used():
     trees = _trees()
     assert {"sign_string", "rows", "evaluate"} <= {node.name for tree in trees.values() for node in _methods(tree)}
     assert _unused(trees, _methods) == []
+
+
+def test_no_form_is_spelled_by_name():
+    # A Coxeter form is the signed root (i, v) of ``Hyperplane.form()``; no
+    # module re-tags directions by name.
+    tags = {"coord", "diff", "sum"}
+    named = [
+        f"{module}:{node.lineno}: {node.value}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in tags
+    ]
+    assert named == []

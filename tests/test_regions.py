@@ -147,9 +147,10 @@ class TestTypeALevelOracle:
     """In a type A deformation the recession cone is cut out by d_i >= d_j
     relations; its span has one dimension per strongly connected component of
     that digraph (the braid cone of a preposet).  The closure walk's level
-    reads it off: type A normals are ``diff`` forms only, so node 0 is its own
-    excluded component and every component C of the nodes +i has its own
-    mirror -C.  ``enumerate_regions`` takes type A levels from the LP."""
+    reads it off: every type A form is a difference (i, j) with j > 0, so no
+    edge meets node 0, which is its own excluded component, and every
+    component C of the nodes +i has its own mirror -C.  ``enumerate_regions``
+    takes type A levels from the LP."""
 
     def test_levels_match_strong_components(self):
         rng = random.Random(2024)
@@ -165,7 +166,7 @@ class TestTypeALevelOracle:
 class TestTypeBLevelOracle:
     """Type B levels come from the closure walk; the LP is the cross-check."""
 
-    def test_digraph_level_matches_lp(self, example_b):
+    def test_closure_level_matches_lp(self, example_b):
         rng = random.Random(2025)
         arrangements = [random_deformation_b(2 + k % 2, rng) for k in range(26)]
         arrangements += [make_cox_b(3), make_cox_b(4), example_b]
@@ -192,7 +193,7 @@ class TestTypeBLevelOracle:
         # enumerate_regions: type B takes one closure walk and no LP; type A,
         # general arrangements and degenerate ones with type B normals only
         # take one LP per region.  level_profile: the closure walk iff every
-        # hyperplane has a Coxeter form, with no split test and no LP.
+        # hyperplane's form() is a signed root, with no split test and no LP.
         calls = dict.fromkeys(("lp", "split", "closure", "enumerate"), 0)
 
         def counted(name, fn):
