@@ -7,8 +7,8 @@ are non-degenerate deformations of the type A or type B Coxeter arrangement;
 the tag is always recomputed from the hyperplane list, so deleting the last
 hyperplane of a direction class downgrades the tag automatically.  A Coxeter
 direction has one encoding, the signed root of ``Hyperplane.form()``, and
-one table of them, ``_coxeter_forms``, backs the generators, the tag and the
-non-degeneracy reports.
+one table of them, ``_coxeter_forms``, backs the generators and the
+non-degeneracy reports; the tag counts the distinct forms present.
 """
 
 from __future__ import annotations
@@ -187,9 +187,12 @@ class NondegeneracyReport(NamedTuple):
     hyperplanes of any other direction.
     """
 
-    ok: bool
     missing: tuple[tuple[int, int], ...]
     foreign: tuple[int, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing and not self.foreign
 
     def explanation(self) -> str:
         if self.ok:
@@ -205,20 +208,19 @@ class NondegeneracyReport(NamedTuple):
         return "degenerate: " + "; ".join(parts)
 
 
-def _nondegeneracy(kind: Kind, dim: int, planes: Sequence[Hyperplane]) -> NondegeneracyReport:
-    """Report the table's forms no hyperplane has and the hyperplanes off the table."""
-    table = _coxeter_forms(kind, dim)
-    forms = [h.form() for h in planes]
-    known, present = set(table), set(forms)
-    foreign = tuple(idx for idx, f in enumerate(forms) if f not in known)
-    missing = tuple(f for f in table if f not in present)
-    return NondegeneracyReport(not missing and not foreign, missing, foreign)
-
-
 def _classify(dim: int, planes: Sequence[Hyperplane]) -> Kind:
-    for kind in (Kind.TYPE_A, Kind.TYPE_B):
-        if _nondegeneracy(kind, dim, planes).ok:
-            return kind
+    """The kind tag, from the set of forms present: O(m) in the hyperplane count.
+
+    R^dim has dim^2 Coxeter forms, type B's directions, and the C(dim, 2) of
+    them with v > 0 are type A's; a full set of either is that kind.
+    """
+    forms = {h.form() for h in planes}
+    if None in forms:
+        return Kind.GENERAL
+    if all(v > 0 for _, v in forms) and len(forms) == dim * (dim - 1) // 2:
+        return Kind.TYPE_A
+    if len(forms) == dim * dim:
+        return Kind.TYPE_B
     return Kind.GENERAL
 
 
@@ -227,11 +229,17 @@ def is_nondegenerate(arr: Arrangement, kind: Kind) -> NondegeneracyReport:
 
     Type A requires every difference direction x_i - x_j to be populated and
     no hyperplane of any other direction; type B additionally requires every
-    coordinate and sum direction.
+    coordinate and sum direction.  The report lists the table's forms no
+    hyperplane has and the hyperplanes off the table.
     """
     if kind not in (Kind.TYPE_A, Kind.TYPE_B):
         raise ValueError("expected kind typeA or typeB")
-    return _nondegeneracy(kind, arr.dim, arr.hyperplanes)
+    table = _coxeter_forms(kind, arr.dim)
+    forms = [h.form() for h in arr.hyperplanes]
+    known, present = set(table), set(forms)
+    foreign = tuple(idx for idx, f in enumerate(forms) if f not in known)
+    missing = tuple(f for f in table if f not in present)
+    return NondegeneracyReport(missing, foreign)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def cmd_chi(args) -> int:
     payload = {"coefficients": list(chi.coeffs), "text": str(chi)}
     if args.basis != "standard":
         kind = BasisKind.STANDARD if args.basis == "binomial" else BasisKind.SHIFTED_HALF
-        coeffs = to_binomial_basis(chi, kind).coeffs
+        coeffs = to_binomial_basis(chi, kind)
         payload["basis"] = kind.value
         payload["basis_coefficients"] = list(coeffs)
         payload["basis_text"] = format_expansion(coeffs, kind)
@@ -135,7 +135,7 @@ def cmd_levels(args) -> int:
         for r in regions:
             counts[r.level] += 1
     else:
-        counts = list(level_profile(arr).counts)
+        counts = list(level_profile(arr))
     payload = {"counts": counts, "total": sum(counts)}
     if args.regions:
         payload["regions"] = [

@@ -8,10 +8,12 @@ falling-binomial basis:
 
 Both are C(s, k) with s = t or s = (t-1)/2, so by Newton's forward-difference
 formula c_k is the k-th forward difference at s = 0 of p(s) or p(2s + 1): an
-exact integer.  The validators compare those coefficients against region
-counts by level, computed by a completely separate code path (poset Möbius
-sums on one side; on the other, ``regions.level_profile``: the closure walk
-of signed digraphs for Coxeter forms, region enumeration otherwise).
+exact integer, and ``to_binomial_basis`` returns (c_0, ..., c_n) as a plain
+tuple.  The validators compare those coefficients against region counts by
+level, computed by a completely separate code path (poset Möbius sums on
+one side; on the other, ``regions.level_profile``: the closure walk of
+signed digraphs for Coxeter forms, region enumeration otherwise), one
+report row per level.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 from .arrangement import Arrangement, DegenerateDeformationError, Kind, is_nondegenerate
 from .poset import CharPoly, char_poly
-from .regions import LevelProfile, level_profile
+from .regions import level_profile
 
 
 class BasisKind(str, Enum):
@@ -29,22 +31,15 @@ class BasisKind(str, Enum):
     SHIFTED_HALF = "shifted_half"
 
 
-class BinomialExpansion(NamedTuple):
-    """Coefficients c_0..c_n with p(t) = sum_k c_k * basis_k(t), exactly."""
-
-    basis: BasisKind
-    coeffs: tuple[int, ...]
-
-
-def to_binomial_basis(p: CharPoly, kind: BasisKind) -> BinomialExpansion:
-    """Exact change of basis by forward differences (see the module docstring)."""
+def to_binomial_basis(p: CharPoly, kind: BasisKind) -> tuple[int, ...]:
+    """Exact (c_0, ..., c_n) with p(t) = sum_k c_k * basis_k(t), by forward differences."""
     shifted = kind == BasisKind.SHIFTED_HALF
     values = [p.evaluate(2 * s + 1 if shifted else s) for s in range(len(p.coeffs))]
     coeffs = []
     while values:
         coeffs.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    return BinomialExpansion(kind, tuple(coeffs))
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +61,9 @@ class ExpansionRow(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """Per-level comparison of the two independently computed sides."""
+    """Per-level comparison of the two independently computed sides, one row per level."""
 
-    kind: Kind
-    basis: BasisKind
     chi: CharPoly
-    profile: LevelProfile
-    expansion: BinomialExpansion
     rows: tuple[ExpansionRow, ...]
 
     @property
@@ -85,19 +76,12 @@ def _verify_expansion(arr: Arrangement, kind: Kind, basis: BasisKind) -> Verific
     if not report.ok:
         raise DegenerateDeformationError(report.explanation(), report.missing)
     chi = char_poly(arr)
-    profile = level_profile(arr)
-    expansion = to_binomial_basis(chi, basis)
     n = arr.dim
     rows = tuple(
-        ExpansionRow(
-            level=k,
-            coefficient=expansion.coeffs[k],
-            signed_count=(-1) ** (n - k) * profile.counts[k],
-            region_count=profile.counts[k],
-        )
-        for k in range(n + 1)
+        ExpansionRow(level=k, coefficient=c, signed_count=(-1) ** (n - k) * r, region_count=r)
+        for k, (c, r) in enumerate(zip(to_binomial_basis(chi, basis), level_profile(arr), strict=True))
     )
-    return VerificationReport(kind, basis, chi, profile, expansion, rows)
+    return VerificationReport(chi, rows)
 
 
 def verify_type_a_expansion(arr: Arrangement) -> VerificationReport:
@@ -127,4 +111,4 @@ def zaslavsky_check(arr: Arrangement) -> ZaslavskyResult:
     """Compare (-1)^n chi(-1) with the region count, the sum of the level profile."""
     chi = char_poly(arr)
     signed = (-1) ** arr.dim * chi.evaluate(-1)
-    return ZaslavskyResult(int(signed), sum(level_profile(arr).counts))
+    return ZaslavskyResult(int(signed), sum(level_profile(arr)))

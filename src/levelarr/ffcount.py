@@ -149,12 +149,13 @@ def ff_oracle_check(arr: Arrangement, num_primes: int = 2) -> PrimePlan:
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
-    chi = char_poly(arr)
+    candidates = admissible_primes(arr, num_primes + _SCAN_SLACK)
+    chi = char_poly(arr) if candidates else None  # no poset for a check that counts nothing
     primes: list[int] = []
     counts: list[int] = []
     values: list[int] = []
     streak = 0
-    for q in admissible_primes(arr, num_primes + _SCAN_SLACK):
+    for q in candidates:
         count = count_complement_points(arr, q)
         value = int(chi.evaluate(q))
         primes.append(q)

@@ -39,11 +39,12 @@ C (the type B analogue of braid cones as preposets; Postnikov, Reiner &
 Williams, Doc. Math. 2008).  ``_reach_level`` counts those pairs off the
 closure, the one level rule for signed digraphs.
 
-``level_profile`` takes the closure walk when every normal has a Coxeter
-form and ``enumerate_regions`` otherwise.  ``enumerate_regions`` runs the
-closure walk once on a type B deformation: every level comes from it, and
-its sign vectors must equal the LP walk's, in order, so two independent
-split engines check each other's regions.
+``level_profile`` returns the counts (r_0, ..., r_n) as a plain tuple; it
+takes the closure walk when every normal has a Coxeter form, walking only
+the coordinates some form names, and ``enumerate_regions`` otherwise.
+``enumerate_regions`` runs the closure walk once on a type B deformation:
+every level comes from it, and its sign vectors must equal the LP walk's,
+in order, so two independent split engines check each other's regions.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class Region(NamedTuple):
 
     def sign_string(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.sign_vector)
-
-
-class LevelProfile(NamedTuple):
-    """Region counts by level: ``counts[k]`` regions have level k."""
-
-    counts: tuple[int, ...]
 
 
 def _reach_level(dist: list, inf: int, n: int) -> int:
@@ -128,19 +123,26 @@ def _tighten(dist: list, u: int, v: int, w: int, big: int) -> list:
 def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
     """Sign vectors and levels of all regions, in ``enumerate_regions``' order.
 
-    Every hyperplane must have a Coxeter form.  Offsets are scaled by L, the
-    lcm of the rows' leading entries, to integers C, and a strict bound C
-    becomes the weight C*K - 1 with K = 4n + 4, more than the length of any
-    simple cycle, so a cycle is negative iff its bounds sum to <= 0.  Each
-    region carries the all-pairs shortest-path closure of its edges, a list
-    of integer rows where ``inf`` marks a missing path.  A side u -> v of
-    weight w is implied when dist[u][v] <= w, and the region keeps its
-    closure; it is empty when dist[v][u] + w < 0 or when it and its mirror
-    close a negative cycle together; otherwise ``_tighten`` adds both edges.
-    ``_reach_level`` reads each region's level off its closure.
+    Every hyperplane must have a Coxeter form.  Only the m coordinates that
+    some form names are walked, relabelled 1..m in order; each other
+    coordinate is an isolated node pair, one more level in every region.
+    Offsets are scaled by L, the lcm of the rows' leading entries, to
+    integers C, and a strict bound C becomes the weight C*K - 1 with
+    K = 4m + 4, more than the length of any simple cycle, so a cycle is
+    negative iff its bounds sum to <= 0.  Each region carries the all-pairs
+    shortest-path closure of its edges, a list of integer rows where
+    ``inf`` marks a missing path.  A side u -> v of weight w is implied when
+    dist[u][v] <= w, and the region keeps its closure; it is empty when
+    dist[v][u] + w < 0 or when it and its mirror close a negative cycle
+    together; otherwise ``_tighten`` adds both edges.  ``_reach_level``
+    reads each region's level off its closure.
     """
-    n = arr.dim
-    size = 2 * n + 1
+    named = sorted({abs(c) for h in arr.hyperplanes for c in h.form()} - {0})
+    node = {0: 0}
+    for a, c in enumerate(named, 1):
+        node[c], node[-c] = a, -a
+    m = len(named)
+    size = 2 * m + 1
     # row[:-1] is g times the form's normal, whose leading entry is 1
     leads = [next(c for c in h.row if c) for h in arr.hyperplanes]
     scale = lcm(1, *leads)
@@ -159,7 +161,7 @@ def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
     root = [[0 if a == b else inf for b in range(size)] for a in range(size)]
     live: list[tuple[list[int], list]] = [([], root)]
     for h, c in zip(arr.hyperplanes, offsets):
-        u, v = h.form()
+        u, v = (node[x] for x in h.form())
         # the + side's edge u -> v reads d_v - d_u < -c, the - side's v -> u reads d_u - d_v < c
         sides = ((1, u, v, -k * c - 1), (-1, v, u, k * c - 1))
         updated = []
@@ -172,7 +174,7 @@ def _closure_walk(arr: Arrangement) -> list[tuple[tuple[int, ...], int]]:
                     break  # the + side holds throughout, so the - side is empty
         live = updated
 
-    return [(tuple(signs), _reach_level(dist, inf, n)) for signs, dist in live]
+    return [(tuple(signs), _reach_level(dist, inf, m) + arr.dim - m) for signs, dist in live]
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
@@ -223,8 +225,8 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     )
 
 
-def level_profile(arr: Arrangement) -> LevelProfile:
-    """Counts (r_0, ..., r_n) of regions by level.
+def level_profile(arr: Arrangement) -> tuple[int, ...]:
+    """Counts (r_0, ..., r_n) of regions by level: r_k regions have level k.
 
     When every hyperplane has a Coxeter form the counts come from
     ``_closure_walk``, with no LP and no witness; otherwise from
@@ -237,4 +239,4 @@ def level_profile(arr: Arrangement) -> LevelProfile:
     counts = [0] * (arr.dim + 1)
     for level in levels:
         counts[level] += 1
-    return LevelProfile(tuple(counts))
+    return tuple(counts)

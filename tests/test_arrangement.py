@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from math import comb, gcd
 
@@ -245,6 +247,61 @@ class TestNondegeneracy:
     def test_general_kind_is_refused(self, example_a):
         with pytest.raises(ValueError, match="typeA or typeB"):
             is_nondegenerate(example_a, Kind.GENERAL)
+
+
+class TestKindTag:
+    def test_tag_agrees_with_the_reports(self):
+        # Random sets of Coxeter forms, some with a foreign plane, in R^0..R^4.
+        rng = random.Random(25)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(0, 4)
+            forms = _coxeter_forms(Kind.TYPE_B if rng.random() < 0.5 else Kind.TYPE_A, n)
+            chosen = [f for f in forms if rng.random() < 0.9]
+            planes = [hp(_form_normal(n, f), a) for f in chosen for a in range(rng.randint(1, 2))]
+            if n > 1 and rng.random() < 0.2:
+                planes.append(hp((1, 2) + (0,) * (n - 2), 0))
+            arr = Arrangement(n, planes)
+            a_ok, b_ok = (is_nondegenerate(arr, kind).ok for kind in (Kind.TYPE_A, Kind.TYPE_B))
+            assert arr.kind is (Kind.TYPE_A if a_ok else Kind.TYPE_B if b_ok else Kind.GENERAL)
+            seen.add(arr.kind)
+        assert seen == set(Kind)
+
+    def test_tag_costs_nothing_per_dimension(self):
+        # The tag reads the forms present, not the n^2 table of R^n.
+        tracemalloc.start()
+        try:
+            arr = Arrangement(400, [hp((1,) + (0,) * 399, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.kind is Kind.GENERAL
+        assert peak < 1 << 20
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Arrangement(-1), ValueError, "ambient dimension must be nonnegative"),
+            (lambda: Arrangement(2, [(1, 0)]), TypeError, "expected Hyperplane, got tuple"),
+            (lambda: Arrangement(3, [hp((1, 0))]), ValueError, "hyperplane dimension differs from ambient dimension"),
+            (lambda: make_deformation_a(2, {(1, 2): [0], (1, 3): [0]}), ValueError, "offsets keys out of range: [(1, 3)]"),
+            (lambda: make_deformation_b(1, {1: [0], 2: [1]}, {}, {}), ValueError, "x_offsets keys out of range: [2]"),
+            (lambda: make_deformation_a(1, {}), ValueError, "type A deformation needs n >= 2"),
+            (lambda: make_deformation_b(0, {}, {}, {}), ValueError, "type B deformation needs n >= 1"),
+            (lambda: make_catalan_type(1, [1]), ValueError, "needs n >= 2"),
+            (lambda: make_catalan_type(2, []), ValueError, "offset value list must be nonempty"),
+            (lambda: make_m_catalan(3, 0), ValueError, "needs m >= 1"),
+        ],
+        ids=[
+            "negative_dim", "not_a_hyperplane", "dim_mismatch", "a_keys_out_of_range", "b_keys_out_of_range",
+            "deformation_a_n1", "deformation_b_n0", "catalan_n1", "catalan_no_values", "m_catalan_m0",
+        ],
+    )
+    def test_refused_with_message(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestDelete:

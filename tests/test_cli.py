@@ -24,6 +24,7 @@ from levelarr.arrangement import (
 from levelarr.cli import build_parser, format_expansion, main
 from levelarr.document import document_of, dumps_document, loads_document
 from levelarr.expansion import BasisKind
+from levelarr.render import render_svg
 
 from conftest import eighths_a5, eighths_b4, skew_r3
 
@@ -405,6 +406,9 @@ class TestRender:
             if node.getAttribute("class") == "hyperplane-label"
         ]
         assert sorted(texts) == sorted(labels)
+
+    def test_default_labels(self, example_b):
+        assert render_svg(example_b) == render_svg(example_b, ("H1", "H2", "H3", "H4"))
 
     def test_byte_stable(self, doc_path, tmp_path, capsys, example_a):
         p1, p2 = tmp_path / "r1.svg", tmp_path / "r2.svg"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelarr.arrangement import random_deformation_a, random_deformation_b
+from levelarr.cli import main
 from levelarr.document import (
     DocumentError,
     document_of,
@@ -124,6 +126,44 @@ class TestParse:
         text = '{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": %s}]}' % ("9" * 5000)
         with pytest.raises(DocumentError, match="invalid JSON: Exceeds the limit"):
             loads_document(text)
+
+
+class TestInputChecks:
+    """Each malformed document is refused with one message, in the library
+    and, as exit status 2, through the command line."""
+
+    CASES = [
+        pytest.param("[]", "document must be a JSON object", id="not_an_object"),
+        pytest.param('{"ambient_dim": 2, "hyperplanes": {}}', "hyperplanes: expected a list", id="hyperplanes_not_a_list"),
+        pytest.param('{"ambient_dim": 2, "hyperplanes": [3]}', "hyperplanes[0]: expected an object", id="entry_not_an_object"),
+        pytest.param(
+            '{"ambient_dim": 2, "hyperplanes": [{"normal": [0, 0]}]}',
+            "hyperplanes[0]: hyperplane normal must be nonzero",
+            id="zero_normal",
+        ),
+        pytest.param(
+            '{"ambient_dim": 1, "hyperplanes": [{"normal": [1]}], "labels": [1]}',
+            "labels: expected strings",
+            id="labels_not_strings",
+        ),
+        pytest.param(
+            '{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": null}]}',
+            "hyperplanes[0].offset: expected an integer or rational string, got NoneType",
+            id="null_scalar",
+        ),
+    ]
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_library(self, text, message):
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            loads_document(text)
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_command_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["chi", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestRoundTrip:

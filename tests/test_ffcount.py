@@ -95,6 +95,39 @@ class TestPrimes:
         assert calls == [3, 4, 5, 6, 7]
 
 
+    def test_no_poset_without_a_prime(self, monkeypatch, tmp_path, capsys, example_a):
+        # The 10^20 document leaves no prime to count, so chi is never built;
+        # a countable arrangement builds it once.
+        builds = []
+
+        def counted(arr):
+            builds.append(arr)
+            return char_poly(arr)
+
+        monkeypatch.setattr(ffcount, "char_poly", counted)
+        far = Arrangement(2, [hp((1, -1), 10**20), hp((1, 0), 0)])
+        plan = ff_oracle_check(far, 2)
+        assert (plan.complete, plan.primes, builds) == (False, (), [])
+        path = tmp_path / "far.json"
+        path.write_text(dumps_document(document_of(far)))
+        assert main(["verify", str(path), "--theorem=ff"]) == 1
+        assert capsys.readouterr().out == (
+            "finite-field count check\n"
+            "  note: only 0 admissible prime(s) under the enumeration guard (requested 2)\n"
+            "FAIL\n"
+        )
+        assert builds == []
+        assert ff_oracle_check(example_a, 2).agree
+        assert builds == [example_a]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("num_primes", [0, -3])
+    def test_refused_with_message(self, example_a, num_primes):
+        with pytest.raises(ValueError, match="^need at least one prime$"):
+            ff_oracle_check(example_a, num_primes)
+
+
 class TestCountComplementPoints:
     def test_empty_line(self):
         assert count_complement_points(Arrangement(1, []), 5) == 5

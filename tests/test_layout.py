@@ -82,3 +82,22 @@ def test_no_form_is_spelled_by_name():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in tags
     ]
     assert named == []
+
+
+def test_no_single_field_wrapper():
+    # A NamedTuple with one field and no method or property only wraps a
+    # value: return the value itself.
+    named_tuples = [
+        (module, cls)
+        for module, tree in _trees().items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and any(ast.unparse(base).endswith("NamedTuple") for base in cls.bases)
+    ]
+    assert {"CharPoly", "Region"} <= {cls.name for _, cls in named_tuples}
+    wrappers = [
+        f"{module}: {cls.name}"
+        for module, cls in named_tuples
+        if sum(isinstance(node, ast.AnnAssign) for node in cls.body) == 1
+        and not any(isinstance(node, METHODS) for node in cls.body)
+    ]
+    assert wrappers == []

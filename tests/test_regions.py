@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -217,7 +218,7 @@ class TestTypeBLevelOracle:
             assert (calls["lp"], calls["closure"]) == (lp, closure)
 
             calls.update(dict.fromkeys(calls, 0))
-            assert sum(level_profile(arr).counts) == count
+            assert sum(level_profile(arr)) == count
             if all(h.form() is not None for h in arr.hyperplanes):
                 assert calls == {"lp": 0, "split": 0, "closure": 1, "enumerate": 0}
             else:
@@ -357,10 +358,26 @@ class TestClosureWalk:
         assert got == ref
         assert [level for _, level in got].count(0) == 1
 
+    def test_forms_that_skip_coordinates(self):
+        # x2 - x5, x5 + x6, x2 + x6 and x2 = 1 in R^6 name only x2, x5 and x6:
+        # the walk relabels them 1..3, and x1, x3 and x4 add a level to every
+        # region; the box 1 < x2 < 2, 0 < x2 - x5 < 1, -1 < x5 + x6 < 0 has 3.
+        e = lambda *pairs: tuple(dict(pairs).get(k, 0) for k in range(1, 7))  # noqa: E731
+        arr = Arrangement(6, [
+            hp(e((2, 1), (5, -1)), 0), hp(e((2, 1), (5, -1)), 1), hp(e((5, 1), (6, 1)), 0),
+            hp(e((2, 1)), 1), hp(e((5, 1), (6, 1)), -1), hp(e((2, 1), (6, 1)), 0), hp(e((2, 1)), 2),
+        ])
+        got, ref = _walks(arr)
+        assert got == ref
+        assert min(level for _, level in got) == 3
+        assert level_profile(arr) == tuple(
+            sum(r.level == k for r in enumerate_regions(arr)) for k in range(7)
+        )
+
     def test_empty_and_zero_dimensional(self):
         assert _closure_walk(Arrangement(3, [])) == [((), 3)]
         assert _closure_walk(Arrangement(0, [])) == [((), 0)]
-        assert level_profile(Arrangement(0, [])).counts == (1,)
+        assert level_profile(Arrangement(0, [])) == (1,)
 
 
 class TestClosureWalkLevels:
@@ -392,15 +409,29 @@ class TestClosureWalkLevels:
 
 class TestLevelProfile:
     def test_worked_example_a(self, example_a):
-        assert level_profile(example_a).counts == (0, 2, 4, 6)
+        assert level_profile(example_a) == (0, 2, 4, 6)
+
+    def test_unnamed_coordinates_cost_nothing(self):
+        # {x1 = 0, x2 - x3 = 1} in R^400: the walk's closures span the three
+        # named coordinates, not all 801 signed nodes.
+        n = 400
+        tracemalloc.start()
+        try:
+            arr = Arrangement(n, [hp((1,) + (0,) * (n - 1), 0), hp((0, 1, -1) + (0,) * (n - 3), 1)])
+            profile = level_profile(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile == (0,) * n + (4,)
+        assert peak < 1 << 20
 
     def test_worked_example_b(self, example_b):
         profile = level_profile(example_b)
-        assert profile.counts == (2, 0, 8)
-        assert sum(profile.counts) == 10
+        assert profile == (2, 0, 8)
+        assert sum(profile) == 10
 
     def test_grid_example(self, grid_example):
-        assert level_profile(grid_example).counts == (1, 2, 6)
+        assert level_profile(grid_example) == (1, 2, 6)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cox_a_all_regions_top_level(self, n):
@@ -409,7 +440,7 @@ class TestLevelProfile:
         expected[n] = 1
         for k in range(2, n + 1):
             expected[n] *= k
-        assert list(profile.counts) == expected
+        assert list(profile) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cox_b_all_regions_top_level(self, n):
@@ -417,8 +448,8 @@ class TestLevelProfile:
         count = 2**n
         for k in range(2, n + 1):
             count *= k
-        assert profile.counts[n] == count
-        assert sum(profile.counts) == count
+        assert profile[n] == count
+        assert sum(profile) == count
 
     def test_parallel_addition_splits_levels(self):
         # Adding one parallel hyperplane H0: the new region count at each
@@ -439,9 +470,9 @@ class TestLevelProfile:
             )
             restricted, _ = restrict(extended, len(extended) - 1)
 
-            before = level_profile(base).counts
-            after = level_profile(extended).counts
-            cut = level_profile(restricted).counts
+            before = level_profile(base)
+            after = level_profile(extended)
+            cut = level_profile(restricted)
             assert after[3] == before[3]
             for k in range(3):
                 assert after[k] == before[k] + cut[k]
@@ -525,8 +556,8 @@ class TestMCatalanFormula:
         for n, m in [(2, 1), (2, 2)]:
             profile = level_profile(make_m_catalan(n, m))
             for k in range(1, n + 1):
-                assert profile.counts[k] == mcatalan_level_count(n, m, k)
-            assert profile.counts[0] == 0
+                assert profile[k] == mcatalan_level_count(n, m, k)
+            assert profile[0] == 0
 
     def test_classical_catalan_top_level(self, mcatalan_level_count):
         # n! * Catalan(n) regions in total for m = 1; level n count is n! * C(2n-... )
