@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactmath import IntRow, _int_row, _normalize, _step, as_scalar, as_vector
@@ -195,17 +195,23 @@ class NondegeneracyReport(NamedTuple):
         return not self.missing and not self.foreign
 
     def explanation(self) -> str:
-        if self.ok:
-            return "non-degenerate"
+        """Why the check failed, naming the first ``_NAMED`` entries of each list."""
         parts = []
         if self.missing:
-            rendered = ", ".join(
-                f"x{i}" + (f"{'-' if v > 0 else '+'}x{abs(v)}" if v else "") for i, v in self.missing
-            )
-            parts.append(f"missing direction {rendered}")
+            names = (f"x{i}" + (f"{'-' if v > 0 else '+'}x{abs(v)}" if v else "") for i, v in self.missing)
+            parts.append(f"missing direction {_named(names, len(self.missing))}")
         if self.foreign:
-            parts.append(f"hyperplanes of foreign direction at indices {list(self.foreign)}")
+            parts.append(f"hyperplanes of foreign direction at indices [{_named(map(str, self.foreign), len(self.foreign))}]")
         return "degenerate: " + "; ".join(parts)
+
+
+_NAMED = 8  # entries of a list that a degenerate-input message names
+
+
+def _named(names, count: int) -> str:
+    """The first ``_NAMED`` of ``count`` names joined by commas, then how many more."""
+    shown = ", ".join(islice(names, _NAMED))
+    return shown if count <= _NAMED else f"{shown}, … and {count - _NAMED} more"
 
 
 def _classify(dim: int, planes: Sequence[Hyperplane]) -> Kind:
@@ -366,7 +372,7 @@ def delete(arr: Arrangement, h_index: int) -> Arrangement:
     return Arrangement(arr.dim, planes)
 
 
-def restrict(arr: Arrangement, h_index: int) -> tuple[Arrangement, tuple[int, ...]]:
+def restrict(arr: Arrangement, h_index: int) -> Arrangement:
     """Restriction of the arrangement onto one of its hyperplanes.
 
     The hyperplane H0 is identified with R^(n-1) by dropping the coordinate
@@ -374,15 +380,11 @@ def restrict(arr: Arrangement, h_index: int) -> tuple[Arrangement, tuple[int, ..
     x_k + x_l = a that is x_l, for x_k = a it is x_k); every other hyperplane
     with nonempty intersection maps to its projected image, coincident images
     are merged, parallel-disjoint hyperplanes are discarded.
-
-    Returns the restricted arrangement together with the tuple of retained
-    original coordinate indices (new coordinate -> old coordinate).
     """
     if not 0 <= h_index < len(arr.hyperplanes):
         raise IndexError(f"hyperplane index {h_index} out of range")
     h0 = arr.hyperplanes[h_index]
     drop = max(i for i, c in enumerate(h0.normal) if c)
-    keep = tuple(i for i in range(arr.dim) if i != drop)
 
     images: list[Hyperplane] = []
     seen: set[Hyperplane] = set()
@@ -399,7 +401,7 @@ def restrict(arr: Arrangement, h_index: int) -> tuple[Arrangement, tuple[int, ..
         if image not in seen:
             seen.add(image)
             images.append(image)
-    return Arrangement(arr.dim - 1, images), keep
+    return Arrangement(arr.dim - 1, images)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def cmd_verify(args) -> int:
         payload["rows"] = []
         for idx, label in enumerate(parsed.labels):
             deleted = char_poly(delete(arr, idx)).coeffs
-            restricted = char_poly(restrict(arr, idx)[0]).coeffs
+            restricted = char_poly(restrict(arr, idx)).coeffs
             # The deletion keeps the ambient dimension; the restriction has
             # one fewer, so its coefficients stop one degree short.
             rhs = tuple(d - r for d, r in zip(deleted, restricted + (0,)))

@@ -37,11 +37,13 @@ def scalar_to_json(value: Union[int, Fraction]) -> Union[int, str]:
     return f"{f.numerator}/{f.denominator}"
 
 
-def scalar_from_json(value, where: str) -> Fraction:
+def scalar_from_json(value, where: str) -> Union[int, Fraction]:
+    """A JSON integer as ``int``, so integer rows skip the ``Fraction`` round
+    trip; a ``"p"`` or ``"p/q"`` string as a ``Fraction``."""
     if isinstance(value, bool) or isinstance(value, float):
         raise DocumentError(f"{where}: expected an integer or rational string, got {_clip(repr(value))}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value.strip()):
             raise DocumentError(f"{where}: expected an integer or \"p/q\" string, got {_clip(repr(value))}")

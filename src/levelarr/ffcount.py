@@ -3,7 +3,7 @@
 For an integer arrangement and a large enough prime q, the number of points
 of F_q^n lying on none of the hyperplanes equals chi(q).  Counting is done
 one fibre over x_n at a time: above each prefix (x_1..x_{n-1}), vectorized
-with exact int64 arithmetic, every row either forbids one value of x_n or
+with exact int32 residue tables, every row either forbids one value of x_n or
 keeps or kills the whole fibre.  The count shares no code with the poset
 machinery and serves as an independent cross-check.  "Large enough" is
 implemented conservatively: q must exceed twice the largest absolute value
@@ -64,6 +64,12 @@ def count_complement_points(arr: Arrangement, q: int) -> int:
     distinct forbidden values as points above it, and the work is q^(n-1)
     times the number of rows instead of q^n times it.
 
+    Each row needs b - a'.x' (mod q): a wall (a_n = 0) kills the fibre where
+    it is 0, and a cut, scaled to a_n = 1, forbids that x_n.  Starting from b,
+    a chunk of prefixes gathers T_j[x_j] = -a_j * x_j mod q from one int32
+    table per coordinate, walls and cuts side by side, and one ``% q`` ends
+    it; every sum stays below n * q < 2^31 under the guard.
+
     Guarded to q^n <= 10^7; beyond that the characteristic polynomial is the
     right tool, not enumeration.
     """
@@ -82,19 +88,24 @@ def count_complement_points(arr: Arrangement, q: int) -> int:
 
     rows = np.array([[c % q for c in h.row] for h in arr], dtype=np.int64).reshape(-1, n + 1)
     lead = rows[:, n - 1]
-    walls = rows[lead == 0]  # a_n = 0: the prefix alone decides the row
     inverses = np.array([pow(int(a), -1, q) for a in lead if a], dtype=np.int64)
     cuts = rows[lead != 0] * inverses[:, None] % q  # a_n = 1: forbids x_n = b - a'.x'
+    sides = np.concatenate([rows[lead == 0], cuts]).astype(np.int32)  # walls, then cuts
+    walls = len(sides) - len(cuts)
+    tables = [(np.outer(np.arange(q), -sides[:, j]) % q).astype(np.int32) for j in range(n - 1)]
 
     count = 0
     prefixes = q ** (n - 1)
-    powers = np.array([q**j for j in range(n - 1)], dtype=np.int64)
     step = max(1, _CHUNK // max(1, len(cuts)))
     for start in range(0, prefixes, step):
-        idx = np.arange(start, min(start + step, prefixes), dtype=np.int64)
-        coords = idx[:, None] // powers % q  # one prefix per row, entries below q
-        live = ((coords @ walls[:, : n - 1].T - walls[:, n]) % q != 0).all(axis=1)
-        forbidden = (cuts[:, n] - coords @ cuts[:, : n - 1].T) % q
+        idx = np.arange(start, min(start + step, prefixes), dtype=np.int32)
+        vals = np.repeat(sides[None, :, n], len(idx), axis=0)
+        for table in tables:
+            vals += np.take(table, idx % q, axis=0)
+            idx //= q
+        vals %= q
+        live = vals[:, :walls].all(axis=1)
+        forbidden = vals[:, walls:]
         forbidden.sort(axis=1)
         distinct = (forbidden[:, 1:] != forbidden[:, :-1]).sum(axis=1) + (len(cuts) > 0)
         count += int((q - distinct)[live].sum())

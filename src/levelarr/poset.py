@@ -6,8 +6,8 @@ each flat, the hyperplanes that do not contain it are grouped by residual
 (the row reduced against the flat's equations); each group is one child, and
 its containing set is known without further elimination.  A child inherits
 its parent's groups and eliminates one pivot column from each; a flat of
-top rank has no children and inherits nothing, as its parent checks its
-groups once for all of them.
+top rank has no children and inherits nothing: its parent checks its groups
+once for all of them and keeps only a Weisner sum per point.
 
 A deformation has few normal directions and many offsets, so a residual
 (a, b) is held as (id of nu, k, b) with a = k * nu, nu primitive and
@@ -79,12 +79,14 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     content of the row is gcd(kg * kr * sd, b).
 
     A top-rank flat, whose codim is the rank of the normals (one ``_rank``
-    per build), has no children, so it carries no groups.  Its parent Y, of
+    per build), has no children, so it is never queued.  Its parent Y, of
     codim top - 1, checks its own groups once instead: their residuals lie
     in a one-dimensional space, so every key must have the same normal id,
     and a canonical key (k > 0, gcd(k, b) = 1) then names one point, so no
     hyperplane through a child is left out of its mask.  Anything else
-    raises ``ArithmeticError``.
+    raises ``ArithmeticError``.  In the same pass Y adds mu(Y) to a bare-int
+    Weisner sum for each point it visits, and the points are appended once,
+    by ascending mask, after the codim top - 1 level.
 
     Möbius values come from the covers the BFS finds, by Weisner's theorem
     (Stanley, *Enumerative Combinatorics* I, §3.9).  The interval below Z is
@@ -127,19 +129,22 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     # and sd == 0 marks a zero normal.
     halves: dict[int, dict[int, tuple]] = {}
     flats: list[Flat] = []
+    # Top-rank mask -> Weisner sum.  With no hyperplane the top rank is 0, and
+    # the ambient space, of sum -1, is the one top-rank flat.
+    points: dict[int, int] = {} if top else {0: -1}
     # One entry per flat of the current codimension: (containing mask,
     # [Weisner sum, parent's groups, residual]), sorted by mask in descending
     # order and popped, so that the parent's groups are freed once the
     # children have taken them.  The ambient space's sum is -1, so its mu is 1.
     level: list[tuple] = [(0, [-1, roots, None])]
-    for codim in range(top + 1):
+    for codim in range(top):
         children: dict[int, list] = {}  # containing mask -> [Weisner sum, groups, residual]
         while level:
             mask, (total, groups, r) = level.pop()
             mu = -total
             flats.append(Flat(n - codim, codim, mask, mu))
-            if codim == top or mask & 1:
-                continue  # no children, or none whose Weisner sum it enters
+            if mask & 1:
+                continue  # no child whose Weisner sum it enters
 
             if r is not None:
                 ir, kr, br = r
@@ -174,25 +179,28 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                         g = (iv, s // e, b // e)
                     groups[g] = groups.get(g, 0) | gmask
 
-            carried = groups
             if codim == top - 1:
                 # The residuals span one line: one normal id, and canonical
-                # keys, so distinct groups are distinct top-rank children.
+                # keys, so distinct groups are distinct top-rank points.
                 iv = next(iter(groups))[0]
                 for (ig, kg, bg), gmask in groups.items():
                     if ig != iv or kg < 1 or gcd(kg, bg) != 1:
                         raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
-                carried = None
+                    z = mask | gmask
+                    if not mask & z & -z:
+                        points[z] = points.get(z, 0) + mu
+                continue
             for residual, group in groups.items():
                 z = mask | group
                 if mask & z & -z:
                     continue  # this flat holds the child's lowest hyperplane
                 child = children.get(z)
                 if child is None:
-                    children[z] = [mu, carried, residual]
+                    children[z] = [mu, groups, residual]
                 else:
                     child[0] += mu
         level = sorted(children.items(), reverse=True)
+    flats.extend(Flat(n - top, top, z, -total) for z, total in sorted(points.items()))
     return tuple(flats)
 
 

@@ -69,7 +69,7 @@ def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntR
     return tuple(sorted(cleared + [new], key=_pivot))
 
 
-def fraction_restrict(arr: Arrangement, h_index: int) -> tuple[Arrangement, tuple[int, ...]]:
+def fraction_restrict(arr: Arrangement, h_index: int) -> Arrangement:
     """``arrangement.restrict`` as a ``Fraction`` formula on the normals and
     offsets, the reference its integer elimination step is pinned against.
 
@@ -96,7 +96,7 @@ def fraction_restrict(arr: Arrangement, h_index: int) -> tuple[Arrangement, tupl
         if image not in seen:
             seen.add(image)
             images.append(image)
-    return Arrangement(arr.dim - 1, images), keep
+    return Arrangement(arr.dim - 1, images)
 
 
 def hp(normal, offset=0) -> Hyperplane:
@@ -130,6 +130,17 @@ def eighths_b4() -> Arrangement:
     normals = [_unit(4, i) for i in range(4)]
     normals += [_unit(4, i, j, s) for i, j in combinations(range(4), 2) for s in (-1, 1)]
     return eighths_arrangement(4, normals, extra=2, seed=14)
+
+
+def unit_offsets_b4() -> Arrangement:
+    """A type B deformation in R^4 with one offset in {-1, 0, 1} per direction,
+    drawn by ``random.Random(1)``: the shape of the benchmark's finite-field
+    documents.  The coefficient bound is 1, so the prime scan starts at 3, and
+    q = 3, 5 and 7 merge flats and disagree with chi."""
+    rng = random.Random(1)
+    normals = [_unit(4, i) for i in range(4)]
+    normals += [_unit(4, i, j, s) for i, j in combinations(range(4), 2) for s in (-1, 1)]
+    return Arrangement(4, [hp(normal, rng.choice((-1, 0, 1))) for normal in normals])
 
 
 def skew_r3() -> Arrangement:

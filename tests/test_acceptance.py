@@ -212,7 +212,7 @@ def test_criterion_7_oracle_triangulation(all_criteria_arrangements, feasible_si
         whole = _padded(chi, width)
         for h_index in range(len(arr)):
             deleted = _padded(char_poly(delete(arr, h_index)), width)
-            restricted = _padded(char_poly(restrict(arr, h_index)[0]), width)
+            restricted = _padded(char_poly(restrict(arr, h_index)), width)
             assert whole == tuple(d - r for d, r in zip(deleted, restricted)), (
                 name,
                 h_index,
@@ -259,14 +259,14 @@ def test_criterion_9_restriction_closure():
         n = 3 if i % 2 == 0 else 4
         arr = random_deformation_a(n, random.Random(3001 + i), max_per_direction=2)
         for h_index in range(len(arr)):
-            res, _ = restrict(arr, h_index)
+            res = restrict(arr, h_index)
             assert res.dim == n - 1
             assert is_nondegenerate(res, Kind.TYPE_A).ok
     for i in range(20):
         n = 2 if i % 2 == 0 else 3
         arr = random_deformation_b(n, random.Random(4001 + i), max_per_direction=2)
         for h_index in range(len(arr)):
-            res, _ = restrict(arr, h_index)
+            res = restrict(arr, h_index)
             assert res.dim == n - 1
             assert is_nondegenerate(res, Kind.TYPE_B).ok
     _report("9 (restriction closure, 20 type A + 20 type B)")

@@ -14,6 +14,7 @@ import pytest
 import levelarr
 from levelarr.arrangement import (
     Arrangement,
+    Hyperplane,
     delete,
     make_cox_a,
     make_cox_b,
@@ -26,7 +27,7 @@ from levelarr.document import document_of, dumps_document, loads_document
 from levelarr.expansion import BasisKind
 from levelarr.render import render_svg
 
-from conftest import eighths_a5, eighths_b4, skew_r3
+from conftest import eighths_a5, eighths_b4, skew_r3, unit_offsets_b4
 
 
 @pytest.fixture()
@@ -452,6 +453,7 @@ class TestOutputPins:
         pytest.param(eighths_b4, ("levels",), "bf015fc1b0dff618b6530b449f6887965e69a33319bbdf2e11e4f01c5f90c406", "3c604a5150106e2ec391b462f121f04587c87ead315f6b7650d462940e5b8833", id="eighths_b4-levels"),
         pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels",), "57a9f6df98ee1c778395579cee1b15c7775e068abdfdbe9861d510cc9d61f6ee", "f913ab213fc656753f9423da6671b13ed0560d26d42519380d28805a480ac142", id="random_a4_seed7-levels"),
         pytest.param(eighths_b4, ("verify", "--theorem=B"), "8a53c2ec82d92b3bb95bcd67984d59f836d340c83fa2aaa98267f8c2c3a73f06", "f0f44965f55d1efa3c6abc67bc91bf3c032acd78d761f729e36782697c3d5b24", id="eighths_b4-B"),
+        pytest.param(unit_offsets_b4, ("verify", "--theorem=ff", "--primes", "4"), "45f36594f214609fac5241e446ee9ec066a449b618013f6ce77a25867513d6a9", "b8612cbb9bfb88042b4fe834193609be1dd6c621a1de367c4f953c708d5591a8", id="unit_offsets_b4-ff_primes_4"),
         pytest.param(lambda: delete(make_cox_b(3), 0), ("verify", "--theorem=zaslavsky"), "4f40ec56ae6dc5f94ec12d18859d343fe0468d385a5a9ea53d12ebe9f404e5ca", "16fbf82e1d15c732926f6e1bd70f0df26ae68911e939825b2330fc8b05068970", id="delete_cox_b3_0-zaslavsky"),
     ]
 
@@ -557,3 +559,15 @@ class TestOutputPins:
         code, out, err = run(capsys, "verify", doc_path(arr), "--theorem=B")
         assert (code, out) == (3, "")
         assert err == f"hypothesis violation: degenerate: missing direction {named}\n"
+
+    def test_degenerate_message_names_the_first_few(self, capsys, doc_path):
+        # x1 - x2 = 0 in R^300 misses 44,849 of type A's directions; naming
+        # each one made a 461,102-character line.
+        arr = Arrangement(300, [Hyperplane((1, -1) + (0,) * 298, 0)])
+        code, out, err = run(capsys, "verify", doc_path(arr), "--theorem=A")
+        assert (code, out) == (3, "")
+        assert len(err) < 300
+        assert err == (
+            "hypothesis violation: degenerate: missing direction x1-x3, x1-x4, x1-x5, "
+            "x1-x6, x1-x7, x1-x8, x1-x9, x1-x10, … and 44841 more\n"
+        )

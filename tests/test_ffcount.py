@@ -146,10 +146,23 @@ class TestCountComplementPoints:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_direct_count_on_seeded_sweep(self, n):
+        # 17 and 19 are the primes the benchmark's type B4 documents count most.
+        primes = (2, 3, 5, 7, 11, 13) + ((17, 19) if n <= 3 else ())
         rng = random.Random(n)
         for _ in range(25):
             arr = sweep_arrangement(rng, n)
-            for q in (2, 3, 5, 7, 11, 13):
+            for q in primes:
+                assert count_complement_points(arr, q) == direct_count(arr, q)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_prefix_chunks_split_inside_a_coordinate(self, monkeypatch, n):
+        # _CHUNK = 5 cuts the prefixes into chunks of at most 5, fewer than
+        # q, so most chunks start at an index whose low base-q digit is not 0.
+        monkeypatch.setattr(ffcount, "_CHUNK", 5)
+        rng = random.Random(100 + n)
+        for _ in range(10):
+            arr = sweep_arrangement(rng, n)
+            for q in (7, 11):
                 assert count_complement_points(arr, q) == direct_count(arr, q)
 
     def test_dim_zero_is_one_point(self):

@@ -265,7 +265,7 @@ class TestGroupedResiduals:
 
     @pytest.mark.parametrize("i", range(len(random_deformation_a(5, random.Random(7), 2))), ids="restrict_{}".format)
     def test_matches_reference_on_restrictions_of_random_a5_seed7(self, i):
-        arr = restrict(random_deformation_a(5, random.Random(7), 2), i)[0]
+        arr = restrict(random_deformation_a(5, random.Random(7), 2), i)
         assert keyed(arr, build_poset(arr)) == reference_flats(arr)
 
     @pytest.mark.parametrize(
@@ -517,7 +517,7 @@ class TestDeletionRestriction:
         whole = padded(char_poly(arr), width)
         for h_index in range(len(arr)):
             deleted = padded(char_poly(delete(arr, h_index)), width)
-            restricted = padded(char_poly(restrict(arr, h_index)[0]), width)
+            restricted = padded(char_poly(restrict(arr, h_index)), width)
             assert whole == tuple(d - r for d, r in zip(deleted, restricted))
 
     def test_on_worked_examples(self, example_a, example_b, grid_example):

@@ -340,7 +340,7 @@ class TestClosureWalk:
     @settings(max_examples=25, deadline=None)
     def test_restrictions(self, seed, n, data):
         arr = random_deformation_a(n, random.Random(seed), 2)
-        restricted, _ = restrict(arr, data.draw(st.integers(0, len(arr) - 1)))
+        restricted = restrict(arr, data.draw(st.integers(0, len(arr) - 1)))
         got, ref = _walks(restricted)
         assert got == ref
 
@@ -468,7 +468,7 @@ class TestLevelProfile:
             extended = Arrangement(
                 3, base.hyperplanes + (Hyperplane(direction, new_offset),)
             )
-            restricted, _ = restrict(extended, len(extended) - 1)
+            restricted = restrict(extended, len(extended) - 1)
 
             before = level_profile(base)
             after = level_profile(extended)
