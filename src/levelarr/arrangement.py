@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, islice
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import IntRow, _int_row, _normalize, _step, as_scalar, as_vector
 
@@ -156,17 +156,17 @@ class Arrangement:
 # ---------------------------------------------------------------------------
 
 
-def _coxeter_forms(kind: Kind, dim: int) -> tuple:
+def _coxeter_forms(kind: Kind, dim: int) -> Iterator[tuple[int, int]]:
     """Direction classes of the Coxeter arrangement of ``kind`` in R^dim.
 
-    Each class is a ``Hyperplane.form()`` value, listed in report order:
+    Each class is a ``Hyperplane.form()`` value, yielded in report order:
     type A has (i, j) for each pair i < j; type B has every (i, 0), then
     (i, j) and (i, -j) for each pair.
     """
     pairs = combinations(range(1, dim + 1), 2)
     if kind == Kind.TYPE_A:
-        return tuple(pairs)
-    return tuple((i, 0) for i in range(1, dim + 1)) + tuple(f for i, j in pairs for f in ((i, j), (i, -j)))
+        return pairs
+    return chain(((i, 0) for i in range(1, dim + 1)), (f for i, j in pairs for f in ((i, j), (i, -j))))
 
 
 def _form_normal(dim: int, form: tuple[int, int]) -> tuple[int, ...]:
@@ -182,12 +182,14 @@ def _form_normal(dim: int, form: tuple[int, int]) -> tuple[int, ...]:
 class NondegeneracyReport(NamedTuple):
     """Outcome of a non-degeneracy check against an expected deformation kind.
 
-    ``missing`` holds the ``Hyperplane.form()`` of each unpopulated direction
-    class, in ``_coxeter_forms`` order.  ``foreign`` holds the indices of
+    ``missing`` holds the ``Hyperplane.form()`` of the first ``_NAMED``
+    unpopulated direction classes, in ``_coxeter_forms`` order, and
+    ``missing_count`` counts them all.  ``foreign`` holds the indices of
     hyperplanes of any other direction.
     """
 
     missing: tuple[tuple[int, int], ...]
+    missing_count: int
     foreign: tuple[int, ...]
 
     @property
@@ -199,7 +201,7 @@ class NondegeneracyReport(NamedTuple):
         parts = []
         if self.missing:
             names = (f"x{i}" + (f"{'-' if v > 0 else '+'}x{abs(v)}" if v else "") for i, v in self.missing)
-            parts.append(f"missing direction {_named(names, len(self.missing))}")
+            parts.append(f"missing direction {_named(names, self.missing_count)}")
         if self.foreign:
             parts.append(f"hyperplanes of foreign direction at indices [{_named(map(str, self.foreign), len(self.foreign))}]")
         return "degenerate: " + "; ".join(parts)
@@ -235,17 +237,21 @@ def is_nondegenerate(arr: Arrangement, kind: Kind) -> NondegeneracyReport:
 
     Type A requires every difference direction x_i - x_j to be populated and
     no hyperplane of any other direction; type B additionally requires every
-    coordinate and sum direction.  The report lists the table's forms no
-    hyperplane has and the hyperplanes off the table.
+    coordinate and sum direction.  The cost is O(m), not the table's C(n, 2)
+    or n^2: every form is in type B's table and the differences (v > 0) are
+    type A's, so the distinct forms present give the missing count, and the
+    table is walked only to its ``_NAMED``-th missing form.
     """
     if kind not in (Kind.TYPE_A, Kind.TYPE_B):
         raise ValueError("expected kind typeA or typeB")
-    table = _coxeter_forms(kind, arr.dim)
+    n = arr.dim
     forms = [h.form() for h in arr.hyperplanes]
-    known, present = set(table), set(forms)
-    foreign = tuple(idx for idx, f in enumerate(forms) if f not in known)
-    missing = tuple(f for f in table if f not in present)
-    return NondegeneracyReport(missing, foreign)
+    known = [f is not None and (kind == Kind.TYPE_B or f[1] > 0) for f in forms]
+    foreign = tuple(idx for idx, ok in enumerate(known) if not ok)
+    present = {f for f, ok in zip(forms, known) if ok}
+    count = (n * n if kind == Kind.TYPE_B else n * (n - 1) // 2) - len(present)
+    missing = tuple(islice((f for f in _coxeter_forms(kind, n) if f not in present), _NAMED if count else 0))
+    return NondegeneracyReport(missing, count, foreign)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Intersection poset, Möbius function and the characteristic polynomial.
+"""Intersection poset walk, Möbius function and the characteristic polynomial.
 
 Flats (nonempty intersections of hyperplanes) are found by breadth-first
 search over codimension levels, which avoids enumerating 2^m subsets.  At
@@ -7,20 +7,21 @@ each flat, the hyperplanes that do not contain it are grouped by residual
 its containing set is known without further elimination.  A child inherits
 its parent's groups and eliminates one pivot column from each; a flat of
 top rank has no children and inherits nothing: its parent checks its groups
-once for all of them and keeps only a Weisner sum per point.
+once for all of them.
 
 A deformation has few normal directions and many offsets, so a residual
 (a, b) is held as (id of nu, k, b) with a = k * nu, nu primitive and
-interned as a small int per build.  An elimination step then splits into a
+interned as a small int per walk.  An elimination step then splits into a
 normal half that depends on the two normals alone, memoized once per pair,
 and an offset half: two integer products and one two-argument gcd.
 
 A flat is the intersection of the hyperplanes that contain it, so it is
 keyed by its containing set alone, an int mask over hyperplane indices, and
-each codimension level is ordered by ascending mask.  No flat carries
-equations of its own.  Möbius values are read off the covers the search
-finds by Weisner's theorem, and a flat visits only the children whose
-Möbius sum it enters: one that contains hyperplane 0 visits none.
+each codimension level is ordered by ascending mask.  Möbius values are read
+off the covers the search finds by Weisner's theorem, and a flat visits only
+the children whose Möbius sum it enters: one that contains hyperplane 0
+visits none.  χ needs only the sum of μ per dimension, so no flat is stored
+and no top-rank point is named: the top coefficient is a count of covers.
 """
 
 from __future__ import annotations
@@ -33,27 +34,17 @@ from .arrangement import Arrangement
 from .exactmath import IntRow, _rank, _step
 
 
-class Flat(NamedTuple):
-    """An element of the intersection poset: an affine subspace.
+def _walk(arr: Arrangement):
+    """Every flat below top rank with its Möbius value, in one BFS.
 
-    ``mask`` has bit i set when hyperplane i contains the subspace; that
-    maximal set of hyperplanes determines the flat, so it keys and orders
-    flats, and a flat carries no equation system of its own.
-    """
-
-    dim: int
-    codim: int
-    mask: int
-    mobius: int
-
-
-def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
-    """All flats of the arrangement with their Möbius values.
-
-    The ambient space, the unique minimal element, is ``flats[0]``; flats
-    come in codimension-major order, by ascending mask within each
-    codimension, and x <= y in the poset (reverse inclusion) exactly when
-    ``x.mask & ~y.mask == 0``.
+    Yields ``(codim, mask, mu, groups)`` per flat, in codimension-major
+    order and by ascending mask within each codimension, the ambient space
+    (codim 0, mask 0, mu 1) first; with no hyperplane it yields nothing.
+    ``mask`` has bit i set when hyperplane i contains the flat, and x <= y
+    in the poset (reverse inclusion) exactly when ``x.mask & ~y.mask == 0``.
+    ``groups`` is None except at a flat of codim top - 1 that does not hold
+    hyperplane 0: there it holds one checked mask per top-rank point on the
+    flat, the hyperplanes through that point that miss the flat.
 
     BFS over codimension levels.  A flat Y groups the hyperplanes H outside
     cont(Y) by their residual: the unique primitive row in H + rowspace(Y)
@@ -71,22 +62,20 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
 
     A residual row (k * nu, b), its normal part k times a primitive nu whose
     first nonzero entry is positive, is keyed (id of nu, k, b), nu interned
-    per build; the key is canonical, as the row is.  The step
+    per walk; the key is canonical, as the row is.  The step
     g * r[p] - r * g[p] splits in two.  Its normal half, with g = kg * nu_g
     and r = kr * nu_r, is kg * kr * (nu_g * nu_r[p] - nu_r * nu_g[p]): the
     bracket is sd * nu, ``_step`` of the two normals, so it runs once per
-    pair of normal ids and build.  Its offset half b is two products, and the
+    pair of normal ids and walk.  Its offset half b is two products, and the
     content of the row is gcd(kg * kr * sd, b).
 
     A top-rank flat, whose codim is the rank of the normals (one ``_rank``
-    per build), has no children, so it is never queued.  Its parent Y, of
+    per walk), has no children, so it is never queued.  Its parent Y, of
     codim top - 1, checks its own groups once instead: their residuals lie
     in a one-dimensional space, so every key must have the same normal id,
     and a canonical key (k > 0, gcd(k, b) = 1) then names one point, so no
     hyperplane through a child is left out of its mask.  Anything else
-    raises ``ArithmeticError``.  In the same pass Y adds mu(Y) to a bare-int
-    Weisner sum for each point it visits, and the points are appended once,
-    by ascending mask, after the codim top - 1 level.
+    raises ``ArithmeticError``.
 
     Möbius values come from the covers the BFS finds, by Weisner's theorem
     (Stanley, *Enumerative Combinatorics* I, §3.9).  The interval below Z is
@@ -100,8 +89,7 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     rank; the codimension-major BFS settles mu(Y) before it pops Z, and the
     ambient space has mu = 1.
     """
-    n = arr.dim
-    ids: dict[IntRow, int] = {}  # primitive normal -> its id in this build
+    ids: dict[IntRow, int] = {}  # primitive normal -> its id in this walk
     normal_of: list[IntRow] = []  # id -> primitive normal
     pivot_of: list[int] = []  # id -> index of the normal's first nonzero entry
 
@@ -128,10 +116,6 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     # carried unchanged), the rest comes from ``_step`` on the two normals,
     # and sd == 0 marks a zero normal.
     halves: dict[int, dict[int, tuple]] = {}
-    flats: list[Flat] = []
-    # Top-rank mask -> Weisner sum.  With no hyperplane the top rank is 0, and
-    # the ambient space, of sum -1, is the one top-rank flat.
-    points: dict[int, int] = {} if top else {0: -1}
     # One entry per flat of the current codimension: (containing mask,
     # [Weisner sum, parent's groups, residual]), sorted by mask in descending
     # order and popped, so that the parent's groups are freed once the
@@ -142,8 +126,8 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
         while level:
             mask, (total, groups, r) = level.pop()
             mu = -total
-            flats.append(Flat(n - codim, codim, mask, mu))
             if mask & 1:
+                yield codim, mask, mu, None
                 continue  # no child whose Weisner sum it enters
 
             if r is not None:
@@ -186,10 +170,9 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                 for (ig, kg, bg), gmask in groups.items():
                     if ig != iv or kg < 1 or gcd(kg, bg) != 1:
                         raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
-                    z = mask | gmask
-                    if not mask & z & -z:
-                        points[z] = points.get(z, 0) + mu
+                yield codim, mask, mu, groups.values()
                 continue
+            yield codim, mask, mu, None
             for residual, group in groups.items():
                 z = mask | group
                 if mask & z & -z:
@@ -200,8 +183,6 @@ def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
                 else:
                     child[0] += mu
         level = sorted(children.items(), reverse=True)
-    flats.extend(Flat(n - top, top, z, -total) for z, total in sorted(points.items()))
-    return tuple(flats)
 
 
 def _bits(x: int):
@@ -257,8 +238,24 @@ def _signed_sum(terms) -> str:
 
 
 def char_poly(arr: Arrangement) -> CharPoly:
-    """Exact characteristic polynomial via Möbius summation over the poset."""
-    coeffs = [0] * (arr.dim + 1)
-    for flat in build_poset(arr):
-        coeffs[flat.dim] += flat.mobius
+    """Exact characteristic polynomial: mu summed per dimension over ``_walk``.
+
+    No top-rank point p is named.  By Weisner's theorem (Stanley,
+    *Enumerative Combinatorics* I, §3.9) mu(p) = -sum mu(Y) over the flats Y
+    of codim top - 1 through p that miss p's lowest hyperplane.  Y reaches p
+    through one group g, and misses its lowest hyperplane exactly when
+    ``not mask & z & -z`` for z = mask | g.  So the coefficient of
+    t^(n - top) is -sum mu(Y) times Y's count of such groups.
+    """
+    n = arr.dim
+    coeffs = [0] * (n + 1)
+    codim, total = -1, 0  # with no hyperplane the walk yields nothing
+    for codim, mask, mu, groups in _walk(arr):
+        coeffs[n - codim] += mu
+        for g in groups or ():
+            z = mask | g
+            if not mask & z & -z:
+                total += mu
+    top = codim + 1  # the last flat walked is of codim top - 1
+    coeffs[n - top] = -total if top else 1  # no hyperplane: chi = t^n
     return CharPoly(tuple(coeffs))

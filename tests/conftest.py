@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import pytest
 
+from levelarr import poset
 from levelarr.arrangement import Arrangement, Hyperplane
 from levelarr.exactmath import IntRow, _feasible_system, _int_row, as_scalar, as_vector
 
@@ -67,6 +68,47 @@ def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntR
     p = _pivot(new)
     cleared = [_normalize([a * new[p] - b * r[p] for a, b in zip(r, new)]) if r[p] else r for r in rows]
     return tuple(sorted(cleared + [new], key=_pivot))
+
+
+class Flat(NamedTuple):
+    """An element of the intersection poset: an affine subspace.
+
+    ``mask`` has bit i set when hyperplane i contains the subspace; that
+    maximal set of hyperplanes determines the flat, so it keys and orders
+    flats, and a flat carries no equation system of its own.
+    """
+
+    dim: int
+    codim: int
+    mask: int
+    mobius: int
+
+
+def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
+    """All flats of the arrangement with their Möbius values, read off
+    ``poset._walk``: the tests' listing of the walk that ``char_poly`` sums.
+
+    The ambient space, the unique minimal element, is ``flats[0]``; flats
+    come in codimension-major order, by ascending mask within each
+    codimension.  The walk lists every flat below top rank; each top-rank
+    point is named here from the groups of the flats of codim top - 1 that
+    visit it, which add their mu into its Weisner sum, and the points are
+    appended once, by ascending mask.
+    """
+    n = arr.dim
+    flats: list[Flat] = []
+    points: dict[int, int] = {}  # top-rank mask -> Weisner sum
+    for codim, mask, mu, groups in poset._walk(arr):
+        flats.append(Flat(n - codim, codim, mask, mu))
+        for g in groups or ():
+            z = mask | g
+            if not mask & z & -z:
+                points[z] = points.get(z, 0) + mu
+    if not flats:
+        return (Flat(n, 0, 0, 1),)  # no hyperplane: the ambient space is the top
+    top = flats[-1].codim + 1
+    flats.extend(Flat(n - top, top, z, -total) for z, total in sorted(points.items()))
+    return tuple(flats)
 
 
 def fraction_restrict(arr: Arrangement, h_index: int) -> Arrangement:

@@ -106,7 +106,7 @@ class TestHyperplane:
     @pytest.mark.parametrize("kind", [Kind.TYPE_A, Kind.TYPE_B])
     def test_form_round_trip(self, kind, n):
         # Every multiple of a root's normal, negated or not, names the same root.
-        forms = _coxeter_forms(kind, n)
+        forms = tuple(_coxeter_forms(kind, n))
         assert len(set(forms)) == (comb(n, 2) if kind is Kind.TYPE_A else n * n)
         for f in forms:
             normal = _form_normal(n, f)

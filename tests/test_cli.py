@@ -5,6 +5,8 @@ import random
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from xml.dom import minidom
@@ -571,3 +573,24 @@ class TestOutputPins:
             "hypothesis violation: degenerate: missing direction x1-x3, x1-x4, x1-x5, "
             "x1-x6, x1-x7, x1-x8, x1-x9, x1-x10, … and 44841 more\n"
         )
+
+    def test_degenerate_check_walks_no_whole_table(self, capsys, doc_path):
+        # x1 - x2 = 0 in R^1000 misses 999,999 of type B's 10^6 directions.
+        # The check counts them from the one form present and walks the
+        # table only to its eighth missing form; building the whole table
+        # took 1.6 s and a 124 MB tracemalloc peak.
+        path = doc_path(Arrangement(1000, [Hyperplane((1, -1) + (0,) * 998, 0)]))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", path, "--theorem=B")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == (
+            "hypothesis violation: degenerate: missing direction x1, x2, x3, x4, x5, x6, x7, x8, … and 999991 more\n"
+        )
+        assert elapsed < 0.5
+        assert peak < 1 << 20

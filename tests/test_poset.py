@@ -20,9 +20,9 @@ from levelarr.arrangement import (
     restrict,
 )
 from levelarr.exactmath import _rank, _step
-from levelarr.poset import CharPoly, _bits, build_poset, char_poly
+from levelarr.poset import CharPoly, _bits, char_poly
 
-from conftest import _EmptyIntersection, _reduce, eighths_a5, eighths_b4, skew_r3
+from conftest import _EmptyIntersection, _reduce, build_poset, eighths_a5, eighths_b4, skew_r3
 
 
 def dot(a, b):
@@ -179,6 +179,15 @@ def reference_flats(arr: Arrangement) -> list:
     return sorted((rows, n - len(rows), tuple(sorted(containing_of[rows])), mobius_of[rows]) for rows in order)
 
 
+def reference_chi(flats) -> tuple[int, ...]:
+    """Ascending chi coefficients: the sum of mu per dimension over
+    ``reference_flats``, top-rank flats included."""
+    coeffs = [0] * (max(dim for _, dim, _, _ in flats) + 1)
+    for _, dim, _, mobius in flats:
+        coeffs[dim] += mobius
+    return tuple(coeffs)
+
+
 def _coxeter_normals(n: int) -> list[tuple[int, ...]]:
     """Type A and B forms in R^n: x_i, x_i - x_j and x_i + x_j."""
     normals = []
@@ -211,14 +220,23 @@ def _arrangements(draw):
     return Arrangement(n, draw(st.lists(planes, min_size=count, max_size=count, unique_by=lambda h: h.row)))
 
 
+STEP_COUNTS = [(lambda: make_cox_b(4), 367), (lambda: make_m_catalan(4, 1), 640), (eighths_b4, 9367)]
+STEP_COUNT_IDS = ["cox_b4", "m_catalan_4_1", "eighths_b4"]
+
+
 class TestGroupedResiduals:
-    """``build_poset`` against the per-pair reference, and its work bound."""
+    """``build_poset`` and ``char_poly`` against the per-pair reference, and
+    the work of the walk they both read."""
 
     @given(_arrangements())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_pair_reference(self, arr):
         flats = build_poset(arr)
-        assert keyed(arr, flats) == reference_flats(arr)
+        reference = reference_flats(arr)
+        assert keyed(arr, flats) == reference
+        # char_poly names no top-rank flat: its t^(n - top) coefficient is a
+        # count of Weisner covers.
+        assert char_poly(arr).coeffs == reference_chi(reference)
         # Codimension-major, ascending mask within a codimension.
         order = [(f.codim, f.mask) for f in flats]
         assert order == sorted(order) and flats[0].mask == 0
@@ -253,15 +271,21 @@ class TestGroupedResiduals:
             # part is found once off x4 = 0 and once on it, so half the flats
             # hold hyperplane 0 and expand no further once listed.
             lambda: Arrangement(4, [hp((0, 0, 0, 1))] + [hp(a + (0,)) for a in _coxeter_normals(3)]),
+            # No hyperplane: the walk lists nothing, and the ambient space is
+            # the one top-rank flat.
+            lambda: Arrangement(3, []),
+            lambda: Arrangement(0, []),
         ],
         ids=[
             "cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2", "eighths_a5", "eighths_b4", "skew_r3",
-            "parallel_r3_top_1", "degenerate_r4_top_3", "b3_times_r_hyperplane_0_on_half",
+            "parallel_r3_top_1", "degenerate_r4_top_3", "b3_times_r_hyperplane_0_on_half", "empty_r3", "empty_r0",
         ],
     )
     def test_matches_reference_on_fixed_cases(self, make):
         arr = make()
-        assert keyed(arr, build_poset(arr)) == reference_flats(arr)
+        reference = reference_flats(arr)
+        assert keyed(arr, build_poset(arr)) == reference
+        assert char_poly(arr).coeffs == reference_chi(reference)
 
     @pytest.mark.parametrize("i", range(len(random_deformation_a(5, random.Random(7), 2))), ids="restrict_{}".format)
     def test_matches_reference_on_restrictions_of_random_a5_seed7(self, i):
@@ -312,16 +336,8 @@ class TestGroupedResiduals:
         assert len(misses) == len(set(misses))
         assert len(misses) < steps
 
-    @pytest.mark.parametrize(
-        "make, count",
-        [(lambda: make_cox_b(4), 367), (lambda: make_m_catalan(4, 1), 640), (eighths_b4, 9367)],
-        ids=["cox_b4", "m_catalan_4_1", "eighths_b4"],
-    )
-    def test_exact_step_counts(self, make, count, monkeypatch):
-        # The walk's work, pinned: one two-argument ``gcd`` per offset half
-        # of an elimination step and per top-rank key check.  A flat through
-        # hyperplane 0 that stepped its groups before stopping would add
-        # 81, 68 and 1,504 calls.
+    @staticmethod
+    def two_argument_gcds(read, arr, monkeypatch) -> int:
         gcds = []
 
         def counting_gcd(*args):
@@ -329,8 +345,21 @@ class TestGroupedResiduals:
             return math.gcd(*args)
 
         monkeypatch.setattr(poset_module, "gcd", counting_gcd)
-        build_poset(make())
-        assert sum(len(args) == 2 for args in gcds) == count
+        read(arr)
+        return sum(len(args) == 2 for args in gcds)
+
+    @pytest.mark.parametrize("make, count", STEP_COUNTS, ids=STEP_COUNT_IDS)
+    def test_exact_step_counts(self, make, count, monkeypatch):
+        # The walk's work, pinned: one two-argument ``gcd`` per offset half
+        # of an elimination step and per top-rank key check.  A flat through
+        # hyperplane 0 that stepped its groups before stopping would add
+        # 81, 68 and 1,504 calls.
+        assert self.two_argument_gcds(build_poset, make(), monkeypatch) == count
+
+    @pytest.mark.parametrize("make, count", STEP_COUNTS, ids=STEP_COUNT_IDS)
+    def test_char_poly_step_counts(self, make, count, monkeypatch):
+        # char_poly reads the same walk, and counting its covers takes no gcd.
+        assert self.two_argument_gcds(char_poly, make(), monkeypatch) == count
 
     def test_zero_residual_outside_containing_set_raises(self, monkeypatch):
         # A hyperplane whose residual vanishes at a flat must already be in

@@ -1,4 +1,5 @@
-"""The contract of the package's immutable value types.
+"""The contract of the package's immutable value types, and of ``Flat``,
+the tests' listing of the poset walk.
 
 Each is read-only, prints as ``Name(field=value, ...)`` with its fields in
 declaration order, and hashes as the tuple of its fields, so it can key a
@@ -18,19 +19,22 @@ from levelarr.expansion import (
     zaslavsky_check,
 )
 from levelarr.ffcount import PrimePlan
-from levelarr.poset import CharPoly, Flat, build_poset, char_poly
+from levelarr.poset import CharPoly, char_poly
 from levelarr.regions import Region, enumerate_regions
+
+from conftest import Flat, build_poset
 
 
 def _instances():
     arr = make_cox_a(3)
     report = verify_type_a_expansion(arr)
     cases = [
+        # The tests' flat listing, whose repr the poset digests pin.
         (Flat, build_poset(arr)[1], ("dim", "codim", "mask", "mobius")),
         (CharPoly, char_poly(arr), ("coeffs",)),
         (Region, enumerate_regions(arr)[0], ("sign_vector", "witness", "level")),
         (ParsedDocument, parse_document(document_of(arr)), ("arrangement", "labels")),
-        (NondegeneracyReport, is_nondegenerate(arr, Kind.TYPE_A), ("missing", "foreign")),
+        (NondegeneracyReport, is_nondegenerate(arr, Kind.TYPE_A), ("missing", "missing_count", "foreign")),
         (ExpansionRow, report.rows[0], ("level", "coefficient", "signed_count", "region_count")),
         (VerificationReport, report, ("chi", "rows")),
         (ZaslavskyResult, zaslavsky_check(arr), ("chi_at_minus_one_signed", "region_count")),
