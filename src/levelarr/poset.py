@@ -22,6 +22,12 @@ off the covers the search finds by Weisner's theorem, and a flat visits only
 the children whose Möbius sum it enters: one that contains hyperplane 0
 visits none.  χ needs only the sum of μ per dimension, so no flat is stored
 and no top-rank point is named: the top coefficient is a count of covers.
+A flat one codimension below top rank steps only the residuals of the
+hyperplanes below its lowest one, which reach exactly the points whose
+Möbius sum it enters; every residual and key that χ reads is checked.  A
+point's group there may lack some of its hyperplanes, so a reader that
+needs μ per point names each point by its own canonical equations, as the
+tests do (``tests/conftest.py``, ``build_poset``).
 """
 
 from __future__ import annotations
@@ -44,7 +50,10 @@ def _walk(arr: Arrangement):
     in the poset (reverse inclusion) exactly when ``x.mask & ~y.mask == 0``.
     ``groups`` is None except at a flat of codim top - 1 that does not hold
     hyperplane 0: there it holds one checked mask per top-rank point on the
-    flat, the hyperplanes through that point that miss the flat.
+    flat whose lowest hyperplane the flat misses.  The mask holds every
+    hyperplane through that point below the flat's lowest, and may hold
+    others through it, so its lowest bit is the point's lowest hyperplane
+    but the mask need not be the point's whole containing set.
 
     BFS over codimension levels.  A flat Y groups the hyperplanes H outside
     cont(Y) by their residual: the unique primitive row in H + rowspace(Y)
@@ -71,11 +80,17 @@ def _walk(arr: Arrangement):
 
     A top-rank flat, whose codim is the rank of the normals (one ``_rank``
     per walk), has no children, so it is never queued.  Its parent Y, of
-    codim top - 1, checks its own groups once instead: their residuals lie
-    in a one-dimensional space, so every key must have the same normal id,
-    and a canonical key (k > 0, gcd(k, b) = 1) then names one point, so no
-    hyperplane through a child is left out of its mask.  Anything else
-    raises ``ArithmeticError``.
+    codim top - 1, steps only the inherited groups that hold a hyperplane
+    below Y's lowest (the root, when top is 1, keeps the hyperplanes' own
+    rows as its groups): a point is reached through one of them exactly
+    when its lowest hyperplane is not in Y, and those are the points whose
+    Möbius sum Y enters.  Y then checks the groups it stepped: their
+    residuals lie in a one-dimensional space, so every key must have the
+    same normal id, and a canonical key (k > 0, gcd(k, b) = 1) then names
+    one point, so no point is counted twice.  Anything else raises
+    ``ArithmeticError``.  No group may be left: with y = 0, y = 1 and x = 0
+    in that order, the only hyperplane below the line y = 1 is y = 0, which
+    misses it, so y = 1 has no point to report.
 
     Möbius values come from the covers the BFS finds, by Weisner's theorem
     (Stanley, *Enumerative Combinatorics* I, §3.9).  The interval below Z is
@@ -137,10 +152,15 @@ def _walk(arr: Arrangement):
                 memo = halves.get(ir)
                 if memo is None:
                     memo = halves[ir] = {}
+                # Below codim top - 1 every group but r's own (the one in
+                # ``mask``) is stepped, as the children are keyed by full
+                # masks.  At codim top - 1 only those through a hyperplane
+                # below the flat's lowest are: the Weisner covers.
+                keep = ~mask if codim < top - 1 else (mask & -mask) - 1
                 inherited, groups = groups, {}
                 for g, gmask in inherited.items():
-                    if gmask & mask:
-                        continue  # r's own group, which contains this flat
+                    if not gmask & keep:
+                        continue
                     ig, kg, bg = g
                     half = memo.get(ig)
                     if half is None:
@@ -166,7 +186,9 @@ def _walk(arr: Arrangement):
             if codim == top - 1:
                 # The residuals span one line: one normal id, and canonical
                 # keys, so distinct groups are distinct top-rank points.
-                iv = next(iter(groups))[0]
+                # There may be none: no point on the flat has a hyperplane
+                # below the flat's lowest.
+                iv = next(iter(groups))[0] if groups else None
                 for (ig, kg, bg), gmask in groups.items():
                     if ig != iv or kg < 1 or gcd(kg, bg) != 1:
                         raise ArithmeticError(f"hyperplane {next(_bits(gmask))} contains a flat but is not in its containing set")
@@ -242,20 +264,19 @@ def char_poly(arr: Arrangement) -> CharPoly:
 
     No top-rank point p is named.  By Weisner's theorem (Stanley,
     *Enumerative Combinatorics* I, §3.9) mu(p) = -sum mu(Y) over the flats Y
-    of codim top - 1 through p that miss p's lowest hyperplane.  Y reaches p
-    through one group g, and misses its lowest hyperplane exactly when
-    ``not mask & z & -z`` for z = mask | g.  So the coefficient of
-    t^(n - top) is -sum mu(Y) times Y's count of such groups.
+    of codim top - 1 through p that miss p's lowest hyperplane.  Y misses it
+    exactly when p has a hyperplane below Y's lowest, and the walk steps
+    only those residuals at Y and yields one checked group per such p.  So
+    the coefficient of t^(n - top) is -sum mu(Y) times Y's count of groups;
+    a reader that needs mu(p) itself names p as the tests do.
     """
     n = arr.dim
     coeffs = [0] * (n + 1)
     codim, total = -1, 0  # with no hyperplane the walk yields nothing
     for codim, mask, mu, groups in _walk(arr):
         coeffs[n - codim] += mu
-        for g in groups or ():
-            z = mask | g
-            if not mask & z & -z:
-                total += mu
+        if groups is not None:
+            total += mu * len(groups)
     top = codim + 1  # the last flat walked is of codim top - 1
     coeffs[n - top] = -total if top else 1  # no hyperplane: chi = t^n
     return CharPoly(tuple(coeffs))

@@ -84,30 +84,53 @@ class Flat(NamedTuple):
     mobius: int
 
 
+def canonical_rows(arr: Arrangement, indices) -> tuple[IntRow, ...]:
+    """A flat's canonical row system: the ``_reduce`` fold of the rows of the
+    hyperplanes (``indices``) that contain it."""
+    rows = ()
+    for idx in sorted(indices):
+        rows = _reduce(rows, arr.hyperplanes[idx].row) or rows
+    return rows
+
+
+def _holds(rows: tuple[IntRow, ...], row: IntRow) -> bool:
+    """Whether the equation ``row`` holds on the flat of the canonical system."""
+    try:
+        return _reduce(rows, row) is None
+    except _EmptyIntersection:
+        return False
+
+
 def build_poset(arr: Arrangement) -> tuple[Flat, ...]:
     """All flats of the arrangement with their Möbius values, read off
     ``poset._walk``: the tests' listing of the walk that ``char_poly`` sums.
 
     The ambient space, the unique minimal element, is ``flats[0]``; flats
     come in codimension-major order, by ascending mask within each
-    codimension.  The walk lists every flat below top rank; each top-rank
-    point is named here from the groups of the flats of codim top - 1 that
-    visit it, which add their mu into its Weisner sum, and the points are
-    appended once, by ascending mask.
+    codimension.  The walk lists every flat below top rank.  A flat Y of
+    codim top - 1 yields one group per top-rank point on it whose lowest
+    hyperplane Y misses, and the group's lowest hyperplane is one that Y
+    misses.  Each point is named here with ``_reduce``, independently of
+    the walk: Y's canonical system plus that hyperplane's row.  Its mask is
+    every hyperplane that system holds, its Weisner sum adds mu(Y), and the
+    points are appended once, by ascending mask.
     """
     n = arr.dim
+    rows = [h.row for h in arr.hyperplanes]
     flats: list[Flat] = []
-    points: dict[int, int] = {}  # top-rank mask -> Weisner sum
+    points: dict[tuple, int] = {}  # top-rank canonical system -> Weisner sum
     for codim, mask, mu, groups in poset._walk(arr):
         flats.append(Flat(n - codim, codim, mask, mu))
-        for g in groups or ():
-            z = mask | g
-            if not mask & z & -z:
-                points[z] = points.get(z, 0) + mu
+        if groups is not None:
+            system = canonical_rows(arr, poset._bits(mask))
+            for g in groups:
+                point = _reduce(system, rows[(g & -g).bit_length() - 1])
+                points[point] = points.get(point, 0) + mu
     if not flats:
         return (Flat(n, 0, 0, 1),)  # no hyperplane: the ambient space is the top
     top = flats[-1].codim + 1
-    flats.extend(Flat(n - top, top, z, -total) for z, total in sorted(points.items()))
+    masks = {sum(1 << i for i, row in enumerate(rows) if _holds(point, row)): total for point, total in points.items()}
+    flats.extend(Flat(n - top, top, z, -total) for z, total in sorted(masks.items()))
     return tuple(flats)
 
 

@@ -22,7 +22,7 @@ from levelarr.arrangement import (
 from levelarr.exactmath import _rank, _step
 from levelarr.poset import CharPoly, _bits, char_poly
 
-from conftest import _EmptyIntersection, _reduce, build_poset, eighths_a5, eighths_b4, skew_r3
+from conftest import _EmptyIntersection, _reduce, build_poset, canonical_rows, eighths_a5, eighths_b4, skew_r3
 
 
 def dot(a, b):
@@ -45,15 +45,6 @@ def poly_from_roots(roots) -> tuple[int, ...]:
 def containing(flat) -> frozenset[int]:
     """The indices of the hyperplanes that contain the flat."""
     return frozenset(_bits(flat.mask))
-
-
-def canonical_rows(arr: Arrangement, indices) -> tuple:
-    """A flat's canonical row system: the tests' reference ``_reduce`` fold of
-    the rows of the hyperplanes (``indices``) that contain it."""
-    rows = ()
-    for idx in sorted(indices):
-        rows = _reduce(rows, arr.hyperplanes[idx].row) or rows
-    return rows
 
 
 def keyed(arr: Arrangement, flats) -> list:
@@ -220,7 +211,7 @@ def _arrangements(draw):
     return Arrangement(n, draw(st.lists(planes, min_size=count, max_size=count, unique_by=lambda h: h.row)))
 
 
-STEP_COUNTS = [(lambda: make_cox_b(4), 367), (lambda: make_m_catalan(4, 1), 640), (eighths_b4, 9367)]
+STEP_COUNTS = [(lambda: make_cox_b(4), 325), (lambda: make_m_catalan(4, 1), 381), (eighths_b4, 3133)]
 STEP_COUNT_IDS = ["cox_b4", "m_catalan_4_1", "eighths_b4"]
 
 
@@ -271,6 +262,10 @@ class TestGroupedResiduals:
             # part is found once off x4 = 0 and once on it, so half the flats
             # hold hyperplane 0 and expand no further once listed.
             lambda: Arrangement(4, [hp((0, 0, 0, 1))] + [hp(a + (0,)) for a in _coxeter_normals(3)]),
+            # y = 0, y = 1, x = 0, chi = t^2 - 3t + 2: the only hyperplane
+            # below the line y = 1 is y = 0, parallel to it, so y = 1 steps
+            # nothing and reports no point; x = 0 reports both.
+            lambda: Arrangement(2, [hp((0, 1), 0), hp((0, 1), 1), hp((1, 0), 0)]),
             # No hyperplane: the walk lists nothing, and the ambient space is
             # the one top-rank flat.
             lambda: Arrangement(3, []),
@@ -278,7 +273,8 @@ class TestGroupedResiduals:
         ],
         ids=[
             "cox_a5", "m_catalan_4_1", "cox_b4", "random_a5_seed7", "m_catalan_3_2", "eighths_a5", "eighths_b4", "skew_r3",
-            "parallel_r3_top_1", "degenerate_r4_top_3", "b3_times_r_hyperplane_0_on_half", "empty_r3", "empty_r0",
+            "parallel_r3_top_1", "degenerate_r4_top_3", "b3_times_r_hyperplane_0_on_half", "parallel_first_r2",
+            "empty_r3", "empty_r0",
         ],
     )
     def test_matches_reference_on_fixed_cases(self, make):
@@ -286,6 +282,25 @@ class TestGroupedResiduals:
         reference = reference_flats(arr)
         assert keyed(arr, build_poset(arr)) == reference
         assert char_poly(arr).coeffs == reference_chi(reference)
+
+    @given(_arrangements())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_yields_only_weisner_covers_at_top_minus_one(self, arr):
+        # A flat of codim top - 1 that misses hyperplane 0 yields one group
+        # per top-rank point on it whose lowest hyperplane it misses, each
+        # through a hyperplane below its own lowest (at the root, any);
+        # every other flat yields None.
+        reference = reference_flats(arr)
+        top = arr.dim - min(dim for _, dim, _, _ in reference)
+        points = [frozenset(c) for _, dim, c, _ in reference if dim == arr.dim - top]
+        for codim, mask, mu, groups in poset_module._walk(arr):
+            assert (groups is None) == (codim < top - 1 or bool(mask & 1))
+            if groups is None:
+                continue
+            below = (mask & -mask) - 1
+            assert all(g & -g & below for g in groups)
+            flat = frozenset(_bits(mask))
+            assert len(groups) == sum(flat <= z and min(z) not in flat for z in points)
 
     @pytest.mark.parametrize("i", range(len(random_deformation_a(5, random.Random(7), 2))), ids="restrict_{}".format)
     def test_matches_reference_on_restrictions_of_random_a5_seed7(self, i):
@@ -299,13 +314,15 @@ class TestGroupedResiduals:
     )
     def test_work_bound(self, arr, monkeypatch):
         # One ``_rank`` call over the len(arr) normals, and at most one
-        # elimination step per (flat, hyperplane outside it) pair, at the
-        # flats that expand: below top rank and without hyperplane 0.  A
-        # step's offset half is a two-argument ``gcd`` (every case here has
-        # n > 2); the only other one checks a key at an expanding flat one
-        # codimension below top rank, once per cover of a top-rank flat.  A
-        # step's normal half is computed once per pair of normals: the memo
-        # misses.
+        # elimination step per (flat, hyperplane outside it) pair at the
+        # flats that expand: below top rank and without hyperplane 0.  At
+        # codim top - 1 only the hyperplanes below the flat's lowest are
+        # stepped.  A step's offset half is a two-argument ``gcd`` (every
+        # case here has n > 2); the only other one checks a key at an
+        # expanding flat of codim top - 1, once per Weisner cover of a
+        # top-rank flat: a cover that misses the flat's lowest hyperplane.
+        # A step's normal half is computed once per pair of normals: the
+        # memo misses.
         assert arr.dim > 2
         ranks, gcds, misses = [], [], []
 
@@ -328,10 +345,14 @@ class TestGroupedResiduals:
         poset = build_poset(arr)
         top = max(f.codim for f in poset)
         expanding = [f for f in poset if f.codim < top and not f.mask & 1]
-        covers = sum(y.mask & ~z.mask == 0 for y in expanding if y.codim == top - 1 for z in poset if z.codim == top)
+        coatoms = [y for y in expanding if y.codim == top - 1]
+        points = [z for z in poset if z.codim == top]
+        covers = sum(y.mask & ~z.mask == 0 and not y.mask & z.mask & -z.mask for y in coatoms for z in points)
         steps = sum(len(args) == 2 for args in gcds) - covers
+        below_lowest = sum((y.mask & -y.mask).bit_length() - 1 for y in coatoms)
+        outside = sum(len(arr) - len(containing(f)) for f in expanding if f.codim < top - 1)
         assert ranks == [[h.normal for h in arr.hyperplanes]]
-        assert 0 < steps <= sum(len(arr) - len(containing(f)) for f in expanding)
+        assert 0 < steps <= outside + below_lowest
         # No pair of normals misses twice, so misses <= distinct pairs.
         assert len(misses) == len(set(misses))
         assert len(misses) < steps
@@ -353,7 +374,7 @@ class TestGroupedResiduals:
         # The walk's work, pinned: one two-argument ``gcd`` per offset half
         # of an elimination step and per top-rank key check.  A flat through
         # hyperplane 0 that stepped its groups before stopping would add
-        # 81, 68 and 1,504 calls.
+        # 42, 6 and 106 calls.
         assert self.two_argument_gcds(build_poset, make(), monkeypatch) == count
 
     @pytest.mark.parametrize("make, count", STEP_COUNTS, ids=STEP_COUNT_IDS)
@@ -398,26 +419,27 @@ class TestGroupedResiduals:
 
     @pytest.mark.parametrize("fault", [lambda e: -e, lambda e: 1], ids=["negated_scale", "content_left_in"])
     def test_non_canonical_key_below_top_rank_raises(self, monkeypatch, fault):
-        # x2 = 1, x1 = 0 and x1 + 2x2 = 2 meet in one point, the top of this
+        # x2 = 1, x1 + 2x2 = 2 and x1 = 0 meet in one point, the top of this
         # rank-2 arrangement.  The line x2 = 1 holds hyperplane 0, so it
-        # steps nothing, and the first step is at the line x1 = 0 (codim
-        # top - 1): that of x1 + 2x2 = 2 gives the row (0, 2, 2), keyed
-        # (x2, 1, 1) like the carried x2 = 1.  A faulty first gcd leaves the
-        # key at (x2, -1, -1) or (x2, 2, 2): the two hyperplanes no longer
-        # group, and the point would be found twice, each time with a
-        # hyperplane missing.
+        # steps nothing.  The line x1 + 2x2 = 2 carries x2 = 1 unchanged
+        # and checks its key: gcd(1, 1).  The line x1 = 0 steps both
+        # hyperplanes below it: x2 = 1 is carried, and x1 + 2x2 = 2 gives
+        # the row (0, 2, 2), keyed (x2, 1, 1) like x2 = 1 by its step gcd,
+        # (2, 2).  A faulty step gcd leaves the key at (x2, -1, -1) or
+        # (x2, 2, 2): the point would be counted twice at x1 = 0, and the
+        # key check catches it.
         calls = []
 
-        def faulty_once(a, b):
+        def faulty_step(a, b):
             calls.append((a, b))
             e = math.gcd(a, b)
-            return fault(e) if len(calls) == 1 else e
+            return fault(e) if calls == [(1, 1), (2, 2)] else e
 
-        monkeypatch.setattr(poset_module, "gcd", faulty_once)
-        arr = Arrangement(2, [hp((0, 1), 1), hp((1, 0), 0), hp((1, 2), 2)])
+        monkeypatch.setattr(poset_module, "gcd", faulty_step)
+        arr = Arrangement(2, [hp((0, 1), 1), hp((1, 2), 2), hp((1, 0), 0)])
         with pytest.raises(ArithmeticError, match="not in its containing set"):
             build_poset(arr)
-        assert calls[0] == (2, 2)
+        assert calls[:2] == [(1, 1), (2, 2)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cox_a_top_is_partition_lattice_top(self, n):
