@@ -12,8 +12,8 @@ exact integer, and ``to_binomial_basis`` returns (c_0, ..., c_n) as a plain
 tuple.  The validators compare those coefficients against region counts by
 level, computed by a completely separate code path (poset Möbius sums on
 one side; on the other, ``regions.level_profile``: the closure walk of
-signed digraphs for Coxeter forms, region enumeration otherwise), one
-report row per level.
+signed digraphs for Coxeter forms, the LP walk of the regions otherwise),
+one report row per level.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from levelarr.arrangement import (
 )
 from levelarr.exactmath import _feasible_system, cone_span_dimension
 from levelarr.poset import char_poly
-from levelarr.regions import _closure_walk, enumerate_regions, level_profile
+from levelarr.regions import _closure_walk, _lp_walk, enumerate_regions, level_profile
 
 
 def hp(normal, offset=0):
@@ -47,6 +47,13 @@ def general_r4() -> Arrangement:
             h = hp(normal, Fraction(rng.randint(-24, 24), 8))
             planes.setdefault(h.row, h)
     return Arrangement(4, list(planes.values()))
+
+
+# Normals with no Coxeter form, the general R^3 arrangements of the benchmark.
+GENERAL_R3_NORMALS = [
+    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+    (1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 0, 2),
+]
 
 
 def self_mirror_bands() -> Arrangement:
@@ -194,8 +201,9 @@ class TestTypeBLevelOracle:
         # enumerate_regions: type B takes one closure walk and no LP; type A,
         # general arrangements and degenerate ones with type B normals only
         # take one LP per region.  level_profile: the closure walk iff every
-        # hyperplane's form() is a signed root, with no split test and no LP.
-        calls = dict.fromkeys(("lp", "split", "closure", "enumerate"), 0)
+        # hyperplane's form() is a signed root, with no split test and no LP;
+        # otherwise the LP walk and one LP per region, with no Region built.
+        calls = dict.fromkeys(("lp", "split", "closure", "lp_walk", "enumerate"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -207,6 +215,7 @@ class TestTypeBLevelOracle:
         monkeypatch.setattr("levelarr.regions.cone_span_dimension", counted("lp", cone_span_dimension))
         monkeypatch.setattr("levelarr.regions._feasible_system", counted("split", _feasible_system))
         monkeypatch.setattr("levelarr.regions._closure_walk", counted("closure", _closure_walk))
+        monkeypatch.setattr("levelarr.regions._lp_walk", counted("lp_walk", _lp_walk))
         monkeypatch.setattr("levelarr.regions.enumerate_regions", counted("enumerate", enumerate_regions))
         degenerate = delete(make_cox_b(3), 0)
         assert degenerate.kind is Kind.GENERAL
@@ -215,15 +224,15 @@ class TestTypeBLevelOracle:
             calls.update(dict.fromkeys(calls, 0))
             count = len(enumerate_regions(arr))
             lp, closure = (0, 1) if arr.kind is Kind.TYPE_B else (count, 0)
-            assert (calls["lp"], calls["closure"]) == (lp, closure)
+            assert (calls["lp"], calls["closure"], calls["lp_walk"]) == (lp, closure, 1)
 
             calls.update(dict.fromkeys(calls, 0))
             assert sum(level_profile(arr)) == count
             if all(h.form() is not None for h in arr.hyperplanes):
-                assert calls == {"lp": 0, "split": 0, "closure": 1, "enumerate": 0}
+                assert calls == {"lp": 0, "split": 0, "closure": 1, "lp_walk": 0, "enumerate": 0}
             else:
                 assert arr is skew
-                assert calls["closure"] == 0 and calls["enumerate"] == 1
+                assert (calls["closure"], calls["lp_walk"], calls["enumerate"]) == (0, 1, 0)
                 assert calls["lp"] == count and calls["split"] > 0
 
 
@@ -249,16 +258,34 @@ class TestEngineCrossCheck:
 
     def test_closure_walk_dropping_a_region_raises(self, monkeypatch):
         arr = random_deformation_b(3, random.Random(11))
-        walk = _closure_walk(arr)
+        walk = list(_closure_walk(arr))
         assert len(walk) == 331
         monkeypatch.setattr(regions_module, "_closure_walk", lambda _: walk[:100] + walk[101:])
+        with pytest.raises(ArithmeticError, match="different regions"):
+            enumerate_regions(arr)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda walk: walk + [walk[-1]],
+            lambda walk: walk[:100] + [walk[101], walk[100]] + walk[102:],
+        ],
+        ids=["extra_region", "swapped_regions"],
+    )
+    def test_closure_walk_streaming_a_fault_raises(self, monkeypatch, fault):
+        # The two walks stream side by side: a region the closure walk adds
+        # past the LP walk's last one, or two regions it lists out of order,
+        # must raise as a dropped region does.
+        arr = random_deformation_b(3, random.Random(11))
+        walk = list(_closure_walk(arr))
+        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: iter(fault(walk)))
         with pytest.raises(ArithmeticError, match="different regions"):
             enumerate_regions(arr)
 
 
 def _walks(arr):
     """The closure walk's regions beside ``enumerate_regions``' as ``(signs, level)``."""
-    return _closure_walk(arr), [(r.sign_vector, r.level) for r in enumerate_regions(arr)]
+    return list(_closure_walk(arr)), [(r.sign_vector, r.level) for r in enumerate_regions(arr)]
 
 
 _EIGHTHS = st.lists(st.integers(-24, 24), min_size=1, max_size=2, unique=True).map(
@@ -375,8 +402,8 @@ class TestClosureWalk:
         )
 
     def test_empty_and_zero_dimensional(self):
-        assert _closure_walk(Arrangement(3, [])) == [((), 3)]
-        assert _closure_walk(Arrangement(0, [])) == [((), 0)]
+        assert list(_closure_walk(Arrangement(3, []))) == [((), 3)]
+        assert list(_closure_walk(Arrangement(0, []))) == [((), 0)]
         assert level_profile(Arrangement(0, [])) == (1,)
 
 
@@ -402,9 +429,26 @@ class TestClosureWalkLevels:
         # node 2 shares no component with node 1, only with its mirror -1,
         # so 2 belongs to 1's pair through the test of 1 against -2.
         arr = Arrangement(2, [hp((1, 1), 0), hp((1, 1), 1)])
-        walk = _closure_walk(arr)
+        walk = list(_closure_walk(arr))
         assert walk == [((1, 1), 2), ((1, -1), 1), ((-1, -1), 2)]
         assert [level for _, level in walk] == [_lp_level(arr, signs) for signs, _ in walk]
+
+
+def _level_counts(arr):
+    levels = [r.level for r in enumerate_regions(arr)]
+    return tuple(levels.count(k) for k in range(arr.dim + 1))
+
+
+@st.composite
+def _general_arrangements(draw):
+    """Seeded arrangements in R^2..R^3 with normals in [-2, 2]^n, one of them without a Coxeter form."""
+    n = draw(st.integers(2, 3))
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    skew = normals.filter(lambda a: hp(a).form() is None)
+    offsets = st.integers(-16, 16).map(lambda k: Fraction(k, 8))
+    planes = draw(st.lists(st.builds(hp, normals, offsets), max_size=6))
+    first = draw(st.builds(hp, skew, offsets))
+    return Arrangement(n, list({h.row: h for h in [first, *planes]}.values()))
 
 
 class TestLevelProfile:
@@ -424,6 +468,44 @@ class TestLevelProfile:
             tracemalloc.stop()
         assert profile == (0,) * n + (4,)
         assert peak < 1 << 20
+
+    def test_walk_holds_no_region_list(self):
+        # The depth-first walk keeps one closure per depth, not one per live
+        # region: a breadth-first walk peaks near 14 MB here.
+        arr = make_m_catalan(5, 1)
+        tracemalloc.start()
+        try:
+            profile = level_profile(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(profile) == 5040
+        assert peak < 2 << 20
+
+    def test_more_hyperplanes_than_the_recursion_limit(self):
+        # x1 = 0, ..., 1049 in R^1: the walk is 1,050 deep, past Python's
+        # default recursion limit, so its stack must be explicit.
+        arr = Arrangement(1, [hp((1,), k) for k in range(1050)])
+        assert level_profile(arr) == (1049, 2)
+
+    @given(_general_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_general_input_matches_enumeration(self, arr):
+        # Without Coxeter forms the levels stream off the LP walk; they must
+        # count what ``enumerate_regions`` lists.
+        assert any(h.form() is None for h in arr.hyperplanes)
+        assert level_profile(arr) == _level_counts(arr)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_general_r3_matches_enumeration(self, seed):
+        rng = random.Random(seed)
+        arr = Arrangement(3, [hp(normal, Fraction(rng.randint(-24, 24), 8)) for normal in GENERAL_R3_NORMALS])
+        assert level_profile(arr) == _level_counts(arr)
+
+    def test_skew_matches_enumeration(self):
+        arr = Arrangement(2, [hp((1, 0)), hp((0, 1)), hp((1, 2), 1)])
+        # three lines in general position: one bounded triangle, six unbounded regions of level 2
+        assert level_profile(arr) == _level_counts(arr) == (1, 0, 6)
 
     def test_worked_example_b(self, example_b):
         profile = level_profile(example_b)
