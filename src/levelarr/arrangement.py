@@ -2,13 +2,12 @@
 
 Hyperplanes are stored in a canonical form (primitive integer normal, first
 nonzero entry positive) so that equality and parallelism are plain tuple
-comparisons.  Arrangements carry a derived kind tag that records whether they
-are non-degenerate deformations of the type A or type B Coxeter arrangement;
-the tag is always recomputed from the hyperplane list, so deleting the last
-hyperplane of a direction class downgrades the tag automatically.  A Coxeter
-direction has one encoding, the signed root of ``Hyperplane.form()``, and
-one table of them, ``_coxeter_forms``, backs the generators and the
-non-degeneracy reports; the tag counts the distinct forms present.
+comparisons.  A Coxeter direction has one encoding, the signed root of
+``Hyperplane.form()``, and one table of them, ``_coxeter_forms``, backs the
+generators and the non-degeneracy reports.  ``is_nondegenerate`` is the one
+test of whether an arrangement is a non-degenerate deformation of the type A
+or type B Coxeter arrangement; ``Arrangement.kind`` reads it on demand, so
+deleting the last hyperplane of a direction class downgrades the kind.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ class DegenerateDeformationError(ValueError):
     Raised by the generators on incomplete input and by the theorem
     validators when their non-degeneracy hypothesis is not met.
     """
-
-    def __init__(self, message: str, missing: tuple = ()):
-        super().__init__(message)
-        self.missing = missing
 
 
 class Hyperplane:
@@ -107,12 +102,11 @@ class Hyperplane:
 class Arrangement:
     """Finite ordered list of distinct hyperplanes in R^n.
 
-    The ``kind`` tag is derived from the hyperplane list: ``typeA`` /
-    ``typeB`` mean the arrangement is a non-degenerate deformation of the
-    corresponding Coxeter arrangement, anything else is ``general``.
+    Building one checks the input and reads no ``Hyperplane.form()``; the
+    ``kind`` is derived on each read.
     """
 
-    __slots__ = ("dim", "hyperplanes", "kind")
+    __slots__ = ("dim", "hyperplanes")
 
     def __init__(self, dim: int, hyperplanes: Iterable[Hyperplane] = ()):
         if dim < 0:
@@ -129,7 +123,11 @@ class Arrangement:
             seen.add(h)
         self.dim = dim
         self.hyperplanes = planes
-        self.kind = _classify(dim, planes)
+
+    @property
+    def kind(self) -> Kind:
+        """``typeA`` or ``typeB``, the first that ``is_nondegenerate`` accepts, else ``general``."""
+        return next((k for k in (Kind.TYPE_A, Kind.TYPE_B) if is_nondegenerate(self, k).ok), Kind.GENERAL)
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -152,7 +150,7 @@ class Arrangement:
 
 
 # ---------------------------------------------------------------------------
-# Kind classification and non-degeneracy
+# Non-degeneracy
 # ---------------------------------------------------------------------------
 
 
@@ -216,22 +214,6 @@ def _named(names, count: int) -> str:
     return shown if count <= _NAMED else f"{shown}, … and {count - _NAMED} more"
 
 
-def _classify(dim: int, planes: Sequence[Hyperplane]) -> Kind:
-    """The kind tag, from the set of forms present: O(m) in the hyperplane count.
-
-    R^dim has dim^2 Coxeter forms, type B's directions, and the C(dim, 2) of
-    them with v > 0 are type A's; a full set of either is that kind.
-    """
-    forms = {h.form() for h in planes}
-    if None in forms:
-        return Kind.GENERAL
-    if all(v > 0 for _, v in forms) and len(forms) == dim * (dim - 1) // 2:
-        return Kind.TYPE_A
-    if len(forms) == dim * dim:
-        return Kind.TYPE_B
-    return Kind.GENERAL
-
-
 def is_nondegenerate(arr: Arrangement, kind: Kind) -> NondegeneracyReport:
     """Check that ``arr`` is a non-degenerate deformation of the given kind.
 
@@ -291,9 +273,9 @@ def _deformation(n: int, families) -> Arrangement:
         extra = set(mapping) - set(keys)
         if extra:
             raise ValueError(f"{name} keys out of range: {sorted(extra)}")
-        missing = tuple(k for k in keys if k not in mapping)
+        missing = [k for k in keys if k not in mapping]
         if missing:
-            raise DegenerateDeformationError(f"{name} missing entries {list(missing)}", missing)
+            raise DegenerateDeformationError(f"{name} missing entries {missing}")
         keyed.append((name, mapping, keys))
     planes = []
     for name, mapping, keys in keyed:
@@ -371,7 +353,7 @@ def make_m_catalan(n: int, m: int) -> Arrangement:
 
 
 def delete(arr: Arrangement, h_index: int) -> Arrangement:
-    """Remove one hyperplane; the kind tag is recomputed on the result."""
+    """Remove one hyperplane; the result's ``kind`` is read from its own hyperplanes."""
     if not 0 <= h_index < len(arr.hyperplanes):
         raise IndexError(f"hyperplane index {h_index} out of range")
     planes = arr.hyperplanes[:h_index] + arr.hyperplanes[h_index + 1 :]

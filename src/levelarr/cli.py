@@ -228,8 +228,6 @@ def cmd_generate(args) -> int:
             arr = random_deformation_a(args.n, random.Random(args.seed))
         else:  # random_b
             arr = random_deformation_b(args.n, random.Random(args.seed))
-    except DegenerateDeformationError:
-        raise
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     _write_output(dumps_document(document_of(arr)), args.output)

@@ -74,7 +74,7 @@ class VerificationReport(NamedTuple):
 def _verify_expansion(arr: Arrangement, kind: Kind, basis: BasisKind) -> VerificationReport:
     report = is_nondegenerate(arr, kind)
     if not report.ok:
-        raise DegenerateDeformationError(report.explanation(), report.missing)
+        raise DegenerateDeformationError(report.explanation())
     chi = char_poly(arr)
     n = arr.dim
     rows = tuple(

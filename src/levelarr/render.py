@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Kind, is_nondegenerate
 from .regions import enumerate_regions
 
 
@@ -49,7 +49,7 @@ def _scene(arr: Arrangement, labels: Sequence[str]):
             for h, lab in zip(arr.hyperplanes, labels)
         ]
         project = lambda p: (float(p[0]), float(p[1]))  # noqa: E731
-    elif arr.dim == 3 and all(h.form() is not None and h.form()[1] > 0 for h in arr.hyperplanes):
+    elif arr.dim == 3 and not is_nondegenerate(arr, Kind.TYPE_A).foreign:
         lines = []
         for h, lab in zip(arr.hyperplanes, labels):
             nx, ny = _project_3d(h.normal)

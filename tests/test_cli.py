@@ -347,6 +347,25 @@ class TestGenerate:
         assert code == 2
         assert "n >= 2" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("cox_a", "-n", "1"), "type A Coxeter arrangement needs n >= 2"),
+            (("cox_b", "-n", "0"), "type B Coxeter arrangement needs n >= 1"),
+            (("catalan", "-n", "1"), "needs n >= 2"),
+            (("semiorder", "-n", "2", "--values", "0"), "offset values must be positive"),
+            (("m_catalan", "-n", "2", "-m", "0"), "needs m >= 1"),
+            (("random_a", "-n", "1"), "type A deformation needs n >= 2"),
+            (("random_b", "-n", "0"), "type B deformation needs n >= 1"),
+        ],
+        ids=["cox_a", "cox_b", "catalan", "semiorder", "m_catalan", "random_a", "random_b"],
+    )
+    def test_bad_parameters_exit_2(self, capsys, argv, message):
+        # Every family builds each direction with nonempty, distinct offsets,
+        # so a bad parameter is an input error, never a degenerate deformation.
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("values", ["1e5000", "1.5", "1_000"])
     def test_values_follow_the_document_grammar(self, capsys, values):
         # --values takes the scalars a document takes: no exponent, decimal
@@ -395,6 +414,27 @@ class TestRender:
         )
         assert code == 2
         assert "rendering supports" in err
+
+    def test_degenerate_difference_forms_in_r3(self, tmp_path, capsys):
+        # The R^3 gate asks for difference forms only, not a full type A set.
+        doc = {"ambient_dim": 3, "hyperplanes": [{"normal": [1, -1, 0]}, {"normal": [0, 1, -1], "offset": 1}]}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "two.svg"
+        code, _, err = run(capsys, "render", str(path), "--output", str(out_path))
+        assert (code, err) == (0, "")
+        svg = out_path.read_text()
+        assert svg.count("<line") == 2
+        assert Counter(LEVEL_LABEL.findall(svg)) == Counter({"3": 4})
+
+        doc["hyperplanes"].append({"normal": [1, 1, 0]})
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", str(path), "--output", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: rendering supports R^2 arrangements, or difference-form arrangements "
+            "in R^3; got dimension 3 with kind general\n"
+        )
 
     def test_labels_are_escaped(self, doc_path, tmp_path, capsys, example_b):
         out_path = tmp_path / "labels.svg"
