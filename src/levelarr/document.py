@@ -14,13 +14,15 @@ import json
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .arrangement import Arrangement, Hyperplane
+from .arrangement import Arrangement, Hyperplane, Kind
 from .exactmath import _RATIONAL
 
 
 class DocumentError(ValueError):
     """Malformed arrangement document; the message names the offending field."""
 
+
+_KINDS = tuple(k.value for k in Kind)  # the names a document's "kind" may take
 
 _SHOWN = 40  # characters of an offending value that an error message echoes
 
@@ -97,8 +99,8 @@ def parse_document(doc: dict) -> ParsedDocument:
         labels = tuple(labels)
 
     kind = doc.get("kind")
-    if kind is not None and kind not in ("typeA", "typeB", "general"):
-        raise DocumentError(f"kind: expected typeA|typeB|general, got {_clip(repr(kind))}")
+    if kind is not None and kind not in _KINDS:
+        raise DocumentError(f"kind: expected {'|'.join(_KINDS)}, got {_clip(repr(kind))}")
 
     try:
         arr = Arrangement(dim, planes)

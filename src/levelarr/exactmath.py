@@ -37,9 +37,11 @@ deterministic.  Witnesses are homogeneous integer points ``(X, L)`` meaning
 (``_slack``); region enumeration turns a witness into ``Fraction``s once,
 for the final region.
 
-The span of a recession cone ``{d : r_i . d >= 0}`` needs no feasibility
-test per row.  ``cone_span_dimension`` finds every implicit equality with one
-LP (Freund, Roundy & Todd 1985): maximize ``sum t_i`` subject to
+A region's recession cone is ``{d : r_i . d >= 0}`` over its signed normal
+rows: each hyperplane's normal, negated on its - side, just as the split
+test reads that hyperplane's strict row.  Its span needs no feasibility test
+per row.  ``cone_span_dimension`` finds every implicit equality with one LP
+(Freund, Roundy & Todd 1985): maximize ``sum t_i`` subject to
 ``r_i . d >= t_i`` and ``0 <= t_i <= 1``.  The origin is feasible, so the
 slack basis starts the same simplex directly; a row whose negation is also
 present is implicit without an LP variable.
@@ -68,7 +70,7 @@ def as_scalar(value) -> Union[int, Fraction]:
     integer rows skip the Fraction round trip.  Floats are rejected outright;
     silently accepting them would smuggle rounding error into computations
     whose whole point is exactness.  A string must match ``_RATIONAL`` after
-    surrounding whitespace is stripped.
+    surrounding whitespace is stripped and have a nonzero denominator.
     """
     if type(value) is int or isinstance(value, Fraction):
         return value
@@ -76,7 +78,10 @@ def as_scalar(value) -> Union[int, Fraction]:
         raise TypeError(f"float {value!r} not allowed in exact arithmetic")
     if isinstance(value, str) and not _RATIONAL.fullmatch(value.strip()):
         raise ValueError(f"expected an integer or \"p/q\" string, got {value[:40]!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value[:40]!r}") from None
 
 
 def as_vector(values) -> Vector:
@@ -292,36 +297,25 @@ def _feasible_system(
     return tuple(v // g for v in new)
 
 
-def cone_span_dimension(constraints, *, dim: int) -> int:
-    """Dimension of the linear span of ``{d : sign_i * (a_i . d) >= 0}``.
+def cone_span_dimension(rows, *, dim: int) -> int:
+    """Dimension of the linear span of the cone ``{d : r_i . d >= 0}``.
 
-    Each normal ``a_i`` is a sequence of ints, such as ``Hyperplane.normal``;
-    a ``Fraction`` or float entry raises TypeError, nothing is converted.
-    Rescaled copies of one row count once: each row is divided by the gcd of
-    its entries before it is compared.
+    Each row ``r_i`` is a tuple of ``dim`` ints, a signed normal such as
+    ``Hyperplane.normal`` or its negation.  Equal rows count once.  Rows
+    need not be primitive: a rescaled copy of a row is implicit exactly
+    when that row is, and a zero row, its own negation, adds nothing to the
+    rank.
 
-    The span is the null space of the implicit equalities: the constraints
-    that hold with equality on the whole cone.  Its dimension is therefore
+    The span is the null space of the implicit equalities: the rows that
+    hold with equality on the whole cone.  Its dimension is therefore
     ``dim - rank`` of those rows.  A row whose negation is also present is
     implicit outright.  The others are classified together by one exact LP
     (Freund, Roundy & Todd 1985): maximize ``sum t_i`` subject to
     ``r_i . d >= t_i`` and ``0 <= t_i <= 1``.  At the optimum every ``t_i``
     is exactly 0 (row i is implicit) or exactly 1.
     """
-    rows: list[tuple[int, ...]] = []
-    seen = set()
-    for a, s in constraints:
-        if len(a) != dim:
-            raise ValueError("ambient dimension mismatch")
-        if s != 1 and s != -1:
-            raise ValueError(f"sign must be +1 or -1, got {s}")
-        g = gcd(*a)  # TypeError on any entry that is not an int
-        if g == 0:
-            continue  # 0 >= 0 constrains nothing
-        lhs = tuple(c // g for c in a) if s > 0 else tuple(-c // g for c in a)
-        if lhs not in seen:
-            seen.add(lhs)
-            rows.append(lhs)
+    rows = list(dict.fromkeys(rows))
+    seen = set(rows)
 
     implicit: list[tuple[int, ...]] = []  # the rows that hold with equality
     t_col: dict[int, int] = {}  # row index -> label (and column) of its t_i

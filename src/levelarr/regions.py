@@ -17,8 +17,8 @@ dot product; it becomes a tuple of ``Fraction``s once, in the final
 The level of a region is the smallest dimension of a linear subspace the
 region stays within bounded distance of.  For an open convex polyhedron that
 equals the dimension of the linear span of its recession cone, which
-``enumerate_regions`` finds with one exact LP per region,
-``cone_span_dimension`` of the homogenized sign constraints.
+``enumerate_regions`` finds with one exact LP per region: ``_cone_levels``
+passes ``cone_span_dimension`` the region's signed normal rows.
 
 When every normal has a Coxeter form (x_i, x_i - x_j or x_i + x_j), a region
 is a system of strict constraints d_v - d_u < c on the signed nodes
@@ -175,9 +175,15 @@ def _lp_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], IntPoint]]:
     return _walk((0,) * arr.dim + (1,), side, len(signed))
 
 
-def _cone_level(arr: Arrangement, signs) -> int:
-    """Level of the region with these signs: the span of its recession cone, by one LP."""
-    return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)
+def _cone_levels(arr: Arrangement, leaves) -> Iterator[int]:
+    """Level of each ``(signs, state)`` leaf: the span of its recession cone, by one LP.
+
+    The cone's rows are the region's signed normals, read off its signs as
+    ``_lp_walk`` reads the split test's rows.
+    """
+    sides = [(h.normal, tuple(-c for c in h.normal)) for h in arr.hyperplanes]
+    for signs, _ in leaves:
+        yield cone_span_dimension([pm[t < 0] for pm, t in zip(sides, signs)], dim=arr.dim)
 
 
 def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -255,7 +261,7 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
                 raise ArithmeticError("the closure walk and the LP walk found different regions")
             levels.append(level)
     else:
-        levels = [_cone_level(arr, signs) for signs, _ in leaves]
+        levels = list(_cone_levels(arr, leaves))
 
     return tuple(
         Region(signs, tuple(Fraction(v, scale) for v in x), level)
@@ -275,7 +281,7 @@ def level_profile(arr: Arrangement) -> tuple[int, ...]:
     if all(h.form() is not None for h in arr.hyperplanes):
         levels = (level for _, level in _closure_walk(arr))
     else:
-        levels = (_cone_level(arr, signs) for signs, _ in _lp_walk(arr))
+        levels = _cone_levels(arr, _lp_walk(arr))
     counts = [0] * (arr.dim + 1)
     for level in levels:
         counts[level] += 1

@@ -29,7 +29,7 @@ from levelarr.document import document_of, dumps_document, loads_document
 from levelarr.expansion import BasisKind
 from levelarr.render import render_svg
 
-from conftest import eighths_a5, eighths_b4, skew_r3, unit_offsets_b4
+from conftest import _strict_row, eighths_a5, eighths_b4, skew_r3, unit_offsets_b4
 
 
 @pytest.fixture()
@@ -217,7 +217,7 @@ class TestLevels:
             out = []
             for signs, _ in walk(arr):
                 lp_calls.append(signs)
-                out.append((signs, cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)))
+                out.append((signs, cone_span_dimension([_strict_row(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)))
             return out
 
         monkeypatch.setattr(regions, "_closure_walk", lp_levels)
@@ -481,6 +481,8 @@ class TestOutputPins:
         pytest.param(eighths_a5, ("chi",), "60ff324630d4b8acfc511b5f3b45d18405fa586a388cd27daa88d3815d9f0d1a", "7f0ad581aed1eec2967ecb8ff164bab60ffdd8d0b76a61c1532166c4a0d9ae71", id="eighths_a5-chi"),
         pytest.param(eighths_b4, ("chi",), "aeb48c6c53bf9705a676256579c6b7c77be4b56e40f8aa03792a6eab421bc2b0", "e1e9ecc0c7f7e3a1bd3c548cd385fe5577fc610d1618849920026f648c429ea9", id="eighths_b4-chi"),
         pytest.param(skew_r3, ("chi",), "b139627e5b47220a6660846c83250e4b8c90a2f750f21c2fb6cb022a36922812", "a40df84454f072303158e0650a9b673f8250a60fbf86be47534a160816340e5d", id="skew_r3-chi"),
+        pytest.param(skew_r3, ("levels", "--regions"), "f563504883b0dfc7104ede5855267c7665e3166329bc741ccce49c7b2032ce73", "0cf2b13e5839212ba748d27e02c9333a7fbd774ecf9c62895de274a5ed60d103", id="skew_r3-levels_regions"),
+        pytest.param(skew_r3, ("levels",), "d9129cc6cef5f352e94d38a0171e82d8fd0f8bf4aa8e3ad647ed5dcadf7fae25", "94334fd3dc2a836eef9face685a459c6099eb1ecfc40fa72bebc77caafb31463", id="skew_r3-levels"),
         pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=deletion-restriction"), "82b58436140413c8c71e38b3527ced4dad05c871f9ccd80d83428befd1f9febe", "544c4366d515ec460cc9520ef53266c005097e1dcb797f65d73c50339fdd2123", id="cox_b3-deletion_restriction"),
         pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", "c0f821bd2d5eec6a7487412e6167dee76d69c97ccd572b38ab4331b49e42f4e0", id="cox_b3-ff"),
         pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels", "--regions"), "d714fcff671cd74ace59c2aa4810b24bbde415942977e8fd61d6843d091b3b25", "839652c325bf9b8875b223eab4f6ef028f5902a72d059e4cc759ec93c6f313a7", id="random_a4_seed7-levels_regions"),

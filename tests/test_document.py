@@ -119,6 +119,11 @@ class TestParse:
         doc["kind"] = "typeA"
         assert parse_document(doc).arrangement.kind.value == "typeA"
 
+    def test_unknown_kind_names_the_kinds(self):
+        with pytest.raises(DocumentError) as exc:
+            parse_document({"ambient_dim": 1, "hyperplanes": [], "kind": "typeC"})
+        assert str(exc.value) == "kind: expected typeA|typeB|general, got 'typeC'"
+
     def test_invalid_json_text(self):
         with pytest.raises(DocumentError, match="invalid JSON"):
             loads_document("{not json")

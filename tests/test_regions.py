@@ -29,6 +29,8 @@ from levelarr.exactmath import _feasible_system, cone_span_dimension
 from levelarr.poset import char_poly
 from levelarr.regions import _closure_walk, _lp_walk, enumerate_regions, level_profile
 
+from conftest import _strict_row
+
 
 def hp(normal, offset=0):
     return Hyperplane(normal, offset)
@@ -138,7 +140,7 @@ class TestRegionLevel:
         # The recession cone of {x : s_i (a_i . x - b_i) > 0} is
         # {d : s_i (a_i . d) >= 0}; the level is the dimension of its span.
         for region in enumerate_regions(example_b):
-            cone = [(h.normal, s) for h, s in zip(example_b.hyperplanes, region.sign_vector)]
+            cone = [_strict_row(h.normal, s) for h, s in zip(example_b.hyperplanes, region.sign_vector)]
             assert cone_span_dimension(cone, dim=example_b.dim) == region.level
 
     def test_cox_a3_all_top_level(self):
@@ -148,7 +150,7 @@ class TestRegionLevel:
 
 
 def _lp_level(arr, signs):
-    return cone_span_dimension([(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)
+    return cone_span_dimension([_strict_row(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)
 
 
 class TestTypeALevelOracle:
