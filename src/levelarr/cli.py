@@ -62,14 +62,14 @@ EXIT_HYPOTHESIS = 3
 
 
 def _read_document(path: str) -> ParsedDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
     return loads_document(text)
 
 

@@ -1,11 +1,11 @@
 """JSON arrangement documents: exact rationals, lossless round trips.
 
 Rationals are serialized as plain integers when possible and as lowest-terms
-strings like ``"3/2"`` otherwise.  On input a scalar is a JSON integer or a
-string ``"p"`` or ``"p/q"`` of decimal digits with an optional sign; floats,
-exponents, decimal points and digit separators are refused, so no scalar
-costs more than its digits to read.  Parsing canonicalizes hyperplanes, so
-parse -> serialize -> parse is the identity on parsed values.
+strings like ``"3/2"`` otherwise.  On input each scalar is read by
+``exactmath.as_scalar``, the package's one reader of an exact scalar, and a
+refusal is re-raised as a ``DocumentError`` naming the field.  Parsing
+canonicalizes hyperplanes, so parse -> serialize -> parse is the identity on
+parsed values.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .arrangement import Arrangement, Hyperplane, Kind
-from .exactmath import _RATIONAL
+from .exactmath import _clip, as_scalar
 
 
 class DocumentError(ValueError):
@@ -23,13 +23,6 @@ class DocumentError(ValueError):
 
 
 _KINDS = tuple(k.value for k in Kind)  # the names a document's "kind" may take
-
-_SHOWN = 40  # characters of an offending value that an error message echoes
-
-
-def _clip(text: str) -> str:
-    """``text``, or its first ``_SHOWN`` characters and its length if longer."""
-    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}… ({len(text)} characters)"
 
 
 def scalar_to_json(value: Union[int, Fraction]) -> Union[int, str]:
@@ -40,20 +33,11 @@ def scalar_to_json(value: Union[int, Fraction]) -> Union[int, str]:
 
 
 def scalar_from_json(value, where: str) -> Union[int, Fraction]:
-    """A JSON integer as ``int``, so integer rows skip the ``Fraction`` round
-    trip; a ``"p"`` or ``"p/q"`` string as a ``Fraction``."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"{where}: expected an integer or rational string, got {_clip(repr(value))}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value.strip()):
-            raise DocumentError(f"{where}: expected an integer or \"p/q\" string, got {_clip(repr(value))}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{where}: not a rational: {_clip(repr(value))} ({_clip(str(exc))})") from None
-    raise DocumentError(f"{where}: expected an integer or rational string, got {type(value).__name__}")
+    """``as_scalar(value)``, its refusal naming the document field ``where``."""
+    try:
+        return as_scalar(value)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 class ParsedDocument(NamedTuple):
@@ -135,7 +119,7 @@ def dumps_document(doc: dict) -> str:
 def loads_document(text: str) -> ParsedDocument:
     try:
         raw = json.loads(text)
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past Python's digit limit, or nesting past the recursion limit
         raise DocumentError(f"invalid JSON: {exc}") from None
     return parse_document(raw)

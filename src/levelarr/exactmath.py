@@ -6,6 +6,8 @@ and recession-cone dimensions computed downstream trustworthy: every
 predicate here is decided exactly.  Rationals (`fractions.Fraction`) appear
 only at the edge: ``as_scalar``/``as_vector``/``_int_row`` turn a rational
 hyperplane into its integer row once, when the hyperplane is built.
+``as_scalar`` is the one reader of an exact scalar: the library, documents
+and ``generate --values`` all take and refuse values through it.
 
 Equations need one canonical form and one elimination step.  ``_normalize``
 writes an integer row as its signed content times a primitive row whose first
@@ -62,26 +64,37 @@ Vector = tuple[Union[int, Fraction], ...]
 # so reading a string costs no more than its digits.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+_SHOWN = 40  # characters of an offending value that an error message echoes
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first ``_SHOWN`` characters and its length if longer."""
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}… ({len(text)} characters)"
+
 
 def as_scalar(value) -> Union[int, Fraction]:
-    """Coerce an int, string like ``"3/2"``, or Fraction to an exact rational.
+    """The one reader of an exact scalar, for the library and documents alike.
 
-    An int or Fraction comes back unchanged (a bool becomes a Fraction), so
-    integer rows skip the Fraction round trip.  Floats are rejected outright;
-    silently accepting them would smuggle rounding error into computations
-    whose whole point is exactness.  A string must match ``_RATIONAL`` after
-    surrounding whitespace is stripped and have a nonzero denominator.
+    An int (not a bool) or a Fraction comes back unchanged, so integer rows
+    skip the Fraction round trip; a string matching ``_RATIONAL`` after
+    stripping, with a nonzero denominator, comes back as a Fraction.  Anything
+    else is refused, floats above all: they would smuggle rounding error into
+    computations whose whole point is exactness.  A non-string raises
+    TypeError, a bad string ValueError.
     """
     if type(value) is int or isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} not allowed in exact arithmetic")
-    if isinstance(value, str) and not _RATIONAL.fullmatch(value.strip()):
-        raise ValueError(f"expected an integer or \"p/q\" string, got {value[:40]!r}")
+    if not isinstance(value, str):
+        shown = _clip(repr(value)) if isinstance(value, (bool, float)) else type(value).__name__
+        raise TypeError(f"expected an integer or rational string, got {shown}")
+    if not _RATIONAL.fullmatch(value.strip()):
+        raise ValueError(f"expected an integer or \"p/q\" string, got {_clip(repr(value))}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value[:40]!r}") from None
+        raise ValueError(f"zero denominator in {_clip(repr(value))}") from None
+    except ValueError as exc:  # more digits than Python converts to an int
+        raise ValueError(f"not a rational: {_clip(repr(value))} ({_clip(str(exc))})") from None
 
 
 def as_vector(values) -> Vector:

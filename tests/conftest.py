@@ -168,6 +168,11 @@ def hp(normal, offset=0) -> Hyperplane:
     return Hyperplane(normal, offset)
 
 
+def dot(a, b) -> Fraction:
+    """Exact dot product of two rational vectors, sharing no code with the package."""
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
 def eighths_arrangement(dim: int, normals, extra: int, seed: int) -> Arrangement:
     """Hyperplanes ``normal . x = c`` with offsets c in eighths in [-3, 3],
     drawn by ``random.Random(seed)``: two offsets on each of the first

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -152,6 +153,26 @@ class TestChi:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {named}")
         assert len(err) < 200  # a 5,000-character value is clipped, not echoed whole
+
+    def test_undecodable_document(self, capsys, tmp_path):
+        # Bytes that are not UTF-8 are an input error, not a failed check.
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"ambient_dim": 1}')
+        code, out, err = run(capsys, "chi", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+    @pytest.mark.parametrize("argv", [("chi", "{path}"), ("levels", "-"), ("verify", "--theorem=A", "{path}")])
+    def test_too_deeply_nested_document(self, capsys, monkeypatch, tmp_path, argv):
+        # json.loads raises RecursionError, which is no ValueError.
+        text = "[" * 200_000
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "chi", "/nonexistent/arr.json")

@@ -128,6 +128,11 @@ class TestParse:
         with pytest.raises(DocumentError, match="invalid JSON"):
             loads_document("{not json")
 
+    def test_nesting_past_the_recursion_limit(self):
+        # json.loads raises RecursionError here, which is not a ValueError.
+        with pytest.raises(DocumentError, match="^invalid JSON: maximum recursion depth exceeded"):
+            loads_document("[" * 200_000)
+
     def test_integer_past_the_digit_limit(self):
         # json.loads raises a plain ValueError here, not a JSONDecodeError.
         text = '{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": %s}]}' % ("9" * 5000)
@@ -157,6 +162,16 @@ class TestInputChecks:
             '{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": null}]}',
             "hyperplanes[0].offset: expected an integer or rational string, got NoneType",
             id="null_scalar",
+        ),
+        pytest.param(
+            '{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": true}]}',
+            "hyperplanes[0].offset: expected an integer or rational string, got True",
+            id="bool_scalar",
+        ),
+        pytest.param(
+            '{"ambient_dim": 1, "hyperplanes": [{"normal": [1], "offset": "1/0"}]}',
+            "hyperplanes[0].offset: zero denominator in '1/0'",
+            id="zero_denominator",
         ),
     ]
 

@@ -23,12 +23,7 @@ from levelarr.exactmath import (
     _step,
 )
 
-from conftest import _EmptyIntersection, _pivot, _reduce, _strict_row
-
-
-def dot(a, b):
-    """Test-local exact dot product of two rational vectors."""
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+from conftest import _EmptyIntersection, _pivot, _reduce, _strict_row, dot
 
 
 def fold(equations):
@@ -604,6 +599,17 @@ class TestAsScalar:
         for text in ("1e5", "1.5", "1_000", "1e4000000"):
             with pytest.raises(ValueError, match="p/q"):
                 as_scalar(text)
+
+    def test_long_values_are_clipped(self):
+        # A refusal echoes at most _SHOWN characters of the value.
+        with pytest.raises(ValueError) as exc:
+            as_scalar("1" * 4999 + "x")
+        assert str(exc.value) == f'expected an integer or "p/q" string, got \'{"1" * 39}… (5002 characters)'
+
+    def test_digits_past_the_int_limit_are_a_value_error(self):
+        # Fraction refuses more digits than Python converts to an int.
+        with pytest.raises(ValueError, match=r"^not a rational: '9{39}… \(5002 characters\) \(Exceeds the limit"):
+            as_scalar("9" * 5000)
 
     @pytest.mark.parametrize("text", ["1/0", "-3/00", " 0/0 "])
     def test_zero_denominator_is_a_value_error(self, text):

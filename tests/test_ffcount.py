@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levelarr import ffcount
-from levelarr.arrangement import Arrangement, Hyperplane, make_cox_a, make_cox_b
+from levelarr.arrangement import Arrangement, make_cox_a, make_cox_b
 from levelarr.ffcount import (
     POINT_LIMIT,
     admissible_primes,
@@ -18,9 +18,7 @@ from levelarr.cli import main
 from levelarr.document import document_of, dumps_document
 from levelarr.poset import char_poly
 
-
-def hp(normal, offset=0):
-    return Hyperplane(normal, offset)
+from conftest import hp
 
 
 def direct_count(arr, q):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from levelarr import poset as poset_module
 from levelarr.arrangement import (
     Arrangement,
-    Hyperplane,
     delete,
     make_cox_a,
     make_cox_b,
@@ -22,16 +21,7 @@ from levelarr.arrangement import (
 from levelarr.exactmath import _rank, _step
 from levelarr.poset import CharPoly, _bits, char_poly
 
-from conftest import _EmptyIntersection, _reduce, build_poset, canonical_rows, eighths_a5, eighths_b4, skew_r3
-
-
-def dot(a, b):
-    """Test-local exact dot product of two rational vectors."""
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def hp(normal, offset=0):
-    return Hyperplane(normal, offset)
+from conftest import _EmptyIntersection, _reduce, build_poset, canonical_rows, dot, eighths_a5, eighths_b4, hp, skew_r3
 
 
 def poly_from_roots(roots) -> tuple[int, ...]:

@@ -29,11 +29,7 @@ from levelarr.exactmath import _feasible_system, cone_span_dimension
 from levelarr.poset import char_poly
 from levelarr.regions import _closure_walk, _lp_walk, enumerate_regions, level_profile
 
-from conftest import _strict_row
-
-
-def hp(normal, offset=0):
-    return Hyperplane(normal, offset)
+from conftest import _strict_row, hp
 
 
 def general_r4() -> Arrangement:
