@@ -22,11 +22,11 @@ The LP engine is ``_IntTableau``: a fraction-free simplex dictionary with
 free variables and Bland's rule, always started from a feasible slack basis,
 so there is no phase 1 and no artificial variable.  It decides every split
 test of ``regions``' LP walk, which lists the regions of
-``enumerate_regions`` and of level profiles on input without Coxeter forms,
-and gives the level of each such region, except on type B deformations.
+``enumerate_regions`` and of level profiles on input without Coxeter forms.
 For Coxeter-form normals ``regions`` has a second engine on the same
-depth-first walk, a shortest-path closure walk: it decides the split tests
-of level profiles and gives the type B levels.
+depth-first walk, a shortest-path closure walk.  ``regions._levels`` alone
+chooses, for each region, whether its level comes from that walk or from
+``cone_span_dimension``.
 
 A strict system is decided incrementally, one row at a time (Rada & Černý
 2018): the witness of the rows so far is strictly inside them, so

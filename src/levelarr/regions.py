@@ -16,9 +16,8 @@ dot product; it becomes a tuple of ``Fraction``s once, in the final
 
 The level of a region is the smallest dimension of a linear subspace the
 region stays within bounded distance of.  For an open convex polyhedron that
-equals the dimension of the linear span of its recession cone, which
-``enumerate_regions`` finds with one exact LP per region: ``_cone_levels``
-passes ``cone_span_dimension`` the region's signed normal rows.
+equals the dimension of the linear span of its recession cone, which one
+exact LP finds: ``cone_span_dimension`` of the region's signed normal rows.
 
 When every normal has a Coxeter form (x_i, x_i - x_j or x_i + x_j), a region
 is a system of strict constraints d_v - d_u < c on the signed nodes
@@ -41,15 +40,11 @@ C (the type B analogue of braid cones as preposets; Postnikov, Reiner &
 Williams, Doc. Math. 2008).  ``_reach_level`` counts those pairs off the
 closure, the one level rule for signed digraphs.
 
-``level_profile`` returns the counts (r_0, ..., r_n) as a plain tuple,
-counted as the leaves stream past, so it holds no region list; it takes the
-closure walk when every normal has a Coxeter form, walking only the
-coordinates some form names, and otherwise the LP walk with one cone-span
-LP per leaf, building no ``Region``.  ``enumerate_regions`` streams the
-closure walk beside the LP walk on a type B deformation: every level comes
-from it, and its sign vectors must equal the LP walk's one by one, in
-order, so two independent split engines check each other's regions and a
-missing, extra or reordered region raises.
+``_levels`` is the one place that picks a level engine, the closure walk
+or one cone-span LP per region, for both ``enumerate_regions``, which lists
+the LP walk's leaves and builds each ``Region``, and ``level_profile``,
+which counts the levels (r_0, ..., r_n) as they stream past and holds no
+region list.
 """
 
 from __future__ import annotations
@@ -175,17 +170,6 @@ def _lp_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], IntPoint]]:
     return _walk((0,) * arr.dim + (1,), side, len(signed))
 
 
-def _cone_levels(arr: Arrangement, leaves) -> Iterator[int]:
-    """Level of each ``(signs, state)`` leaf: the span of its recession cone, by one LP.
-
-    The cone's rows are the region's signed normals, read off its signs as
-    ``_lp_walk`` reads the split test's rows.
-    """
-    sides = [(h.normal, tuple(-c for c in h.normal)) for h in arr.hyperplanes]
-    for signs, _ in leaves:
-        yield cone_span_dimension([pm[t < 0] for pm, t in zip(sides, signs)], dim=arr.dim)
-
-
 def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
     """Sign vectors and levels ``(signs, level)`` of all regions, in ``enumerate_regions``' order.
 
@@ -237,52 +221,60 @@ def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
         yield signs, _reach_level(dist, inf, m) + arr.dim - m
 
 
+def _levels(arr: Arrangement, leaves=None) -> Iterator[int]:
+    """Level of each region, in sign order: the one place a level engine is chosen.
+
+    ``leaves`` are the ``(signs, witness)`` leaves of ``_lp_walk`` that
+    ``enumerate_regions`` lists; ``level_profile`` passes none.  With no
+    leaves and a Coxeter form on every hyperplane, ``_closure_walk`` alone
+    gives the levels, with no LP.  On the leaves of a type B deformation
+    ``_closure_walk`` streams past them and gives every level, and its sign
+    vectors must equal the leaves' one by one, in order, so two independent
+    split engines check each other's regions and a missing, extra or
+    reordered region raises ``ArithmeticError``; an extra one raises only
+    after the last leaf, so a caller zips the levels with the leaves
+    strictly.  Every other region takes one cone-span LP over its signed
+    normal rows, read off its signs as ``_lp_walk`` reads the split test's
+    rows, from the given leaves or from a fresh ``_lp_walk`` streamed with
+    no list held.
+    """
+    if leaves is None and all(h.form() is not None for h in arr.hyperplanes):
+        yield from (level for _, level in _closure_walk(arr))
+    elif leaves is not None and arr.kind is Kind.TYPE_B:
+        for (signs, _), (walked, level) in zip_longest(leaves, _closure_walk(arr), fillvalue=(None, None)):
+            if signs != walked:
+                raise ArithmeticError("the closure walk and the LP walk found different regions")
+            yield level
+    else:
+        sides = [(h.normal, tuple(-c for c in h.normal)) for h in arr.hyperplanes]
+        for signs, _ in _lp_walk(arr) if leaves is None else leaves:
+            yield cone_span_dimension([pm[t < 0] for pm, t in zip(sides, signs)], dim=arr.dim)
+
+
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """All regions of the arrangement, sorted by sign vector (+ before -).
 
     The regions are the leaves of ``_lp_walk``, the depth-first walk of the
     sign tree that tries each node's + side before its - side, so they come
     out in sign order without a sort, and only one pending side per depth is
-    held while the walk runs.
-
-    Each region's level comes from one cone-span LP, except on a type B
-    deformation: there ``_closure_walk`` streams past the LP walk's leaves
-    and gives every level, and it must find the same sign vectors in the
-    same order; a missing, extra or reordered region raises
-    ``ArithmeticError``.
+    held while the walk runs.  Their levels come from ``_levels``.
     """
     # The split tests run before any level LP: interleaving the two kinds of
     # LP made enumeration 2-5% slower on the type A benchmark documents.
     leaves = list(_lp_walk(arr))
-    if arr.kind is Kind.TYPE_B:
-        levels = []
-        for (signs, _), (walked, level) in zip_longest(leaves, _closure_walk(arr), fillvalue=(None, None)):
-            if signs != walked:
-                raise ArithmeticError("the closure walk and the LP walk found different regions")
-            levels.append(level)
-    else:
-        levels = list(_cone_levels(arr, leaves))
-
     return tuple(
         Region(signs, tuple(Fraction(v, scale) for v in x), level)
-        for (signs, (*x, scale)), level in zip(leaves, levels)
+        for (signs, (*x, scale)), level in zip(leaves, _levels(arr, leaves), strict=True)
     )
 
 
 def level_profile(arr: Arrangement) -> tuple[int, ...]:
     """Counts (r_0, ..., r_n) of regions by level: r_k regions have level k.
 
-    The levels are counted as the leaves of one depth-first walk stream
-    past, so no region list is held.  When every hyperplane has a Coxeter
-    form they come from ``_closure_walk``, with no LP and no witness;
-    otherwise from the leaves of ``_lp_walk`` and one cone-span LP each,
-    with integer witnesses and no ``Region``.
+    The levels of ``_levels`` are counted as they stream past, so no region
+    list is held and no ``Region`` is built.
     """
-    if all(h.form() is not None for h in arr.hyperplanes):
-        levels = (level for _, level in _closure_walk(arr))
-    else:
-        levels = _cone_levels(arr, _lp_walk(arr))
     counts = [0] * (arr.dim + 1)
-    for level in levels:
+    for level in _levels(arr):
         counts[level] += 1
     return tuple(counts)

@@ -164,6 +164,11 @@ def fraction_restrict(arr: Arrangement, h_index: int) -> Arrangement:
     return Arrangement(arr.dim - 1, images)
 
 
+def padded(cp: poset.CharPoly, width: int) -> tuple[int, ...]:
+    """A ``CharPoly``'s coefficients, constant term first, padded with zeros to ``width``."""
+    return tuple(cp.coeffs) + (0,) * (width - len(cp.coeffs))
+
+
 def hp(normal, offset=0) -> Hyperplane:
     return Hyperplane(normal, offset)
 

@@ -39,6 +39,8 @@ from levelarr.regions import (
     level_profile,
 )
 
+from conftest import padded as _padded
+
 SIGN_ENUM_MAX_HYPERPLANES = 12
 FF_AGREEMENTS_REQUIRED = 2
 
@@ -197,10 +199,6 @@ def test_criterion_6_type_b_property_suite(type_b_cohort):
 # ---------------------------------------------------------------------------
 # Criterion 7: oracle triangulation over every arrangement above
 # ---------------------------------------------------------------------------
-
-
-def _padded(chi, width):
-    return tuple(chi.coeffs) + (0,) * (width - len(chi.coeffs))
 
 
 def test_criterion_7_oracle_triangulation(all_criteria_arrangements, feasible_sign_vectors):

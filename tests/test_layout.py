@@ -101,3 +101,23 @@ def test_no_single_field_wrapper():
         and not any(isinstance(node, METHODS) for node in cls.body)
     ]
     assert wrappers == []
+
+
+def _callers(trees: dict, names: set) -> set[str]:
+    """``module: definition`` of every module-level definition that calls one of ``names``.
+
+    A call outside any definition is named ``module: <module>``.
+    """
+    return {
+        f"{module}: {getattr(top, 'name', '<module>')}"
+        for module, tree in trees.items()
+        for top in tree.body
+        for sub in ast.walk(top)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", getattr(sub.func, "attr", None)) in names
+    }
+
+
+def test_one_level_engine_choice():
+    # ``regions._levels`` is the one place a level engine is chosen: no other
+    # code runs the closure walk or the cone-span LP.
+    assert _callers(_trees(), {"_closure_walk", "cone_span_dimension"}) == {"regions.py: _levels"}

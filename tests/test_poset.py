@@ -21,7 +21,7 @@ from levelarr.arrangement import (
 from levelarr.exactmath import _rank, _step
 from levelarr.poset import CharPoly, _bits, char_poly
 
-from conftest import _EmptyIntersection, _reduce, build_poset, canonical_rows, dot, eighths_a5, eighths_b4, hp, skew_r3
+from conftest import _EmptyIntersection, _reduce, build_poset, canonical_rows, dot, eighths_a5, eighths_b4, hp, padded, skew_r3
 
 
 def poly_from_roots(roots) -> tuple[int, ...]:
@@ -546,10 +546,6 @@ class TestClosedForms:
         coordinates = [hp(tuple(int(k == i) for k in range(n)), a) for i in range(n) for a in (0, 1)]
         arr = Arrangement(n, coordinates + _pairs(n, (0, 1), signs=(-1, 1)))
         assert char_poly(arr).coeffs == poly_from_roots([2 * n] * n)
-
-
-def padded(cp: CharPoly, width: int) -> tuple[int, ...]:
-    return tuple(cp.coeffs) + (0,) * (width - len(cp.coeffs))
 
 
 class TestDeletionRestriction:

@@ -558,6 +558,49 @@ class TestLevelProfile:
                 assert after[k] == before[k] + cut[k]
 
 
+def _central(arr):
+    """A_0: the central arrangement of the distinct normals of ``arr``."""
+    return Arrangement(arr.dim, list({h.row: h for h in (hp(h.normal) for h in arr.hyperplanes)}.values()))
+
+
+class TestLevelProfileEnds:
+    """Both ends of the level profile against ``char_poly``, with no walk.
+
+    A region is bounded iff its level is 0, so r_0 = |chi(1)| when the
+    normals have rank n and 0 otherwise (Zaslavsky, Mem. AMS 154, 1975).  A
+    region has level n iff its recession cone is the closure of a chamber of
+    A_0, and each chamber has exactly one such region, so
+    r_n = |chi_{A_0}(-1)|.  The normals have rank n iff chi_{A_0}(0) != 0:
+    the lowest term of chi_{A_0} is t^(n - rank).
+    """
+
+    @staticmethod
+    def assert_ends(arr):
+        profile = level_profile(arr)
+        central = char_poly(_central(arr))
+        bounded = abs(char_poly(arr).evaluate(1)) if central.evaluate(0) else 0
+        assert (profile[0], profile[-1]) == (bounded, abs(central.evaluate(-1)))
+
+    @given(_general_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_general_input(self, arr):
+        self.assert_ends(arr)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_general_r3(self, seed):
+        rng = random.Random(seed)
+        self.assert_ends(Arrangement(3, [hp(normal, Fraction(rng.randint(-24, 24), 8)) for normal in GENERAL_R3_NORMALS]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [general_r4, lambda: make_m_catalan(4, 1), lambda: random_deformation_b(3, random.Random(5), 2),
+         lambda: Arrangement(3, [])],
+        ids=["general_r4", "m_catalan_4_1", "random_b3_seed5", "empty_r3"],
+    )
+    def test_fixed_cases(self, make):
+        self.assert_ends(make())
+
+
 class TestExhaustiveOracle:
     def test_matches_on_random_small_arrangements(self, feasible_sign_vectors):
         rng = random.Random(31)
