@@ -41,8 +41,9 @@ class Hyperplane:
     ``row`` is the equation as a primitive integer tuple ``(a_1..a_n, b)``
     whose first nonzero entry is positive: ``exactmath._normalize``'s
     canonical form.  ``normal`` is its primitive integer normal and ``offset``
-    the matching rational offset.  Two parallel hyperplanes therefore share
-    the exact same normal tuple.
+    the matching rational offset in lowest terms, so ``row`` is ``normal``
+    times ``offset.denominator``, then ``offset.numerator``.  Two parallel
+    hyperplanes therefore share the exact same normal tuple.
     """
 
     __slots__ = ("row", "normal", "offset")

@@ -119,11 +119,9 @@ def _walk(arr: Arrangement):
                     break
         return i
 
-    roots = {}  # h.row as (id of h.normal, k, b) with h.row = (k * h.normal, b)
+    roots = {}  # h.row as (id of h.normal, k, b), where h.row = (k * h.normal, b) and h.offset = b / k
     for idx, h in enumerate(arr.hyperplanes):
-        i = intern(h.normal)
-        p = pivot_of[i]
-        roots[i, h.row[p] // h.normal[p], h.row[-1]] = 1 << idx
+        roots[intern(h.normal), h.offset.denominator, h.offset.numerator] = 1 << idx
     top = _rank(h.normal for h in arr.hyperplanes)  # the largest codim of a flat
 
     # The memoized normal halves: id of r's normal -> {id of g's normal ->

@@ -176,7 +176,7 @@ def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
     Every hyperplane must have a Coxeter form.  Only the m coordinates that
     some form names are walked, relabelled 1..m in order; each other
     coordinate is an isolated node pair, one more level in every region.
-    Offsets are scaled by L, the lcm of the rows' leading entries, to
+    Offsets are scaled by L, the lcm of their denominators, to
     integers C, and a strict bound C becomes the weight C*K - 1 with
     K = 4m + 4, more than the length of any simple cycle, so a cycle is
     negative iff its bounds sum to <= 0.  A node of the depth-first
@@ -195,11 +195,9 @@ def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
         node[c], node[-c] = a, -a
     m = len(named)
     size = 2 * m + 1
-    # row[:-1] is g times the form's normal, whose leading entry is 1
-    leads = [next(c for c in h.row if c) for h in arr.hyperplanes]
-    scale = lcm(1, *leads)
+    scale = lcm(1, *(h.offset.denominator for h in arr.hyperplanes))
     k = 2 * size + 2
-    offsets = [h.row[-1] * (scale // g) for h, g in zip(arr.hyperplanes, leads)]
+    offsets = [h.offset.numerator * (scale // h.offset.denominator) for h in arr.hyperplanes]
     inf = (size + 2) * (k * max(map(abs, offsets), default=0) + 2)
     big = 2 * inf
     edges = []
@@ -228,23 +226,24 @@ def _levels(arr: Arrangement, leaves=None) -> Iterator[int]:
     ``enumerate_regions`` lists; ``level_profile`` passes none.  With no
     leaves and a Coxeter form on every hyperplane, ``_closure_walk`` alone
     gives the levels, with no LP.  On the leaves of a type B deformation
-    ``_closure_walk`` streams past them and gives every level, and its sign
-    vectors must equal the leaves' one by one, in order, so two independent
-    split engines check each other's regions and a missing, extra or
-    reordered region raises ``ArithmeticError``; an extra one raises only
-    after the last leaf, so a caller zips the levels with the leaves
-    strictly.  Every other region takes one cone-span LP over its signed
-    normal rows, read off its signs as ``_lp_walk`` reads the split test's
-    rows, from the given leaves or from a fresh ``_lp_walk`` streamed with
-    no list held.
+    ``_closure_walk`` gives every level, and its sign vectors must equal the
+    leaves' in order, so two independent split engines check each other's
+    regions: a missing, extra or reordered region raises ``ArithmeticError``
+    before any level is yielded, whatever the caller zips, and only the
+    levels are held.  Every other region takes one cone-span LP over its
+    signed normal rows, read off its signs as ``_lp_walk`` reads the split
+    test's rows, from the given leaves or from a fresh ``_lp_walk`` streamed
+    with no list held.
     """
     if leaves is None and all(h.form() is not None for h in arr.hyperplanes):
         yield from (level for _, level in _closure_walk(arr))
     elif leaves is not None and arr.kind is Kind.TYPE_B:
+        levels = []
         for (signs, _), (walked, level) in zip_longest(leaves, _closure_walk(arr), fillvalue=(None, None)):
             if signs != walked:
                 raise ArithmeticError("the closure walk and the LP walk found different regions")
-            yield level
+            levels.append(level)
+        yield from levels
     else:
         sides = [(h.normal, tuple(-c for c in h.normal)) for h in arr.hyperplanes]
         for signs, _ in _lp_walk(arr) if leaves is None else leaves:

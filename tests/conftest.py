@@ -70,6 +70,15 @@ def _reduce(rows: tuple[IntRow, ...], row: Sequence[int]) -> Optional[tuple[IntR
     return tuple(sorted(cleared + [new], key=_pivot))
 
 
+def fold(equations) -> tuple[IntRow, ...]:
+    """Canonical system of ``a . x = b`` equations, folded by ``_reduce`` in
+    the given order; an empty intersection raises ``_EmptyIntersection``."""
+    system = ()
+    for a, b in equations:
+        system = _reduce(system, _int_row(as_vector(a), as_scalar(b))) or system
+    return system
+
+
 class Flat(NamedTuple):
     """An element of the intersection poset: an affine subspace.
 
@@ -167,6 +176,15 @@ def fraction_restrict(arr: Arrangement, h_index: int) -> Arrangement:
 def padded(cp: poset.CharPoly, width: int) -> tuple[int, ...]:
     """A ``CharPoly``'s coefficients, constant term first, padded with zeros to ``width``."""
     return tuple(cp.coeffs) + (0,) * (width - len(cp.coeffs))
+
+
+def poly_from_roots(roots) -> tuple[int, ...]:
+    """Ascending coefficients of the product of (t - r) over the roots."""
+    coeffs = [1]
+    for r in roots:
+        shifted = [0] + coeffs
+        coeffs = [c - r * d for c, d in zip(shifted, coeffs + [0])]
+    return tuple(coeffs)
 
 
 def hp(normal, offset=0) -> Hyperplane:
@@ -298,10 +316,8 @@ def affine_solution():
     """
 
     def solve(equations, dim):
-        rows = ()
         try:
-            for a, b in equations:
-                rows = _reduce(rows, _int_row(as_vector(a), as_scalar(b))) or rows
+            rows = fold(equations)
         except _EmptyIntersection:
             return None
         pivots = [_pivot(r) for r in rows]

@@ -39,7 +39,7 @@ from levelarr.regions import (
     level_profile,
 )
 
-from conftest import padded as _padded
+from conftest import padded as _padded, poly_from_roots
 
 SIGN_ENUM_MAX_HYPERPLANES = 12
 FF_AGREEMENTS_REQUIRED = 2
@@ -141,18 +141,10 @@ def test_criterion_3_golden_grid(grid_example):
 # ---------------------------------------------------------------------------
 
 
-def _poly_from_roots(roots):
-    coeffs = [1]
-    for r in roots:
-        shifted = [0] + coeffs
-        coeffs = [c - r * d for c, d in zip(shifted, coeffs + [0])]
-    return tuple(coeffs)
-
-
 def test_criterion_4_coxeter_base_cases():
     for n in range(2, 6):
         arr = make_cox_a(n)
-        assert char_poly(arr).coeffs == _poly_from_roots(range(n))
+        assert char_poly(arr).coeffs == poly_from_roots(range(n))
         regions = enumerate_regions(arr)
         expected = 1
         for k in range(2, n + 1):
@@ -161,7 +153,7 @@ def test_criterion_4_coxeter_base_cases():
         assert all(r.level == n for r in regions)
     for n in range(1, 5):
         arr = make_cox_b(n)
-        assert char_poly(arr).coeffs == _poly_from_roots(
+        assert char_poly(arr).coeffs == poly_from_roots(
             [2 * j - 1 for j in range(1, n + 1)]
         )
         regions = enumerate_regions(arr)

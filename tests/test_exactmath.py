@@ -23,16 +23,7 @@ from levelarr.exactmath import (
     _step,
 )
 
-from conftest import _EmptyIntersection, _pivot, _reduce, _strict_row, dot
-
-
-def fold(equations):
-    """Canonical system of ``a . x = b`` equations, folded in the given order
-    by the tests' reference ``_reduce``."""
-    system = ()
-    for a, b in equations:
-        system = _reduce(system, _int_row(as_vector(a), as_scalar(b))) or system
-    return system
+from conftest import _EmptyIntersection, _pivot, _strict_row, dot, fold
 
 
 def rank(rows):

@@ -21,15 +21,7 @@ from levelarr.arrangement import (
 from levelarr.exactmath import _rank, _step
 from levelarr.poset import CharPoly, _bits, char_poly
 
-from conftest import _EmptyIntersection, _reduce, build_poset, canonical_rows, dot, eighths_a5, eighths_b4, hp, padded, skew_r3
-
-
-def poly_from_roots(roots) -> tuple[int, ...]:
-    coeffs = [1]
-    for r in roots:
-        shifted = [0] + coeffs
-        coeffs = [c - r * d for c, d in zip(shifted, coeffs + [0])]
-    return tuple(coeffs)
+from conftest import _EmptyIntersection, _reduce, build_poset, canonical_rows, dot, eighths_a5, eighths_b4, hp, padded, poly_from_roots, skew_r3
 
 
 def containing(flat) -> frozenset[int]:

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,17 @@ def self_mirror_bands() -> Arrangement:
         for normal in ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
         for offset in (0, 1)
     ])
+
+
+def coprime_b3() -> Arrangement:
+    """A type B deformation in R^3 whose offsets' denominators have lcm 840, not a power of two."""
+    F = Fraction
+    return make_deformation_b(
+        3,
+        {1: [F(1, 3)], 2: [F(-2, 5)], 3: [F(3, 7)]},
+        {(1, 2): [F(1, 8)], (1, 3): [F(-1, 3)], (2, 3): [F(2, 5), F(-1, 7)]},
+        {(1, 2): [F(-3, 8)], (1, 3): [F(1, 5)], (2, 3): [F(1, 3)]},
+    )
 
 
 class TestEnumerateRegions:
@@ -271,7 +283,7 @@ class TestEngineCrossCheck:
         ids=["extra_region", "swapped_regions"],
     )
     def test_closure_walk_streaming_a_fault_raises(self, monkeypatch, fault):
-        # The two walks stream side by side: a region the closure walk adds
+        # The two walks run side by side: a region the closure walk adds
         # past the LP walk's last one, or two regions it lists out of order,
         # must raise as a dropped region does.
         arr = random_deformation_b(3, random.Random(11))
@@ -279,6 +291,34 @@ class TestEngineCrossCheck:
         monkeypatch.setattr(regions_module, "_closure_walk", lambda _: iter(fault(walk)))
         with pytest.raises(ArithmeticError, match="different regions"):
             enumerate_regions(arr)
+
+    def test_extra_region_raises_under_a_plain_zip(self, monkeypatch):
+        # The check belongs to ``_levels``, not to its caller: a zip that
+        # stops at the last leaf still sees the extra region raise.
+        arr = random_deformation_b(3, random.Random(11))
+        walk = list(_closure_walk(arr))
+        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: iter(walk + [walk[-1]]))
+        leaves = list(_lp_walk(arr))
+        with pytest.raises(ArithmeticError, match="different regions"):
+            list(zip(leaves, regions_module._levels(arr, leaves)))
+
+    def test_no_region_built_before_the_check(self, monkeypatch):
+        # A region dropped from the closure walk raises before any Region
+        # is built, though the hundred regions ahead of it match.
+        arr = random_deformation_b(3, random.Random(11))
+        walk = list(_closure_walk(arr))
+        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: iter(walk[:100] + walk[101:]))
+        built = []
+        real = regions_module.Region
+
+        def region(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(regions_module, "Region", region)
+        with pytest.raises(ArithmeticError, match="different regions"):
+            enumerate_regions(arr)
+        assert built == []
 
 
 def _walks(arr):
@@ -399,6 +439,16 @@ class TestClosureWalk:
             sum(r.level == k for r in enumerate_regions(arr)) for k in range(7)
         )
 
+    def test_coprime_denominators(self):
+        # Thirds, fifths, sevenths and eighths: the offsets share the scale
+        # 840, which no single denominator reaches.
+        arr = coprime_b3()
+        assert arr.kind is Kind.TYPE_B
+        assert lcm(*(h.offset.denominator for h in arr.hyperplanes)) == 840
+        got, ref = _walks(arr)
+        assert got == ref
+        assert len(got) == 146
+
     def test_empty_and_zero_dimensional(self):
         assert list(_closure_walk(Arrangement(3, []))) == [((), 3)]
         assert list(_closure_walk(Arrangement(0, []))) == [((), 0)]
@@ -419,6 +469,11 @@ class TestClosureWalkLevels:
     def test_self_mirror_bands(self):
         # Inside all four bands +1 is linked to -1: its component is its own mirror.
         arr = self_mirror_bands()
+        for signs, level in _closure_walk(arr):
+            assert level == _lp_level(arr, signs)
+
+    def test_coprime_denominators(self):
+        arr = coprime_b3()
         for signs, level in _closure_walk(arr):
             assert level == _lp_level(arr, signs)
 
