@@ -54,6 +54,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, neg
 from typing import Optional, Sequence, Union
 
 Vector = tuple[Union[int, Fraction], ...]
@@ -177,10 +178,13 @@ class _IntTableau:
 
     Pivoting is fraction-free: every entry stays a subdeterminant of the
     starting integer dictionary, so the division by the old denominator is
-    exact (Bareiss).  Bland's rule (1977) picks the eligible variable with
-    the smallest label, both to enter and to leave, so the simplex cannot
-    cycle.  A free variable enters in whichever direction improves the
-    objective and, once basic, never leaves.
+    exact (Bareiss).  ``pivot`` folds the pivot row's sign in once, so the
+    new denominator is the pivot's absolute value; a row with 0 in the pivot
+    column is only rescaled, and left untouched when that rescaling is by 1.
+    Bland's rule (1977) picks the eligible variable with the smallest label,
+    both to enter and to leave, so the simplex cannot cycle.  A free variable
+    enters in whichever direction improves the objective and, once basic,
+    never leaves.
     """
 
     def __init__(self, rows: list[list[int]], free: int):
@@ -192,22 +196,35 @@ class _IntTableau:
         self.free = free
 
     def pivot(self, r: int, c: int) -> None:
-        """Exchange the basic variable of row r with the nonbasic one of column c."""
+        """Exchange the basic variable of row r with the nonbasic one of column c.
+
+        The pivot row's sign is folded in once.  With ``p`` the pivot's
+        absolute value, ``s`` its sign and ``w`` the pivot row times ``s``,
+        an entry ``v`` of another row becomes ``(v * p - f * w) // d``, where
+        ``f`` is that row's pivot-column entry and ``d`` the old denominator;
+        the pivot-column entry itself becomes ``s * f``, and ``p`` is the new
+        denominator.  A row with ``f = 0`` is only rescaled, to
+        ``v * p // d``, and skipped when ``p == d``.
+        """
         rows, d = self.rows, self.den
         prow = rows[r]
         p = prow[c]
-        s = 1 if p > 0 else -1
+        if p > 0:
+            s, out = 1, [-w for w in prow]
+        else:  # the new pivot row is the old one, reused; the update reads its negation
+            s, p, out, prow = -1, -p, prow, [-w for w in prow]
         for i, row in enumerate(rows):
             f = row[c]
-            if i == r or (f == 0 and s * p == d):
-                continue  # such a row comes out of the update unchanged
-            new = [s * (v * p - f * w) // d for v, w in zip(row, prow)]
-            new[c] = s * f
-            rows[i] = new
-        new = [-s * w for w in prow]
-        new[c] = s * d
-        rows[r] = new
-        self.den = s * p
+            if not f:
+                if p != d:
+                    rows[i] = [v * p // d for v in row]
+            elif i != r:
+                new = [(v * p - f * w) // d for v, w in zip(row, prow)]
+                new[c] = s * f
+                rows[i] = new
+        out[c] = s * d
+        rows[r] = out
+        self.den = p
         self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
 
     def minimize(self, obj_index: int, below: Optional[int] = None) -> Optional[tuple[int, int]]:
@@ -224,25 +241,22 @@ class _IntTableau:
             cost = rows[obj_index]
             if below is not None and cost[-1] < below * self.den:
                 return None
-            enter, sign = -1, 0
-            for j, c in enumerate(cost[:-1]):
-                if (c < 0 or (c > 0 and cols[j] < free)) and (enter < 0 or cols[j] < cols[enter]):
-                    enter, sign = j, 1 if c < 0 else -1
+            enter, label = -1, len(cols) + len(rows)  # above every label
+            for j, (col, a) in enumerate(zip(cols, cost)):  # zip drops the constant
+                if a and col < label and (a < 0 or col < free):
+                    enter, label = j, col
             if enter < 0:
                 return None
-            leave, num, den = -1, 0, 0
-            for i, row in enumerate(rows):
-                coef = -sign * row[enter]  # how fast x[basis[i]] falls
-                if coef <= 0 or i == obj_index or basis[i] < free:
-                    continue
-                if (
-                    leave < 0
-                    or row[-1] * den < num * coef
-                    or (row[-1] * den == num * coef and basis[i] < basis[leave])
-                ):
-                    leave, num, den = i, row[-1], coef
+            up = cost[enter] < 0  # the entering variable rises; rows with a < 0 fall
+            leave, num, den = -1, 0, 1
+            for i, (row, basic) in enumerate(zip(rows, basis)):
+                a = row[enter]
+                if a and (a < 0) == up and basic >= free and i != obj_index:
+                    a, b = abs(a), row[-1]  # x[basic] falls at rate a from b
+                    if leave < 0 or b * den < num * a or (b * den == num * a and basic < basis[leave]):
+                        leave, num, den = i, b, a
             if leave < 0:
-                return enter, sign
+                return enter, 1 if up else -1
             self.pivot(leave, enter)
 
 
@@ -250,8 +264,12 @@ IntPoint = tuple[int, ...]  # (X_1, ..., X_n, L) meaning X / L, L > 0, gcd 1
 
 
 def _slack(row: Sequence[int], point: IntPoint) -> int:
-    """``c . X - r * L`` for the row ``(c, r)``: L times ``c . x - r`` at x = X / L."""
-    return sum(c * x for c, x in zip(row[:-1], point)) - row[-1] * point[-1]
+    """``c . X - r * L`` for the row ``(c, r)``: L times ``c . x - r`` at x = X / L.
+
+    One dot product of the whole row with the whole point gives
+    ``c . X + r * L``; the offset term is then taken off twice.
+    """
+    return sum(map(mul, row, point)) - 2 * row[-1] * point[-1]
 
 
 def _feasible_system(
@@ -283,10 +301,9 @@ def _feasible_system(
     if h < 0:
         return point
     dim = len(point) - 1
-    tab = _IntTableau(
-        [list(r[:dim]) + [_slack(r, point)] for r in rows] + [[-c for c in row[:dim]] + [0]],
-        dim,
-    )
+    objective = list(map(neg, row))
+    objective[-1] = 0
+    tab = _IntTableau([[*r[:dim], _slack(r, point)] for r in rows] + [objective], dim)
     obj = len(rows)
     ray = tab.minimize(obj, -h)
     cost = tab.rows[obj]
@@ -331,26 +348,23 @@ def cone_span_dimension(rows, *, dim: int) -> int:
     seen = set(rows)
 
     implicit: list[tuple[int, ...]] = []  # the rows that hold with equality
-    t_col: dict[int, int] = {}  # row index -> label (and column) of its t_i
+    lp_rows: list[int] = []  # index of each row with a t_i, in the order of the t columns
     for i, lhs in enumerate(rows):
-        if tuple(-c for c in lhs) in seen:
+        if tuple(map(neg, lhs)) in seen:
             implicit.append(lhs)
         else:
-            t_col[i] = dim + len(t_col)
-    if not t_col:
+            lp_rows.append(i)
+    if not lp_rows:
         return dim - _rank(implicit)
 
     # Dictionary over the nonbasic d (free) and t: s_i = r_i.d - t_i (no t_i
     # for a paired row), q_i = 1 - t_i, and the objective -sum t_i.  The
     # origin is feasible, so the slack basis starts the simplex: no phase 1.
-    k = len(t_col)
-    tab_rows = []
-    for i, lhs in enumerate(rows):
-        line = list(lhs) + [0] * (k + 1)
-        if i in t_col:
-            line[t_col[i]] = -1
-        tab_rows.append(line)
-    for c in t_col.values():
+    k = len(lp_rows)
+    tail = [0] * (k + 1)
+    tab_rows = [[*lhs, *tail] for lhs in rows]
+    for c, i in enumerate(lp_rows, dim):
+        tab_rows[i][c] = -1
         line = [0] * (dim + k + 1)
         line[c], line[-1] = -1, 1
         tab_rows.append(line)
@@ -359,7 +373,7 @@ def cone_span_dimension(rows, *, dim: int) -> int:
     tab.minimize(len(tab_rows) - 1)
 
     value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
-    for i, c in t_col.items():
+    for c, i in enumerate(lp_rows, dim):
         t = value.get(c, 0)
         if t == 0:
             implicit.append(rows[i])

@@ -20,10 +20,11 @@ from levelarr.exactmath import (
     _int_row,
     _normalize,
     _rank,
+    _slack,
     _step,
 )
 
-from conftest import _EmptyIntersection, _pivot, _strict_row, dot, fold
+from conftest import _EmptyIntersection, _pivot, _strict_row, dot, fold, skew_r3
 
 
 def rank(rows):
@@ -377,6 +378,76 @@ class TestIntTableau:
             tab.pivot(r, c)
             assert tab.den > 0
             assert [[Fraction(v, tab.den) for v in row] for row in tab.rows] == exact
+
+
+def _pivot_log(monkeypatch):
+    """The ``(leaving label, entering label)`` of every ``_IntTableau.pivot``, in order."""
+    log = []
+    pivot = _IntTableau.pivot
+
+    def spy(self, r, c):
+        log.append((self.basis[r], self.cols[c]))
+        pivot(self, r, c)
+
+    monkeypatch.setattr(_IntTableau, "pivot", spy)
+    return log
+
+
+# Three regions of ``skew_r3`` by sign string, their levels, and the pivots
+# Bland's rule takes on their cone-span LPs.  Labels 0-2 are d; then come
+# the t columns, one slack per distinct row, the q rows and the objective.
+SKEW_R3_CONE_PIVOTS = [
+    ("++--+-++--+", 0, [(9, 3), (10, 0), (12, 1), (15, 2), (16, 4), (13, 5), (14, 6)]),
+    ("+++-+++---+", 1, [(8, 3), (10, 0), (13, 1), (17, 2), (18, 4), (14, 5), (15, 6), (16, 7), (20, 8), (19, 15)]),
+    ("+++++++++++", 3, [
+        (10, 3), (17, 0), (18, 4), (12, 5), (11, 1), (15, 2), (13, 6), (14, 7),
+        (5, 8), (23, 9), (20, 10), (10, 11), (21, 5), (19, 10), (22, 13),
+    ]),
+]
+
+
+class TestBlandSequence:
+    """Which pivots Bland's rule takes, pinned: a faster kernel must take the
+    same ones, so every witness and level stays the same."""
+
+    @pytest.mark.parametrize("signs, level, pivots", SKEW_R3_CONE_PIVOTS, ids=["level0", "level1", "level3"])
+    def test_cone_span(self, monkeypatch, signs, level, pivots):
+        arr = skew_r3()
+        cone = [_strict_row(h.normal, 1 if s == "+" else -1) for h, s in zip(arr.hyperplanes, signs)]
+        log = _pivot_log(monkeypatch)
+        assert cone_span_dimension(cone, dim=arr.dim) == level
+        assert log == pivots
+
+    def test_quadrant_ray(self, monkeypatch):
+        # x + y > 10 from (1, 1) in the open quadrant: a ray before any pivot.
+        log = _pivot_log(monkeypatch)
+        assert _feasible_system([(1, 0, 0), (0, 1, 0)], (1, 1, 1), (1, 1, 10)) == (19, 2, 2)
+        assert log == []
+
+    def test_degenerate_ratio_tie(self, monkeypatch):
+        # Raising x from (1, 1) meets 2x - y < 3 and x < 2 at once: Bland's
+        # rule lets the smaller label leave, then y enters on a degenerate
+        # pivot.  x > 5 is out of reach.
+        log = _pivot_log(monkeypatch)
+        assert _feasible_system([(0, 1, 0), (-2, 1, -3), (-1, 0, -2)], (1, 1, 1), (1, 0, 5)) is None
+        assert log == [(3, 0), (4, 1)]
+
+
+_big = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
+
+
+class TestSlack:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rational_value(self, data):
+        # L * (c . x - r) at x = X / L, for rows and points with negative and
+        # multi-word entries; the point need not be in lowest terms.
+        n = data.draw(st.integers(0, 5))
+        row = tuple(data.draw(st.lists(_big, min_size=n + 1, max_size=n + 1)))
+        scale = data.draw(st.one_of(st.integers(1, 9), st.integers(1, 2**130)))
+        point = tuple(data.draw(st.lists(_big, min_size=n, max_size=n))) + (scale,)
+        x = [Fraction(v, scale) for v in point[:-1]]
+        assert _slack(row, point) == scale * (sum((c * v for c, v in zip(row, x)), Fraction(0)) - row[-1])
 
 
 @st.composite

@@ -121,3 +121,19 @@ def test_one_level_engine_choice():
     # ``regions._levels`` is the one place a level engine is chosen: no other
     # code runs the closure walk or the cone-span LP.
     assert _callers(_trees(), {"_closure_walk", "cone_span_dimension"}) == {"regions.py: _levels"}
+
+
+def test_one_feasibility_engine():
+    # ``_IntTableau`` is the one LP engine: no other code defines a pivot or
+    # a simplex loop, and only the split test and the cone-span LP build a
+    # tableau.  A new LP extends it rather than forking it.
+    trees = _trees()
+    defs = sorted(
+        f"{module}: {getattr(top, 'name', '<module>')}.{node.name}"
+        for module, tree in trees.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, METHODS) and node.name in {"pivot", "minimize"}
+    )
+    assert defs == ["exactmath.py: _IntTableau.minimize", "exactmath.py: _IntTableau.pivot"]
+    assert _callers(trees, {"_IntTableau"}) == {"exactmath.py: _feasible_system", "exactmath.py: cone_span_dimension"}
