@@ -21,12 +21,15 @@ the rank of a recession cone's implicit equalities in ``cone_span_dimension``.
 The LP engine is ``_IntTableau``: a fraction-free simplex dictionary with
 free variables and Bland's rule, always started from a feasible slack basis,
 so there is no phase 1 and no artificial variable.  It decides every split
-test of ``regions``' LP walk, which lists the regions of
-``enumerate_regions`` and of level profiles on input without Coxeter forms.
-For Coxeter-form normals ``regions`` has a second engine on the same
-depth-first walk, a shortest-path closure walk.  ``regions._levels`` alone
-chooses, for each region, whether its level comes from that walk or from
-``cone_span_dimension``.
+test of ``regions``' LP walk, which lists the regions of every arrangement
+that is not a type B deformation and counts the levels of every
+arrangement without Coxeter forms.  For Coxeter-form normals ``regions``
+has a second engine on the same depth-first walk, a shortest-path closure
+walk, which lists type B deformations with no LP.  ``regions._leaves``
+alone chooses the engine, and whether a level comes from that walk or from
+``cone_span_dimension``.  Every listing is checked by integer facts alone:
+``_slack`` of each witness against each of its region's rows, sign order,
+and Zaslavsky's count from the poset.
 
 A strict system is decided incrementally, one row at a time (Rada & Černý
 2018): the witness of the rows so far is strictly inside them, so

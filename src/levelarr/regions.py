@@ -1,5 +1,5 @@
-"""Region enumeration with exact witnesses, levels via recession cones, and
-witness-free level profiles by shortest-path closures.
+"""Certified region listings with exact witnesses, levels via recession
+cones or shortest-path closures, and witness-free level profiles.
 
 Regions are the leaves of one depth-first walk of the sign tree, ``_walk``:
 a node at depth i is a nonempty region of hyperplanes 0..i-1, and it tries
@@ -33,29 +33,36 @@ lands.  An edge u -> v reads d_u >= d_v, and the + side of a hyperplane is
 the edge ``Hyperplane.form()`` names: (i, 0) for x_i, (i, j) for x_i - x_j,
 (i, -j) for x_i + x_j.  ``_closure_walk`` is the same walk with each node
 carrying the integer shortest-path closure of that digraph in place of a
-witness, so split tests are table lookups.  The region's recession
-cone is cut out by d_u >= d_v along the same edges, and its span has one
-dimension per pair C != -C of strongly connected components with 0 not in
-C (the type B analogue of braid cones as preposets; Postnikov, Reiner &
-Williams, Doc. Math. 2008).  ``_reach_level`` counts those pairs off the
-closure, the one level rule for signed digraphs.
+witness, so split tests are table lookups; a listed leaf reads its witness
+off the closure's potentials, in the same integer form.  The region's
+recession cone is cut out by d_u >= d_v along the same edges, and its span
+has one dimension per pair C != -C of strongly connected components with 0
+not in C (the type B analogue of braid cones as preposets; Postnikov,
+Reiner & Williams, Doc. Math. 2008).  ``_reach_level`` counts those pairs
+off the closure, the one level rule for signed digraphs.
 
-``_levels`` is the one place that picks a level engine, the closure walk
-or one cone-span LP per region, for both ``enumerate_regions``, which lists
-the LP walk's leaves and builds each ``Region``, and ``level_profile``,
-which counts the levels (r_0, ..., r_n) as they stream past and holds no
-region list.
+``_leaves`` is the one place that picks the engines, for both
+``enumerate_regions`` and ``level_profile``: the closure walk alone, or the
+LP walk with one cone-span LP per region.  ``enumerate_regions`` lists a
+type B deformation off the closure walk and every other arrangement off the
+LP walk, and ``_certify`` checks every listing with no split engine before
+any ``Region`` is built: each witness strictly inside its region, the sign
+vectors strictly in sign order, and as many regions as Zaslavsky's count
+(-1)^n chi(-1) from the poset.  ``level_profile`` counts the levels
+(r_0, ..., r_n) as they stream past, takes the closure walk whenever every
+hyperplane has a Coxeter form, and holds no region list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import lcm
-from typing import Iterator, NamedTuple
+from itertools import pairwise
+from math import gcd, lcm
+from typing import Iterator, NamedTuple, Optional
 
 from .arrangement import Arrangement, Kind
 from .exactmath import IntPoint, Vector, _feasible_system, _slack, cone_span_dimension
+from .poset import char_poly
 
 
 class Region(NamedTuple):
@@ -170,8 +177,8 @@ def _lp_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], IntPoint]]:
     return _walk((0,) * arr.dim + (1,), side, len(signed))
 
 
-def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Sign vectors and levels ``(signs, level)`` of all regions, in ``enumerate_regions``' order.
+def _closure_walk(arr: Arrangement, witnesses: bool) -> Iterator[tuple[tuple[int, ...], Optional[IntPoint], int]]:
+    """``(signs, witness, level)`` of all regions, in sign order; the witness is None unless asked for.
 
     Every hyperplane must have a Coxeter form.  Only the m coordinates that
     some form names are walked, relabelled 1..m in order; each other
@@ -188,6 +195,17 @@ def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
     The two sides' weights sum to -2, so when the + side is implied the
     - side's first emptiness test fails at once.  ``_reach_level`` reads
     each leaf's level off its closure as the leaves stream past.
+
+    A leaf's witness comes from the potentials of a virtual source,
+    pi(v) = min_u dist[u][v], the smallest entry of column v (dist[v][v] is
+    0, so it is finite).  Every edge u -> v of weight w in the closure holds
+    pi(v) <= pi(u) + w, and so does its mirror -v -> -u; adding the two
+    bounds D_v - D_u by w for D_v = (pi(v) - pi(-v)) / 2, which is odd in v
+    and 0 at node 0.  Each w is K*C - 1 < K*C, so x = D / (L*K) satisfies
+    every sign strictly: coordinate c of node a is
+    (pi(+a) - pi(-a)) / (2*L*K), and a coordinate no form names is 0.  It
+    is the integer point ``(X, 2*L*K)`` divided by its gcd, the form
+    ``_lp_walk`` carries.
     """
     named = sorted({abs(c) for h in arr.hyperplanes for c in h.form()} - {0})
     node = {0: 0}
@@ -215,65 +233,86 @@ def _closure_walk(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], int]]:
         return _tighten(_tighten(dist, u, v, w, big), -v, -u, w, big)
 
     root = [[0 if a == b else inf for b in range(size)] for a in range(size)]
+    x = [0] * arr.dim + [2 * scale * k]
     for signs, dist in _walk(root, side, len(edges)):
-        yield signs, _reach_level(dist, inf, m) + arr.dim - m
+        witness = None
+        if witnesses:
+            pi = list(map(min, zip(*dist)))
+            for a, c in enumerate(named, 1):
+                x[c - 1] = pi[a] - pi[-a]
+            g = gcd(*x)
+            witness = tuple(v // g for v in x)
+        yield signs, witness, _reach_level(dist, inf, m) + arr.dim - m
 
 
-def _levels(arr: Arrangement, leaves=None) -> Iterator[int]:
-    """Level of each region, in sign order: the one place a level engine is chosen.
+def _leaves(arr: Arrangement, listing: bool) -> Iterator[tuple[tuple[int, ...], Optional[IntPoint], int]]:
+    """``(signs, witness, level)`` of every region, in sign order: the one place an engine is chosen.
 
-    ``leaves`` are the ``(signs, witness)`` leaves of ``_lp_walk`` that
-    ``enumerate_regions`` lists; ``level_profile`` passes none.  With no
-    leaves and a Coxeter form on every hyperplane, ``_closure_walk`` alone
-    gives the levels, with no LP.  On the leaves of a type B deformation
-    ``_closure_walk`` gives every level, and its sign vectors must equal the
-    leaves' in order, so two independent split engines check each other's
-    regions: a missing, extra or reordered region raises ``ArithmeticError``
-    before any level is yielded, whatever the caller zips, and only the
-    levels are held.  Every other region takes one cone-span LP over its
-    signed normal rows, read off its signs as ``_lp_walk`` reads the split
-    test's rows, from the given leaves or from a fresh ``_lp_walk`` streamed
-    with no list held.
+    ``enumerate_regions`` asks for a listing, ``level_profile`` for levels
+    alone.  A listing of a type B deformation, and the levels of any
+    arrangement whose hyperplanes all have Coxeter forms, come from
+    ``_closure_walk``, which builds witnesses for a listing only.  Every
+    other region is a leaf of ``_lp_walk`` with one cone-span LP over its
+    signed normal rows for its level, read off its signs as the split test
+    reads its rows.  A listing runs all its split tests before any level
+    LP, because interleaving the two kinds of LP made enumeration 2-5%
+    slower on the type A benchmark documents; levels alone stream off the
+    walk with no list held.
     """
-    if leaves is None and all(h.form() is not None for h in arr.hyperplanes):
-        yield from (level for _, level in _closure_walk(arr))
-    elif leaves is not None and arr.kind is Kind.TYPE_B:
-        levels = []
-        for (signs, _), (walked, level) in zip_longest(leaves, _closure_walk(arr), fillvalue=(None, None)):
-            if signs != walked:
-                raise ArithmeticError("the closure walk and the LP walk found different regions")
-            levels.append(level)
-        yield from levels
-    else:
-        sides = [(h.normal, tuple(-c for c in h.normal)) for h in arr.hyperplanes]
-        for signs, _ in _lp_walk(arr) if leaves is None else leaves:
-            yield cone_span_dimension([pm[t < 0] for pm, t in zip(sides, signs)], dim=arr.dim)
+    if (arr.kind is Kind.TYPE_B) if listing else all(h.form() is not None for h in arr.hyperplanes):
+        return _closure_walk(arr, listing)
+    sides = [(h.normal, tuple(-c for c in h.normal)) for h in arr.hyperplanes]
+    walk = list(_lp_walk(arr)) if listing else _lp_walk(arr)
+    return (
+        (signs, witness, cone_span_dimension([pm[t < 0] for pm, t in zip(sides, signs)], dim=arr.dim))
+        for signs, witness in walk
+    )
+
+
+def _certify(arr: Arrangement, leaves: list) -> None:
+    """Check a region listing, whichever engine made it; raise ``ArithmeticError`` naming the first fact that fails.
+
+    Every witness lies strictly inside its region: the ``_slack`` of each
+    hyperplane's row, negated on the - side, is positive, so each listed
+    region exists.  The sign vectors decrease strictly as tuples, which for
+    entries +-1 is sign order, + before -, so no region is listed twice.
+    Their number is (-1)^n chi(-1), Zaslavsky's count, so none is missing.
+    chi comes from the poset, which shares no code with either walk: a
+    checker far simpler than the engines it checks (McConnell, Mehlhorn,
+    Näher & Schweitzer, "Certifying algorithms", Comp. Sci. Rev. 5, 2011).
+    """
+    signed = [(h.row, tuple(-c for c in h.row)) for h in arr.hyperplanes]
+    for signs, witness, _ in leaves:
+        for i, (pm, s) in enumerate(zip(signed, signs)):
+            if _slack(pm[s < 0], witness) <= 0:
+                raise ArithmeticError(f"the witness of region {signs} is not strictly inside hyperplane {i}")
+    for (before, _, _), (after, _, _) in pairwise(leaves):
+        if before <= after:
+            raise ArithmeticError(f"the regions {before} and {after} are not strictly in sign order")
+    expected = (-1) ** arr.dim * char_poly(arr).evaluate(-1)
+    if len(leaves) != expected:
+        raise ArithmeticError(f"{len(leaves)} regions listed, but (-1)^n chi(-1) = {expected}")
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """All regions of the arrangement, sorted by sign vector (+ before -).
 
-    The regions are the leaves of ``_lp_walk``, the depth-first walk of the
-    sign tree that tries each node's + side before its - side, so they come
-    out in sign order without a sort, and only one pending side per depth is
-    held while the walk runs.  Their levels come from ``_levels``.
+    The regions are the leaves of ``_leaves``' listing, which come out of
+    the depth-first walk of the sign tree in sign order without a sort.
+    ``_certify`` checks the listing before any ``Region`` is built.
     """
-    # The split tests run before any level LP: interleaving the two kinds of
-    # LP made enumeration 2-5% slower on the type A benchmark documents.
-    leaves = list(_lp_walk(arr))
-    return tuple(
-        Region(signs, tuple(Fraction(v, scale) for v in x), level)
-        for (signs, (*x, scale)), level in zip(leaves, _levels(arr, leaves), strict=True)
-    )
+    leaves = list(_leaves(arr, listing=True))
+    _certify(arr, leaves)
+    return tuple(Region(signs, tuple(Fraction(v, scale) for v in x), level) for signs, (*x, scale), level in leaves)
 
 
 def level_profile(arr: Arrangement) -> tuple[int, ...]:
     """Counts (r_0, ..., r_n) of regions by level: r_k regions have level k.
 
-    The levels of ``_levels`` are counted as they stream past, so no region
-    list is held and no ``Region`` is built.
+    The levels of ``_leaves`` are counted as they stream past, so no region
+    list is held, no ``Region`` is built and no closure witness is found.
     """
     counts = [0] * (arr.dim + 1)
-    for level in _levels(arr):
+    for _, _, level in _leaves(arr, listing=False):
         counts[level] += 1
     return tuple(counts)

@@ -28,6 +28,7 @@ from levelarr.arrangement import (
 from levelarr.cli import build_parser, format_expansion, main
 from levelarr.document import document_of, dumps_document, loads_document
 from levelarr.expansion import BasisKind
+from levelarr.regions import enumerate_regions
 from levelarr.render import render_svg
 
 from conftest import _strict_row, eighths_a5, eighths_b4, skew_r3, unit_offsets_b4
@@ -50,6 +51,8 @@ def run(capsys, *argv):
 
 
 LEVEL_LABEL = re.compile(r'class="level"[^>]*>(\d+)</text>')
+# A region's witness in `levels --regions` JSON and text output, and the position of its SVG level label.
+WITNESSES = re.compile(r'(?<="witness": )\[[^\]]*\]|(?<= witness )\([^)]*\)|(?<=<text class="level") x="[^"]*" y="[^"]*"')
 
 
 def fresh_python(*args):
@@ -234,11 +237,11 @@ class TestLevels:
         walk = regions._closure_walk
         lp_calls = []
 
-        def lp_levels(arr):
+        def lp_levels(arr, witnesses):
             out = []
-            for signs, _ in walk(arr):
+            for signs, witness, _ in walk(arr, witnesses):
                 lp_calls.append(signs)
-                out.append((signs, cone_span_dimension([_strict_row(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)))
+                out.append((signs, witness, cone_span_dimension([_strict_row(h.normal, s) for h, s in zip(arr.hyperplanes, signs)], dim=arr.dim)))
             return out
 
         monkeypatch.setattr(regions, "_closure_walk", lp_levels)
@@ -507,8 +510,8 @@ class TestOutputPins:
         pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=deletion-restriction"), "82b58436140413c8c71e38b3527ced4dad05c871f9ccd80d83428befd1f9febe", "544c4366d515ec460cc9520ef53266c005097e1dcb797f65d73c50339fdd2123", id="cox_b3-deletion_restriction"),
         pytest.param(lambda: make_cox_b(3), ("verify", "--theorem=ff"), "88ad7c98668b8b4fd4bfcd6665fa1f66cbeb0d510ccdca4121436a257a53c196", "c0f821bd2d5eec6a7487412e6167dee76d69c97ccd572b38ab4331b49e42f4e0", id="cox_b3-ff"),
         pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("levels", "--regions"), "d714fcff671cd74ace59c2aa4810b24bbde415942977e8fd61d6843d091b3b25", "839652c325bf9b8875b223eab4f6ef028f5902a72d059e4cc759ec93c6f313a7", id="random_a4_seed7-levels_regions"),
-        pytest.param(lambda: make_cox_b(3), ("levels", "--regions"), "39f25b9a923f81d8f9cca91a1949ba6d9d133ab017ae50c9f49a13cef128243d", "3f4624e3d72af29aff28a0de3841e59e91814ba5db2b437f5bfd31ec025e43c7", id="cox_b3-levels_regions"),
-        pytest.param(lambda: random_deformation_b(3, random.Random(11)), ("levels", "--regions"), "42c782e2fb97571b2794e5c1eec40db1f7af5e6420051a0aa1a9c59bf2fe050a", "962e9e5af46e748e5848850db7280fb8a56c5bb52037b58642075ef0cd153a58", id="random_b3_seed11-levels_regions"),
+        pytest.param(lambda: make_cox_b(3), ("levels", "--regions"), "2e8778d35755618a182c9754f5236b2a0801dd3a8e1bc4b094940a6cf0bf5193", "3e81ce933c5ef78ca34f6601492cdec2e006c9e41ed0b4598c10caf775699ace", id="cox_b3-levels_regions"),
+        pytest.param(lambda: random_deformation_b(3, random.Random(11)), ("levels", "--regions"), "38ee0865b58314da4b09d9294cd06bb6b42dba1b5514733676b1b8f46932287d", "ae165103bc655b3e05502a15831f89d6dd8b9c564b8d6cf776759baa6eb775be", id="random_b3_seed11-levels_regions"),
         pytest.param(lambda: make_m_catalan(3, 1), ("levels", "--regions"), "9a10b7f7e265a60b11afd87f6fc06a526b917b91a58459052783a4492739e9b3", "336c1e68b495cb069af2711eb1d851861a74eb3254dc6aa6216e95e2259d1090", id="m_catalan_3_1-levels_regions"),
         pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), ("verify", "--theorem=A"), "2cf82c6a61b2d58c2bcb912005a30e63f6a9a25c40601ed3ed9f2a3844d88931", "c518c171ec36dad05aa3e9a09ea99780a634e6b15dbe338ec8ecc44b5d53d266", id="random_a4_seed7-A"),
         pytest.param(lambda: make_m_catalan(3, 1), ("verify", "--theorem=A"), "1858e2092bc0351dbc686b9ba9fc07efe4c9629166c24221c575891bced4eeff", "b270a7244ef39aae74669ac518051e7f0e484100201e87c511c0ba1c775030ff", id="m_catalan_3_1-A"),
@@ -520,6 +523,17 @@ class TestOutputPins:
         pytest.param(eighths_b4, ("verify", "--theorem=B"), "8a53c2ec82d92b3bb95bcd67984d59f836d340c83fa2aaa98267f8c2c3a73f06", "f0f44965f55d1efa3c6abc67bc91bf3c032acd78d761f729e36782697c3d5b24", id="eighths_b4-B"),
         pytest.param(unit_offsets_b4, ("verify", "--theorem=ff", "--primes", "4"), "45f36594f214609fac5241e446ee9ec066a449b618013f6ce77a25867513d6a9", "b8612cbb9bfb88042b4fe834193609be1dd6c621a1de367c4f953c708d5591a8", id="unit_offsets_b4-ff_primes_4"),
         pytest.param(lambda: delete(make_cox_b(3), 0), ("verify", "--theorem=zaslavsky"), "4f40ec56ae6dc5f94ec12d18859d343fe0468d385a5a9ea53d12ebe9f404e5ca", "16fbf82e1d15c732926f6e1bd70f0df26ae68911e939825b2330fc8b05068970", id="delete_cox_b3_0-zaslavsky"),
+    ]
+
+    # Type B listings take their witnesses from the closure walk.  Their
+    # output is pinned again with every witness masked (``WITNESSES``), so
+    # sign vectors, levels and order are pinned apart from the witnesses.
+    MASKED = [
+        pytest.param(lambda *_: make_cox_b(3), ("levels", "--regions", "--json"), "bb8074e22ac74ff609fb7f6c990d397a7ff3022999490fa0d2b683dde705ca01", id="cox_b3-levels_regions-json"),
+        pytest.param(lambda *_: make_cox_b(3), ("levels", "--regions"), "62010c58a5eaab3fe5777a09c0a7c2f84eeca100453c8414e69e9fab7950bacf", id="cox_b3-levels_regions-text"),
+        pytest.param(lambda *_: random_deformation_b(3, random.Random(11)), ("levels", "--regions", "--json"), "e965f38395ae1730944b3e17fc0d78e03bded710ed566524c175b3009af3ce8d", id="random_b3_seed11-levels_regions-json"),
+        pytest.param(lambda *_: random_deformation_b(3, random.Random(11)), ("levels", "--regions"), "fcea8a0315507615c8ac4977add2ef09917b2926b37a308db756d3e820aaf698", id="random_b3_seed11-levels_regions-text"),
+        pytest.param(lambda _, example_b: example_b, ("render", "--output", "-"), "19b6c51744c44ccc514488bd90bd99471ee473846b956bfbb6040346de999497", id="example_b-render"),
     ]
 
     @pytest.mark.parametrize("make, argv, json_digest, text_digest", PINNED)
@@ -534,6 +548,13 @@ class TestOutputPins:
         code, out, _ = run(capsys, argv[0], doc_path(make()), *argv[1:])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == text_digest
+
+    @pytest.mark.parametrize("make, argv, digest", MASKED)
+    def test_witness_masked_digest(self, capsys, doc_path, example_a, example_b, make, argv, digest):
+        code, out, _ = run(capsys, argv[0], doc_path(make(example_a, example_b)), *argv[1:])
+        assert code == 0
+        assert len(WITNESSES.findall(out)) == len(enumerate_regions(make(example_a, example_b)))
+        assert hashlib.sha256(WITNESSES.sub("", out).encode()).hexdigest() == digest
 
     def test_incomplete_prime_plan_fails(self, capsys, doc_path):
         # q^7 within the point guard leaves only 3, 5 and 7: the plan is
@@ -567,7 +588,7 @@ class TestOutputPins:
         [
             pytest.param(lambda example_a, _: example_a, "18adfb437876aa1b047883a35115366340baeeeb5586532bed4fd57390f48adc", id="example_a"),
             pytest.param(lambda *_: make_m_catalan(3, 1), "4fb1388ef44147e4c1819a6ca8569caed4be39037131ce9f592e8d02cfef765a", id="m_catalan_3_1"),
-            pytest.param(lambda _, example_b: example_b, "f22d6bd86f6b3fbb99a5cfac6129463ae13575c035303a8d6087289d15d6f472", id="example_b"),
+            pytest.param(lambda _, example_b: example_b, "5fc1ca08ad5db7f56e60cb1aa2e15e3858aa4bda467bd4c0b4d167283f547772", id="example_b"),
         ],
     )
     def test_render_digest(self, capsys, doc_path, example_a, example_b, make, digest):

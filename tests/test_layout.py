@@ -118,9 +118,10 @@ def _callers(trees: dict, names: set) -> set[str]:
 
 
 def test_one_level_engine_choice():
-    # ``regions._levels`` is the one place a level engine is chosen: no other
-    # code runs the closure walk or the cone-span LP.
-    assert _callers(_trees(), {"_closure_walk", "cone_span_dimension"}) == {"regions.py: _levels"}
+    # ``regions._leaves`` is the one place a split engine and a level engine
+    # are chosen: no other code runs the closure walk, the LP walk or the
+    # cone-span LP.
+    assert _callers(_trees(), {"_closure_walk", "_lp_walk", "cone_span_dimension"}) == {"regions.py: _leaves"}
 
 
 def test_one_feasibility_engine():

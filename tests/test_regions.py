@@ -2,7 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -26,11 +26,11 @@ from levelarr.arrangement import (
     random_deformation_b,
     restrict,
 )
-from levelarr.exactmath import _feasible_system, cone_span_dimension
+from levelarr.exactmath import _feasible_system, _slack, cone_span_dimension
 from levelarr.poset import char_poly
 from levelarr.regions import _closure_walk, _lp_walk, enumerate_regions, level_profile
 
-from conftest import _strict_row, hp
+from conftest import _strict_row, hp, skew_r3
 
 
 def general_r4() -> Arrangement:
@@ -168,7 +168,7 @@ class TestTypeALevelOracle:
     reads it off: every type A form is a difference (i, j) with j > 0, so no
     edge meets node 0, which is its own excluded component, and every
     component C of the nodes +i has its own mirror -C.  ``enumerate_regions``
-    takes type A levels from the LP."""
+    takes type A levels from the LP; ``_walks`` compares the walk with it."""
 
     def test_levels_match_strong_components(self):
         rng = random.Random(2024)
@@ -203,14 +203,15 @@ class TestTypeBLevelOracle:
         # arrangement is not type B, so ``enumerate_regions`` takes LP levels.
         arr = self_mirror_bands()
         regions = enumerate_regions(arr)
-        levels = [level for _, level in _closure_walk(arr)]
+        levels = [level for _, _, level in _closure_walk(arr, False)]
         assert levels == [r.level for r in regions]
         assert levels.count(0) == 1
 
     def test_level_routing(self, monkeypatch, example_a, example_b, grid_example):
-        # enumerate_regions: type B takes one closure walk and no LP; type A,
-        # general arrangements and degenerate ones with type B normals only
-        # take one LP per region.  level_profile: the closure walk iff every
+        # enumerate_regions: type B takes one closure walk and no LP walk,
+        # split test or cone-span LP; type A, general arrangements and
+        # degenerate ones with type B normals only take the LP walk and one
+        # LP per region.  level_profile: the closure walk iff every
         # hyperplane's form() is a signed root, with no split test and no LP;
         # otherwise the LP walk and one LP per region, with no Region built.
         calls = dict.fromkeys(("lp", "split", "closure", "lp_walk", "enumerate"), 0)
@@ -233,8 +234,10 @@ class TestTypeBLevelOracle:
         for arr in (example_a, make_cox_a(3), grid_example, degenerate, example_b, make_cox_b(3), skew):
             calls.update(dict.fromkeys(calls, 0))
             count = len(enumerate_regions(arr))
-            lp, closure = (0, 1) if arr.kind is Kind.TYPE_B else (count, 0)
-            assert (calls["lp"], calls["closure"], calls["lp_walk"]) == (lp, closure, 1)
+            if arr.kind is Kind.TYPE_B:
+                assert calls == {"lp": 0, "split": 0, "closure": 1, "lp_walk": 0, "enumerate": 0}
+            else:
+                assert (calls["lp"], calls["closure"], calls["lp_walk"]) == (count, 0, 1)
 
             calls.update(dict.fromkeys(calls, 0))
             assert sum(level_profile(arr)) == count
@@ -246,12 +249,86 @@ class TestTypeBLevelOracle:
                 assert calls["lp"] == count and calls["split"] > 0
 
 
-class TestEngineCrossCheck:
-    """On type B input the LP walk and the closure walk must find the same
-    regions: a region either engine drops is an error, not a smaller answer."""
+def _onto_hyperplane(row, witness, j):
+    """``witness`` with coordinate j moved so that it lies on the hyperplane of ``row``."""
+    a = row[j]
+    point = [v * a for v in witness]
+    point[j] -= _slack(row, witness)
+    return tuple(v if a > 0 else -v for v in point)
+
+
+def _nudged(arr, leaves):
+    """The listing with one witness moved onto one of its region's walls and inside every other side.
+
+    The first region from the middle on with such a move is taken, so only
+    the strictness of the certificate's witness test can catch it.
+    """
+    rows = [h.row for h in arr.hyperplanes]
+    for k in range(len(leaves) // 2, len(leaves)):
+        signs, witness, level = leaves[k]
+        for i, j in product(range(len(rows)), range(arr.dim)):
+            if rows[i][j]:
+                point = _onto_hyperplane(rows[i], witness, j)
+                slacks = [s * _slack(row, point) for row, s in zip(rows, signs)]
+                if slacks[i] == 0 and sum(v > 0 for v in slacks) == len(rows) - 1:
+                    return leaves[:k] + [(signs, point, level)] + leaves[k + 1:]
+    raise AssertionError("no witness can be moved onto a single wall")
+
+
+class TestListingCertificate:
+    """Every region listing is certified before any ``Region`` is built,
+    whichever engine made it: a dropped, repeated or misplaced region, or a
+    witness off its region, is an error, not a different answer."""
+
+    LISTINGS = [
+        pytest.param(lambda: random_deformation_b(3, random.Random(11)), id="closure_type_b"),
+        pytest.param(lambda: random_deformation_a(4, random.Random(7), 2), id="lp_type_a"),
+        pytest.param(skew_r3, id="lp_general"),
+    ]
+
+    FAULTS = [
+        pytest.param(lambda arr, leaves: leaves[:10] + leaves[11:], "chi", id="dropped"),
+        pytest.param(lambda arr, leaves: leaves[:11] + leaves[10:], "sign order", id="duplicated"),
+        pytest.param(lambda arr, leaves: leaves[:10] + [leaves[11], leaves[10]] + leaves[12:], "sign order", id="swapped"),
+        pytest.param(_nudged, "strictly inside", id="nudged_witness"),
+    ]
+
+    @staticmethod
+    def faulty(monkeypatch, fault):
+        real = regions_module._leaves
+
+        def leaves(arr, listing):
+            return fault(arr, list(real(arr, listing)))
+
+        monkeypatch.setattr(regions_module, "_leaves", leaves)
+
+    @pytest.mark.parametrize("fault, fact", FAULTS)
+    @pytest.mark.parametrize("make", LISTINGS)
+    def test_fault_raises(self, monkeypatch, make, fault, fact):
+        arr = make()
+        self.faulty(monkeypatch, fault)
+        with pytest.raises(ArithmeticError, match=fact):
+            enumerate_regions(arr)
+
+    @pytest.mark.parametrize("make", LISTINGS)
+    def test_chi_off_by_one_raises(self, monkeypatch, make):
+        real = regions_module.char_poly
+
+        class OffByOne:
+            def __init__(self, arr):
+                self.chi = real(arr)
+
+            def evaluate(self, t):
+                return self.chi.evaluate(t) + 1
+
+        monkeypatch.setattr(regions_module, "char_poly", OffByOne)
+        with pytest.raises(ArithmeticError, match="chi"):
+            enumerate_regions(make())
 
     def test_lp_walk_dropping_a_region_raises(self, monkeypatch):
-        arr = random_deformation_b(3, random.Random(11))
+        # A split test that wrongly finds a side empty drops every region
+        # below it: the listing is short of chi's count.
+        arr = random_deformation_a(4, random.Random(7), 2)
         found = []
 
         def drops_first_split(rows, witness, row):
@@ -262,52 +339,16 @@ class TestEngineCrossCheck:
             return point
 
         monkeypatch.setattr(regions_module, "_feasible_system", drops_first_split)
-        with pytest.raises(ArithmeticError, match="different regions"):
+        with pytest.raises(ArithmeticError, match="chi"):
             enumerate_regions(arr)
         assert found
 
-    def test_closure_walk_dropping_a_region_raises(self, monkeypatch):
+    @pytest.mark.parametrize("fault, fact", FAULTS)
+    def test_no_region_built_before_the_check(self, monkeypatch, fault, fact):
+        # A fault past the tenth region raises before any Region is built,
+        # though the regions ahead of it are sound.
         arr = random_deformation_b(3, random.Random(11))
-        walk = list(_closure_walk(arr))
-        assert len(walk) == 331
-        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: walk[:100] + walk[101:])
-        with pytest.raises(ArithmeticError, match="different regions"):
-            enumerate_regions(arr)
-
-    @pytest.mark.parametrize(
-        "fault",
-        [
-            lambda walk: walk + [walk[-1]],
-            lambda walk: walk[:100] + [walk[101], walk[100]] + walk[102:],
-        ],
-        ids=["extra_region", "swapped_regions"],
-    )
-    def test_closure_walk_streaming_a_fault_raises(self, monkeypatch, fault):
-        # The two walks run side by side: a region the closure walk adds
-        # past the LP walk's last one, or two regions it lists out of order,
-        # must raise as a dropped region does.
-        arr = random_deformation_b(3, random.Random(11))
-        walk = list(_closure_walk(arr))
-        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: iter(fault(walk)))
-        with pytest.raises(ArithmeticError, match="different regions"):
-            enumerate_regions(arr)
-
-    def test_extra_region_raises_under_a_plain_zip(self, monkeypatch):
-        # The check belongs to ``_levels``, not to its caller: a zip that
-        # stops at the last leaf still sees the extra region raise.
-        arr = random_deformation_b(3, random.Random(11))
-        walk = list(_closure_walk(arr))
-        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: iter(walk + [walk[-1]]))
-        leaves = list(_lp_walk(arr))
-        with pytest.raises(ArithmeticError, match="different regions"):
-            list(zip(leaves, regions_module._levels(arr, leaves)))
-
-    def test_no_region_built_before_the_check(self, monkeypatch):
-        # A region dropped from the closure walk raises before any Region
-        # is built, though the hundred regions ahead of it match.
-        arr = random_deformation_b(3, random.Random(11))
-        walk = list(_closure_walk(arr))
-        monkeypatch.setattr(regions_module, "_closure_walk", lambda _: iter(walk[:100] + walk[101:]))
+        self.faulty(monkeypatch, fault)
         built = []
         real = regions_module.Region
 
@@ -316,14 +357,27 @@ class TestEngineCrossCheck:
             return real(*args)
 
         monkeypatch.setattr(regions_module, "Region", region)
-        with pytest.raises(ArithmeticError, match="different regions"):
+        with pytest.raises(ArithmeticError, match=fact):
             enumerate_regions(arr)
         assert built == []
 
 
+def _strictly_inside(arr, signs, witness) -> bool:
+    return all(_slack(_strict_row(h.row, s), witness) > 0 for h, s in zip(arr.hyperplanes, signs, strict=True))
+
+
 def _walks(arr):
-    """The closure walk's regions beside ``enumerate_regions``' as ``(signs, level)``."""
-    return list(_closure_walk(arr)), [(r.sign_vector, r.level) for r in enumerate_regions(arr)]
+    """The closure walk's listing beside the LP walk's, as ``(signs, level)``.
+
+    The LP walk's levels come from one cone-span LP per region.  Every
+    witness the closure walk lists must lie strictly inside its region.
+    """
+    got = []
+    for signs, witness, level in _closure_walk(arr, True):
+        assert len(witness) == arr.dim + 1 and witness[-1] > 0
+        assert _strictly_inside(arr, signs, witness)
+        got.append((signs, level))
+    return got, [(signs, _lp_level(arr, signs)) for signs, _ in _lp_walk(arr)]
 
 
 _EIGHTHS = st.lists(st.integers(-24, 24), min_size=1, max_size=2, unique=True).map(
@@ -369,10 +423,12 @@ def _coxeter_subsets(draw):
 
 
 class TestClosureWalk:
-    """The closure walk against ``enumerate_regions``: same sign vectors, same
-    order, same levels, on arrangements whose normals all have Coxeter forms.
-    On type B input ``enumerate_regions`` takes its levels from the walk, so
-    ``TestClosureWalkLevels`` checks those against the LP."""
+    """The closure walk against the LP walk: same sign vectors, same order,
+    same levels (each from a cone-span LP), on arrangements whose normals
+    all have Coxeter forms, and every closure witness strictly inside its
+    region.  Type B listings come from the closure walk alone, so these
+    witnesses are the ones ``enumerate_regions`` lists; on other input they
+    are tested ahead of the listing gate."""
 
     @given(_deformations())
     @settings(max_examples=60, deadline=None)
@@ -450,9 +506,12 @@ class TestClosureWalk:
         assert len(got) == 146
 
     def test_empty_and_zero_dimensional(self):
-        assert list(_closure_walk(Arrangement(3, []))) == [((), 3)]
-        assert list(_closure_walk(Arrangement(0, []))) == [((), 0)]
+        # The one region's witness is the origin, (0, 0, 0) / 1 in R^3.
+        assert list(_closure_walk(Arrangement(3, []), True)) == [((), (0, 0, 0, 1), 3)]
+        assert list(_closure_walk(Arrangement(0, []), True)) == [((), (1,), 0)]
+        assert list(_closure_walk(Arrangement(3, []), False)) == [((), None, 3)]
         assert level_profile(Arrangement(0, [])) == (1,)
+        assert [r.witness for r in enumerate_regions(Arrangement(0, []))] == [()]
 
 
 class TestClosureWalkLevels:
@@ -463,18 +522,18 @@ class TestClosureWalkLevels:
     @given(_deformations_b())
     @settings(max_examples=30, deadline=None)
     def test_type_b_deformations(self, arr):
-        for signs, level in _closure_walk(arr):
+        for signs, _, level in _closure_walk(arr, False):
             assert level == _lp_level(arr, signs)
 
     def test_self_mirror_bands(self):
         # Inside all four bands +1 is linked to -1: its component is its own mirror.
         arr = self_mirror_bands()
-        for signs, level in _closure_walk(arr):
+        for signs, _, level in _closure_walk(arr, False):
             assert level == _lp_level(arr, signs)
 
     def test_coprime_denominators(self):
         arr = coprime_b3()
-        for signs, level in _closure_walk(arr):
+        for signs, _, level in _closure_walk(arr, False):
             assert level == _lp_level(arr, signs)
 
     def test_pair_joined_through_a_mirror_node(self):
@@ -482,7 +541,7 @@ class TestClosureWalkLevels:
         # node 2 shares no component with node 1, only with its mirror -1,
         # so 2 belongs to 1's pair through the test of 1 against -2.
         arr = Arrangement(2, [hp((1, 1), 0), hp((1, 1), 1)])
-        walk = list(_closure_walk(arr))
+        walk = [(signs, level) for signs, _, level in _closure_walk(arr, False)]
         assert walk == [((1, 1), 2), ((1, -1), 1), ((-1, -1), 2)]
         assert [level for _, level in walk] == [_lp_level(arr, signs) for signs, _ in walk]
 
@@ -521,6 +580,30 @@ class TestLevelProfile:
             tracemalloc.stop()
         assert profile == (0,) * n + (4,)
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "make, closure",
+        [(lambda: random_deformation_b(3, random.Random(11)), True), (skew_r3, False)],
+        ids=["closure", "lp"],
+    )
+    def test_builds_no_witness_and_no_chi(self, monkeypatch, make, closure):
+        # Only a listing is certified: the profile finds no closure witness
+        # and computes no chi, on either engine.
+        walk = regions_module._closure_walk
+        witnesses = []
+
+        def recorded(arr, want):
+            for leaf in walk(arr, want):
+                witnesses.append(leaf[1])
+                yield leaf
+
+        def no_chi(arr):
+            raise AssertionError("level_profile computed chi")
+
+        monkeypatch.setattr(regions_module, "_closure_walk", recorded)
+        monkeypatch.setattr(regions_module, "char_poly", no_chi)
+        profile = level_profile(make())
+        assert witnesses == ([None] * sum(profile) if closure else [])
 
     def test_walk_holds_no_region_list(self):
         # The depth-first walk keeps one closure per depth, not one per live
@@ -673,8 +756,6 @@ class TestExhaustiveOracle:
     def test_pruned_walk_equals_flat_enumeration(self, example_b, grid_example, strict_witness, feasible_sign_vectors):
         # The prefix-pruned walk must coincide with testing all 2^m sign
         # vectors one by one, each as a fresh strict system.
-        from itertools import product
-
         for arr in (example_b, grid_example):
             flat = set()
             for signs in product((1, -1), repeat=len(arr)):
@@ -708,21 +789,31 @@ class TestWitnessPins:
         ]
 
     @pytest.mark.parametrize(
-        "make, digest",
+        "make, digest, masked",
         [
-            (lambda: make_cox_b(3), "a21aad34e0fb79ef06bcd678c6a33fdf4d2b426acec15feef74173ca7e8e1100"),
+            # Type B witnesses come from the closure walk's potentials.
+            (
+                lambda: make_cox_b(3),
+                "598bbd010c157c396ab32ee74649ea72d1c4074088472fca3e47cd1ec1b4980c",
+                "a7a8bd722f62a31ff807176f1b52b9df61dda1ee43db8cc54f5107f9bfd179be",
+            ),
             (
                 lambda: random_deformation_a(4, random.Random(7), 2),
                 "0d837f3ba01df52f55ae12dcd530b42a10fcba6731b81835cfd4602179d3826c",
+                "6ff96f3157e23da55518b494eefd9b614da3d4f26769e509d50a354f4fb7f32e",
             ),
         ],
         ids=["cox_b3", "random_a4_seed7"],
     )
-    def test_digest(self, make, digest):
-        # sha256 of repr([(sign_vector, witness as strings, level), ...]).
+    def test_digest(self, make, digest, masked):
+        # sha256 of repr([(sign_vector, witness as strings, level), ...]), and
+        # ``masked`` of the same list without witnesses: sign vectors, levels
+        # and order pinned apart from the witnesses.
         regions = enumerate_regions(make())
         data = repr([(r.sign_vector, tuple(str(x) for x in r.witness), r.level) for r in regions])
         assert hashlib.sha256(data.encode()).hexdigest() == digest
+        data = repr([(r.sign_vector, r.level) for r in regions])
+        assert hashlib.sha256(data.encode()).hexdigest() == masked
 
 
 class TestMCatalanFormula:
